@@ -1,14 +1,22 @@
 """F4 — cluster scale-out: throughput vs shard count and cross-shard mix.
 
-Quantifies the sharding tentpole.  A promise manager's per-request cost
-is dominated by the isolation check, which sweeps the *live* promises on
-that manager; partitioning resources over N shards divides the live set
-each request must be checked against.  Three sweeps:
+Quantifies the sharding tentpole.  When it was written a promise
+manager's per-request cost was dominated by the isolation check, which
+swept *every* live promise on that manager, so partitioning resources
+over N shards divided the live set each request was checked against and
+the scaling sweep carried a >= 3x acceptance bar from 1 to 4 shards.  The
+per-resource promise index (DESIGN.md, "Promise-table indexes and the
+narrowed check") gives a single manager that locality on its own — a
+check reads the promises on the request's pools whatever else stands —
+so the sweep no longer has a speed-up to find: its shards run in one
+thread, and what is left is the gateway's routing cost.  The bar now
+bounds that cost (:data:`ROUTING_FLOOR`): four shards must serve at least
+half of what one serves.  Three sweeps:
 
 * ``test_report_f4_scaling`` — single-shard workloads through one
   gateway, with a fixed population of background promises spread over
   the fleet: throughput vs shard count (1 → 8).  The acceptance bar is
-  >= 3x from 1 to 4 shards.
+  >= :data:`ROUTING_FLOOR` x from 1 to 4 shards.
 * ``test_report_f4_cross_fraction`` — a fixed 4-shard fleet as the
   fraction of cross-shard (scatter-gather) requests rises: the price of
   composite grants, compensation bookkeeping and 2x message fan-out.
@@ -55,6 +63,9 @@ REQUESTS = 200  # measured request+release round trips per sweep point
 SHARD_COUNTS = (1, 2, 4, 8)
 CROSS_FRACTIONS = (0.0, 0.25, 0.5, 1.0)
 DURATION = 1_000_000
+#: Least 4-shard throughput, as a share of 1-shard throughput.  Repeated
+#: sweeps read 0.7-1.4; a route that doubled a request's cost reads < 0.5.
+ROUTING_FLOOR = 0.5
 
 
 def build_cluster(shards: int):
@@ -92,9 +103,9 @@ def seed_background(
 ) -> None:
     """``count`` long-lived promises, landed directly on their shards.
 
-    These are the standing population every measured request's isolation
-    check must sweep; with N shards each check only sees ~count/N of
-    them — the locality the partition map exists to buy.
+    The standing population: ``count / POOLS`` of them share a pool with
+    each measured request and are what its isolation check loads, on any
+    number of shards.
     """
     for index in range(count):
         pool = f"product-{index % POOLS}"
@@ -294,9 +305,9 @@ def test_report_f4_scaling(benchmark):
         rows,
     )
     by_shards = {row["shards"]: row for row in rows}
-    assert by_shards[4]["speedup"] >= 3.0, (
-        f"1->4 shard speedup {by_shards[4]['speedup']:.2f}x is below the "
-        "3x acceptance bar"
+    assert by_shards[4]["speedup"] >= ROUTING_FLOOR, (
+        f"4 shards serve {by_shards[4]['speedup']:.2f}x of what 1 shard "
+        f"serves, below the {ROUTING_FLOOR}x routing-cost bar"
     )
 
 
@@ -357,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         "crash_audit": audit,
         "acceptance": {
             "speedup_1_to_4": by_shards[4]["speedup"],
-            "speedup_1_to_4_ok": by_shards[4]["speedup"] >= 3.0,
+            "speedup_1_to_4_ok": by_shards[4]["speedup"] >= ROUTING_FLOOR,
             "orphaned_sub_promises": audit["orphaned_sub_promises"],
             "audit_clean": audit["audit_clean"],
         },

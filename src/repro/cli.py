@@ -571,6 +571,7 @@ def _build_server(
     # top``) covers the whole process.
     deployment.store.wal.subscribe(wal_observer(server.metrics))
     deployment.store.wal.set_metrics(server.metrics)
+    deployment.manager.metrics = server.metrics
     server.attach_store(deployment.store)
     server.register(
         endpoint,
@@ -1297,7 +1298,9 @@ def _obs_addresses(
 
 def _render_metrics(snapshot, indent: str = "  ") -> list[str]:
     """One scrape as ``name = value`` lines (counters, gauges, then
-    histogram count/mean pairs), sorted for stable output."""
+    histogram count/mean pairs), sorted for stable output.  A histogram
+    named ``*_seconds`` is shown in ms; any other (``wal.batch.size``,
+    ``manager.check.promises``) counts things and is shown as is."""
     lines: list[str] = []
     counters = snapshot.get("counters", {})
     for name in sorted(counters):
@@ -1311,9 +1314,11 @@ def _render_metrics(snapshot, indent: str = "  ") -> list[str]:
         count = int(hist.get("count", 0))
         total = float(hist.get("sum", 0.0))
         mean = total / count if count else 0.0
-        lines.append(
-            f"{indent}{name} = count {count}, mean {mean * 1000:.2f} ms"
-        )
+        if name.endswith("_seconds"):
+            shown = f"{mean * 1000:.2f} ms"
+        else:
+            shown = f"{mean:.2f}"
+        lines.append(f"{indent}{name} = count {count}, mean {shown}")
     return lines
 
 

@@ -309,6 +309,7 @@ class ClusterFleet:
         # the shard's whole stack (server, admission, storage).
         deployment.store.wal.subscribe(wal_observer(server.metrics))
         deployment.store.wal.set_metrics(server.metrics)
+        deployment.manager.metrics = server.metrics
         if self._history is not None:
             self._history.attach(index, deployment.store.wal)
         server.attach_store(deployment.store)

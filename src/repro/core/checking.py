@@ -24,7 +24,7 @@ must be excluded from the pool backing an 'any economy seat' promise —
 §3.2), so instance-level demands are solved as one matching problem.
 
 ``Or`` predicates are handled by trying DNF branch combinations, bounded by
-:data:`MAX_COMBINATIONS`.
+:data:`MAX_COMBINATIONS` per independent group of demands.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from .predicates import (
 )
 
 MAX_COMBINATIONS = 256
-"""Upper bound on Or-branch combinations tried across a demand set."""
+"""Upper bound on Or-branch combinations tried across one independent
+group of demands (see :func:`check_satisfiable`)."""
 
 
 @dataclass(frozen=True)
@@ -134,13 +135,65 @@ def check_satisfiable(
     capacity per pool that is known to be held outside ``available`` (the
     escrowed units of pool-strategy promises included in the check).
 
+    Demands that share no resource cannot constrain each other, so the
+    set is split into independent groups (:func:`_independent_groups`)
+    and each is solved on its own: :data:`MAX_COMBINATIONS` bounds a
+    group's Or-branches, not the whole set's, and the verdict on a group
+    does not depend on which other groups were handed in.  The first
+    failing group's diagnostics are returned.
+    """
+    tagged = dict(tagged_instances or {})
+    offsets = dict(pool_offsets or {})
+    merged = CheckResult(ok=True)
+    for group in _independent_groups(demands, state):
+        result = _check_group(group, state, tagged, offsets)
+        if not result.ok:
+            return result
+        merged.assignment.update(result.assignment)
+        merged.pool_usage.update(result.pool_usage)
+        merged.chosen_branches.update(result.chosen_branches)
+    return merged
+
+
+def _independent_groups(
+    demands: Sequence[Demand], state: ResourceStateView
+) -> list[list[Demand]]:
+    """Partition ``demands`` into groups that share no resource.
+
+    Two demands interact only through a pool both count on or a
+    collection both draw instances from (a named instance counts as its
+    collection), directly or through a chain of other demands.  Groups
+    come out in order of their first demand, each in the given order.
+    """
+    groups: list[tuple[set[str], list[int]]] = []  # (resources, demand indexes)
+    for index, demand in enumerate(demands):
+        resources = set()
+        for predicate in demand.predicates:
+            for resource_id in predicate.resources():
+                instance = state.instance(resource_id)
+                resources.add(instance.collection_id if instance else resource_id)
+        members = [index]
+        for group in [group for group in groups if group[0] & resources]:
+            groups.remove(group)
+            resources |= group[0]
+            members += group[1]
+        groups.append((resources, sorted(members)))
+    groups.sort(key=lambda group: group[1][0])
+    return [[demands[index] for index in members] for __, members in groups]
+
+
+def _check_group(
+    demands: Sequence[Demand],
+    state: ResourceStateView,
+    tagged: Mapping[str, str],
+    offsets: Mapping[str, int],
+) -> CheckResult:
+    """Solve one independent group.
+
     Tries Or-branch combinations in order and returns the first fully
     satisfiable one; when none fits, the result's diagnostics describe the
     *last* combination's failure.
     """
-    tagged = dict(tagged_instances or {})
-    offsets = dict(pool_offsets or {})
-
     per_demand_branches: list[list[list[AtomicPredicate]]] = [
         demand.branch_choices() for demand in demands
     ]

@@ -30,11 +30,17 @@ the release ran inside the aborted transaction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..faults.crashpoints import crash_point
+from ..obs.metrics import MetricsRegistry
 from ..resources.manager import ResourceManager
-from ..resources.records import INSTANCES_TABLE
+from ..resources.records import (
+    COLLECTIONS_TABLE,
+    INSTANCE_INDEX_TABLE,
+    INSTANCES_TABLE,
+    POOLS_TABLE,
+)
 from ..storage.store import Store
 from ..storage.transactions import Transaction
 from ..strategies.base import IsolationStrategy, Violation
@@ -68,6 +74,16 @@ _SPLIT_KEY = "split"
 #: WAL replay restores it for free.
 MANAGER_META_TABLE = "promise_manager_meta"
 CLOCK_KEY = "clock"
+
+#: Tables whose rows are resource state: a write to one names, by its key,
+#: a resource whose promises must be re-checked after the action.
+_RESOURCE_TABLES = (POOLS_TABLE, COLLECTIONS_TABLE, INSTANCE_INDEX_TABLE)
+
+#: Bucket bounds of the ``manager.check.promises`` histogram (a count).
+_WIDTH_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+
+#: Committed lifecycle events that take a promise out of the live set.
+_ENDINGS = (EventKind.RELEASED, EventKind.CONSUMED, EventKind.EXPIRED)
 
 
 @dataclass
@@ -206,6 +222,7 @@ class PromiseManager:
         name: str = "promise-manager",
         max_duration: int | None = None,
         counter_offers: bool = False,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         # Imported here, not at module level: repro.recovery imports this
         # module (the recover() entry point takes a PromiseManager).
@@ -216,7 +233,7 @@ class PromiseManager:
         self._resources = resources or ResourceManager(self._store)
         self.clock = clock or LogicalClock()
         self.registry = registry or StrategyRegistry()
-        self._table = PromiseTable(self._store)
+        self._table = PromiseTable(self._store, self._resource_key)
         self._store.create_table(MANAGER_META_TABLE)
         self.journal = ReplyJournal(self._store)
         self._promise_ids = IdGenerator(f"{name}:prm")
@@ -224,6 +241,10 @@ class PromiseManager:
         self.max_duration = max_duration
         self.counter_offers = counter_offers
         self.events = EventHub()
+        #: Where ``manager.check.promises`` / ``manager.live_promises`` go;
+        #: a server attaches its own registry here.
+        self.metrics = metrics
+        self.live_promises = 0  # from committed events; ``recover`` seeds it
 
     # ------------------------------------------------------------ accessors
 
@@ -300,18 +321,18 @@ class PromiseManager:
             strategy_names: list[str] = []
             split_record: dict[str, list[dict[str, object]]] = {}
 
+            relevant = self._relevant(txn, request.predicates, now)
             for strategy, predicates in self._split(txn, request.predicates):
                 split_record[strategy.name] = [
                     predicate.to_dict() for predicate in predicates
                 ]
-                active = self._active_for(txn, strategy, now)
                 decision = strategy.can_grant(
                     txn,
                     self._resources,
                     promise_id,
                     duration,
                     predicates,
-                    active,
+                    self._owned_by(strategy, relevant),
                     self._tagged(txn),
                 )
                 if strategy.external:
@@ -343,7 +364,11 @@ class PromiseManager:
                 meta[strategy.name] = decision.meta
 
             meta[_STRATEGIES_KEY] = strategy_names
-            meta[_SPLIT_KEY] = split_record
+            if len(split_record) > 1:
+                # One strategy's share is the whole promise: recording it
+                # again would double the predicates in every row image the
+                # log keeps.
+                meta[_SPLIT_KEY] = split_record
             promise = Promise(
                 promise_id=promise_id,
                 client_id=request.client_id,
@@ -461,7 +486,7 @@ class PromiseManager:
                 post_commit=post_commit,
             )
             if consume:
-                violations = self._check_all(txn, now)
+                violations = self._check_written(txn, now)
                 if violations:
                     raise PromiseViolation(
                         sorted({v.promise_id for v in violations}),
@@ -563,7 +588,7 @@ class PromiseManager:
                 )
                 released.append(promise_id)
 
-            violations = self._check_all(txn, now)
+            violations = self._check_written(txn, now)
             if violations:
                 txn.abort()
                 for violation in violations:
@@ -621,9 +646,11 @@ class PromiseManager:
             raise
 
     def check_all(self) -> list[Violation]:
-        """On-demand global consistency check (no action involved)."""
+        """The audit: check every live promise (no action involved; the
+        request path re-checks only what it wrote, :meth:`_check_written`)."""
+        now = self.clock.now
         with self._store.begin() as txn:
-            return self._check_all(txn, self.clock.now)
+            return self._check(txn, self._table.active(txn, now))
 
     # --------------------------------------------------------- expiry API
 
@@ -715,14 +742,14 @@ class PromiseManager:
                 promise_id, promise.status.value, "release"
             )
         tagged = self._tagged(txn)
+        relevant = self._relevant(txn, promise.predicates, now)
         for strategy in self._strategies_of(promise):
-            active = self._active_for(txn, strategy, now)
             deferred = strategy.on_release(
                 txn,
                 self._resources,
                 self._view_for(promise, strategy),
                 consumed=consume,
-                active_promises=active,
+                active_promises=self._owned_by(strategy, relevant),
                 tagged_instances=tagged,
             )
             if deferred is not None:
@@ -747,36 +774,80 @@ class PromiseManager:
             expired.append(promise.promise_id)
         return expired
 
-    def _check_all(self, txn: Transaction, now: int) -> list[Violation]:
+    def _check(
+        self, txn: Transaction, promises: Sequence[Promise]
+    ) -> list[Violation]:
+        """Ask each strategy whether its share of ``promises`` still holds."""
         violations: list[Violation] = []
         tagged = self._tagged(txn)
-        all_active = self._table.active(txn, now)
         for strategy in self.registry.strategies():
-            active = [
-                self._view_for(promise, strategy)
-                for promise in all_active
-                if strategy.name in self._strategy_names_of(promise)
-            ]
             violations.extend(
-                strategy.check_consistency(txn, self._resources, active, tagged)
+                strategy.check_consistency(
+                    txn, self._resources, self._owned_by(strategy, promises), tagged
+                )
             )
         return violations
 
-    def _resolve_strategy(self, txn: Transaction, resource_id: str) -> IsolationStrategy:
-        """Strategy owning one resource id.
+    def _check_written(self, txn: Transaction, now: int) -> list[Violation]:
+        """The post-action check (§8), over what the action could have broken.
 
-        Instance ids fall through to their collection's strategy: the
-        same instances support named and anonymous/property views at once
-        (§3.2), so 'seat 24G' must be handled by whatever technique owns
-        the seat collection.
+        A promise's verdict is a function of the state of its resources
+        and of the promises sharing them, so only promises reachable from
+        a resource this transaction wrote can have changed verdict; the
+        rest were honourable before it and still are.  Promises of
+        *external* strategies are always included: their truth lives
+        upstream, where no local write set can see it change.
         """
-        direct = self.registry.assigned(resource_id)
-        if direct is not None:
-            return direct
-        if self._resources.instance_exists(txn, resource_id):
-            record = self._resources.instance(txn, resource_id)
-            return self.registry.strategy_for(record.collection_id)
-        return self.registry.strategy_for(resource_id)
+        written: set[str] = set()
+        for entry in txn.undo_log:
+            if entry.table in _RESOURCE_TABLES:
+                written.add(entry.key)
+            elif entry.table == INSTANCES_TABLE:
+                written.add(self._resource_key(txn, entry.key))
+                if isinstance(entry.old_value, Mapping):  # moved or removed
+                    written.add(str(entry.old_value["collection_id"]))
+        if any(strategy.external for strategy in self.registry.strategies()):
+            written.update(
+                key
+                for key in self._table.indexed_resources(txn)
+                if self.registry.strategy_for(key).external
+            )
+        return self._check(txn, self._reachable(txn, written, now))
+
+    def _relevant(
+        self, txn: Transaction, predicates: Iterable[Predicate], now: int
+    ) -> list[Promise]:
+        """Live promises that share a resource with ``predicates``, directly
+        or through other promises (§5: "all relevant existing promises")."""
+        return self._reachable(txn, self._table.resource_keys(txn, predicates), now)
+
+    def _reachable(
+        self, txn: Transaction, resources: Iterable[str], now: int
+    ) -> list[Promise]:
+        promises = self._table.reachable(txn, resources, now)
+        if self.metrics is not None:
+            self.metrics.histogram(
+                "manager.check.promises", _WIDTH_BUCKETS
+            ).observe(len(promises))
+        return promises
+
+    def _resource_key(self, txn: Transaction, resource_id: str) -> str:
+        """The id a resource is indexed — and routed to a strategy — under.
+
+        Instance ids fold into their collection unless a strategy was
+        assigned to the instance itself: the same instances support named
+        and anonymous/property views at once (§3.2), so 'seat 24G' is
+        handled by, and checked together with, the seat collection.
+        """
+        if self.registry.assigned(resource_id) is None:
+            record = txn.get_or_none(INSTANCES_TABLE, resource_id)
+            if isinstance(record, Mapping):
+                return str(record["collection_id"])
+        return resource_id
+
+    def _resolve_strategy(self, txn: Transaction, resource_id: str) -> IsolationStrategy:
+        """Strategy owning one resource id."""
+        return self.registry.strategy_for(self._resource_key(txn, resource_id))
 
     def _split(
         self, txn: Transaction, predicates: Sequence[Predicate]
@@ -820,12 +891,13 @@ class PromiseManager:
             groups.values(), key=lambda entry: (entry[0].external, entry[0].name)
         )
 
-    def _active_for(
-        self, txn: Transaction, strategy: IsolationStrategy, now: int
+    def _owned_by(
+        self, strategy: IsolationStrategy, promises: Iterable[Promise]
     ) -> list[Promise]:
+        """``strategy``'s share of ``promises``."""
         return [
             self._view_for(promise, strategy)
-            for promise in self._table.active(txn, now)
+            for promise in promises
             if strategy.name in self._strategy_names_of(promise)
         ]
 
@@ -837,9 +909,10 @@ class PromiseManager:
         satisfiability); each strategy must only ever see — and on
         consumption, take — its own share, or quantity atoms would be
         consumed twice and foreign escrowed demands would look violated.
+        A promise with one strategy is its own view.
         """
         split = promise.meta.get(_SPLIT_KEY)
-        if not isinstance(split, Mapping):
+        if not isinstance(split, Mapping) or len(split) <= 1:
             return promise
         raw = split.get(strategy.name)
         if not isinstance(raw, list):
@@ -856,14 +929,10 @@ class PromiseManager:
         )
 
     def _strategies_of(self, promise: Promise) -> list[IsolationStrategy]:
-        by_name = {
-            strategy.name: strategy for strategy in self.registry.strategies()
-        }
-        return [
-            by_name[name]
-            for name in self._strategy_names_of(promise)
-            if name in by_name
-        ]
+        named = (
+            self.registry.named(name) for name in self._strategy_names_of(promise)
+        )
+        return [strategy for strategy in named if strategy is not None]
 
     @staticmethod
     def _strategy_names_of(promise: Promise) -> list[str]:
@@ -906,17 +975,17 @@ class PromiseManager:
         try:
             self._sweep(txn, now)
             probe_id = f"{self.name}:probe"
+            relevant = self._relevant(txn, predicates, now)
             for strategy, group in self._split(txn, list(predicates)):
                 if strategy.external:
                     return False
-                active = self._active_for(txn, strategy, now)
                 decision = strategy.can_grant(
                     txn,
                     self._resources,
                     probe_id,
                     duration,
                     group,
-                    active,
+                    self._owned_by(strategy, relevant),
                     self._tagged(txn),
                 )
                 if not decision.ok:
@@ -1010,6 +1079,9 @@ class PromiseManager:
     ) -> None:
         """Publish one lifecycle event (only for committed outcomes —
         rejection and violation describe the abort itself)."""
+        self.live_promises += (kind is EventKind.GRANTED) - (kind in _ENDINGS)
+        if self.metrics is not None:
+            self.metrics.set_gauge("manager.live_promises", self.live_promises)
         self.events.emit(
             PromiseEvent(
                 kind=kind,

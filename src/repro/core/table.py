@@ -10,29 +10,48 @@ the resource-state reads — the "special care" §8 says is needed to keep
 promise state and resource state mutually consistent.  Rather than
 physically deleting released/expired rows we mark their status, preserving
 an audit trail; :meth:`PromiseTable.vacuum` removes dead rows.
+
+Two derived structures live beside the rows.  Both are written in the
+transaction that changes the row they describe — so undo, WAL, recovery
+and WAL shipping cover them — and can be rebuilt from the rows alone:
+
+* one index row per *resource*, listing the live promises whose
+  predicates mention it: a request loads the promises that share its
+  resources (§5: "all relevant existing promises"), not every live one;
+* the *earliest-expiry watermark*, a lower bound on the soonest
+  ``expires_at`` among live promises: the per-request expiry sweep is
+  one read until the clock reaches it.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Iterable, Mapping, Sequence
+
 from ..storage.transactions import Transaction
 from .errors import UnknownPromise
+from .predicates import Predicate
 from .promise import Promise, PromiseStatus
 
 PROMISES_TABLE = "promise_table"
 PROMISE_INDEX_TABLE = "promise_index"
-_ACTIVE_KEY = "active"
+#: Prefix of resource rows, so no resource id collides with the watermark.
+_RESOURCE_PREFIX = "r:"
+_WATERMARK_KEY = "earliest-expiry"
 
 
 class PromiseTable:
     """Persistent set of promises, keyed by promise id.
 
-    An ``active`` index row lists the ids of live promises so the hot
-    paths (grant-time checking, the post-action sweep) read only live
-    rows instead of scanning the whole audit trail.
+    ``resource_key`` maps a resource id a predicate names to the id it is
+    indexed under (the promise manager folds instances into their
+    collection): promises whose keys overlap can constrain each other.
     """
 
-    def __init__(self, store) -> None:
+    def __init__(
+        self, store, resource_key: Callable[[Transaction, str], str] | None = None
+    ) -> None:
         self._store = store
+        self._resource_key = resource_key or (lambda txn, resource_id: resource_id)
         store.create_table(PROMISES_TABLE)
         store.create_table(PROMISE_INDEX_TABLE)
 
@@ -40,7 +59,7 @@ class PromiseTable:
         """Record a newly granted promise."""
         txn.insert(PROMISES_TABLE, promise.promise_id, promise.to_dict())
         if promise.is_active:
-            self._index_add(txn, promise.promise_id)
+            self._index(txn, promise, live=True)
 
     def get(self, txn: Transaction, promise_id: str) -> Promise:
         """Load one promise; raises :class:`UnknownPromise` when absent."""
@@ -61,10 +80,7 @@ class PromiseTable:
         if not txn.exists(PROMISES_TABLE, promise.promise_id):
             raise UnknownPromise(promise.promise_id)
         txn.put(PROMISES_TABLE, promise.promise_id, promise.to_dict())
-        if promise.is_active:
-            self._index_add(txn, promise.promise_id)
-        else:
-            self._index_remove(txn, promise.promise_id)
+        self._index(txn, promise, live=promise.is_active)
 
     def mark(
         self, txn: Transaction, promise_id: str, status: PromiseStatus
@@ -82,52 +98,81 @@ class PromiseTable:
             for __, payload in txn.scan(PROMISES_TABLE)
         ]
 
-    def active(self, txn: Transaction, now: int | None = None) -> list[Promise]:
-        """Live promises; with ``now`` given, excludes ones already due
-        to expire (they bind nothing once the sweep runs).  Served from
-        the active index."""
-        promises = []
-        for promise in self._active_rows(txn):
-            if now is not None and promise.is_expired_at(now):
-                continue
-            promises.append(promise)
-        return promises
+    # ------------------------------------------------------ indexed reads
 
-    def due_for_expiry(self, txn: Transaction, now: int) -> list[Promise]:
-        """ACTIVE promises whose duration has elapsed at ``now``."""
+    def active(self, txn: Transaction, now: int | None = None) -> list[Promise]:
+        """Every live promise, in id order; with ``now`` given, excludes
+        ones already due to expire (they bind nothing once the sweep
+        runs).  Served from the index, not the audit trail."""
+        return self.reachable(txn, self.indexed_resources(txn), now)
+
+    def resource_keys(
+        self, txn: Transaction, predicates: Iterable[Predicate]
+    ) -> set[str]:
+        """The index keys of every resource ``predicates`` mention."""
+        return {
+            self._resource_key(txn, resource_id)
+            for predicate in predicates
+            for resource_id in predicate.resources()
+        }
+
+    def indexed_resources(self, txn: Transaction) -> list[str]:
+        """Index keys of every resource that has (or had) a promise."""
         return [
-            promise
-            for promise in self._active_rows(txn)
-            if promise.is_expired_at(now)
+            key[len(_RESOURCE_PREFIX):]
+            for key in txn.keys(PROMISE_INDEX_TABLE)
+            if key.startswith(_RESOURCE_PREFIX)
         ]
 
-    def _active_rows(self, txn: Transaction) -> list[Promise]:
-        index = txn.get_or_none(PROMISE_INDEX_TABLE, _ACTIVE_KEY) or []
-        promises = []
-        for promise_id in index:  # type: ignore[union-attr]
-            promise = self.get_or_none(txn, str(promise_id))
-            if promise is not None and promise.is_active:
-                promises.append(promise)
-        return promises
+    def reachable(
+        self, txn: Transaction, resources: Iterable[str], now: int | None = None
+    ) -> list[Promise]:
+        """Live promises that can constrain a change to ``resources``.
 
-    def _index_add(self, txn: Transaction, promise_id: str) -> None:
-        index = txn.get_or_none(PROMISE_INDEX_TABLE, _ACTIVE_KEY) or []
-        if promise_id not in index:  # type: ignore[operator]
-            txn.put(
-                PROMISE_INDEX_TABLE,
-                _ACTIVE_KEY,
-                sorted([*index, promise_id]),  # type: ignore[misc]
-            )
+        The closure over shared resources: promises on ``resources``, on
+        any other resource those mention, and so on — an ``Or`` spanning
+        two pools ties both pools' promises into one jointly checked set.
+        A sub-list of :meth:`active` (same order, same ``now`` filter).
+        """
+        found: dict[str, Promise] = {}
+        seen: set[str] = set()
+        frontier = list(resources)
+        while frontier:
+            key = frontier.pop()
+            if key in seen:
+                continue
+            seen.add(key)
+            row = txn.get_or_none(PROMISE_INDEX_TABLE, _RESOURCE_PREFIX + key)
+            for promise_id in row or ():  # type: ignore[union-attr]
+                if promise_id in found:
+                    continue
+                promise = self.get_or_none(txn, promise_id)
+                if promise is not None and promise.is_active:
+                    found[promise_id] = promise
+                    frontier.extend(self.resource_keys(txn, promise.predicates))
+        return [
+            found[promise_id]
+            for promise_id in sorted(found)
+            if now is None or not found[promise_id].is_expired_at(now)
+        ]
 
-    def _index_remove(self, txn: Transaction, promise_id: str) -> None:
-        index = txn.get_or_none(PROMISE_INDEX_TABLE, _ACTIVE_KEY)
-        if index is None:
-            return
+    def due_for_expiry(self, txn: Transaction, now: int) -> list[Promise]:
+        """ACTIVE promises whose duration has elapsed at ``now``.
+
+        One read while ``now`` is short of the watermark.  Once reached,
+        one pass over the live set finds the due promises and raises the
+        watermark to the earliest expiry among the rest — the caller
+        expires what is returned, in this same transaction.
+        """
+        earliest = self._earliest(txn)
+        if earliest is None or now < earliest:
+            return []
+        live = self.active(txn)
+        staying = [p.expires_at for p in live if not p.is_expired_at(now)]
         txn.put(
-            PROMISE_INDEX_TABLE,
-            _ACTIVE_KEY,
-            [entry for entry in index if entry != promise_id],  # type: ignore[union-attr]
+            PROMISE_INDEX_TABLE, _WATERMARK_KEY, {"at": min(staying, default=None)}
         )
+        return [promise for promise in live if promise.is_expired_at(now)]
 
     def by_client(self, txn: Transaction, client_id: str) -> list[Promise]:
         """All promises granted to one client."""
@@ -142,7 +187,8 @@ class PromiseTable:
         return len(self.active(txn, now))
 
     def vacuum(self, txn: Transaction) -> int:
-        """Physically delete released/expired rows; returns rows removed."""
+        """Physically delete released/expired rows; returns rows removed.
+        (They left the index when they were marked.)"""
         dead = [
             promise.promise_id
             for promise in self.all_promises(txn)
@@ -150,5 +196,82 @@ class PromiseTable:
         ]
         for promise_id in dead:
             txn.delete(PROMISES_TABLE, promise_id)
-            self._index_remove(txn, promise_id)
         return len(dead)
+
+    # ------------------------------------------- derived-state maintenance
+
+    def index_drift(self, txn: Transaction) -> dict[str, str]:
+        """Index rows that disagree with the promise rows, as row key →
+        what is wrong; empty when every resource row lists exactly its
+        live promises (an empty row and an absent one mean the same) and
+        the watermark is a valid lower bound."""
+        return self._drift(txn)[0]
+
+    def rebuild_index(self, txn: Transaction) -> dict[str, str]:
+        """Rewrite every drifted row from the promise rows; returns what
+        :meth:`index_drift` found.  Rows nothing live maps to — a ghost
+        resource, the one ``active`` list of a log written before the
+        per-resource index — are deleted."""
+        drift, expected = self._drift(txn)
+        for key in drift:
+            if key in expected:
+                txn.put(PROMISE_INDEX_TABLE, key, expected[key])
+            else:
+                txn.delete(PROMISE_INDEX_TABLE, key)
+        return drift
+
+    def _drift(self, txn: Transaction) -> tuple[dict[str, str], dict]:
+        """(drifted rows, the index the promise rows imply), in one scan."""
+        rows: dict[str, list[str]] = {}
+        expiries = []
+        for promise_id, payload in txn.scan(PROMISES_TABLE):
+            try:
+                promise = Promise.from_dict(payload)  # type: ignore[arg-type]
+            except Exception:  # noqa: BLE001 - the doctor reports bad rows
+                continue
+            if promise.is_active:
+                expiries.append(promise.expires_at)
+                for key in self.resource_keys(txn, promise.predicates):
+                    rows.setdefault(_RESOURCE_PREFIX + key, []).append(promise_id)
+        expected: dict = {key: sorted(ids) for key, ids in rows.items()}
+        drift: dict[str, str] = {}
+        earliest, bound = min(expiries, default=None), self._earliest(txn)
+        if earliest is not None and (bound is None or bound > earliest):
+            expected[_WATERMARK_KEY] = {"at": earliest}
+            drift[_WATERMARK_KEY] = (
+                f"watermark {bound} is past the earliest live expiry {earliest}"
+            )
+        stored = dict(txn.scan(PROMISE_INDEX_TABLE))
+        for key in sorted((expected.keys() | stored.keys()) - {_WATERMARK_KEY}):
+            want, have = expected.get(key, []), stored.get(key) or []
+            if have != want:
+                drift[key] = f"lists {have}, the live promises are {want}"
+        return drift, expected
+
+    def _index(self, txn: Transaction, promise: Promise, live: bool) -> None:
+        """List (or unlist) ``promise`` under each of its resources."""
+        promise_id = promise.promise_id
+        for key in self.resource_keys(txn, promise.predicates):
+            row = _RESOURCE_PREFIX + key
+            ids: Sequence[str] = txn.get_or_none(PROMISE_INDEX_TABLE, row) or []  # type: ignore[assignment]
+            if (promise_id in ids) == live:
+                continue
+            if live:
+                ids = sorted([*ids, promise_id])
+            else:
+                ids = [entry for entry in ids if entry != promise_id]
+            txn.put(PROMISE_INDEX_TABLE, row, ids)
+        if live:
+            earliest = self._earliest(txn)
+            if earliest is None or promise.expires_at < earliest:
+                txn.put(
+                    PROMISE_INDEX_TABLE, _WATERMARK_KEY, {"at": promise.expires_at}
+                )
+
+    def _earliest(self, txn: Transaction) -> int | None:
+        """The watermark: no live promise expires before it; ``None``
+        when nothing is live.  An absent row (a fresh store, an older
+        log) reads as 0 — unknown, so the next sweep scans and sets it."""
+        row = txn.get_or_none(PROMISE_INDEX_TABLE, _WATERMARK_KEY)
+        return row.get("at") if isinstance(row, Mapping) else 0  # type: ignore[return-value]
+

@@ -96,10 +96,15 @@ def recover(
        newest ``granted_at`` on record, in case the clock row lagged);
     2. advance the promise/request id pools past every id on record, so
        new grants never collide with recovered rows;
-    3. sweep promises whose ``expires_at`` passed while the manager was
+    3. rebuild what has drifted of the per-resource promise index and
+       the expiry watermark — derived state like the two above, whatever
+       ``repair`` says: the sweep and every later check find promises
+       through them, and a log written before they existed holds neither
+       (what was rewritten is listed in the report's ``repaired``);
+    4. sweep promises whose ``expires_at`` passed while the manager was
        down — they are marked EXPIRED and their ``EXPIRED`` events fire
        exactly once, here;
-    4. audit with the doctor, first repairing mechanically safe drift
+    5. audit with the doctor, first repairing mechanically safe drift
        when ``repair`` is set.
     """
     start = time.perf_counter()
@@ -127,12 +132,13 @@ def recover(
         journal_entries = manager.journal.count(txn)
 
     manager.clock.advance_to(max(stored_tick, newest_grant))
-    expired = manager.expire_due()
-
     doctor = Doctor(manager, registry=registry)
-    repaired = tuple(doctor.repair()) if repair else ()
+    repaired = tuple(doctor.rebuild_promise_index())
+    expired = manager.expire_due()
+    if repair:
+        repaired += tuple(doctor.repair())
     findings = tuple(doctor.check())
-    active = len(manager.active_promises())
+    active = manager.live_promises = len(manager.active_promises())
     if registry is not None:
         registry.inc("recovery.runs")
         registry.inc("recovery.expired_on_recovery", len(expired))

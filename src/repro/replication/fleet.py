@@ -335,6 +335,7 @@ class ReplicatedFleet:
                 sender.add_follower(follower.address, follower.name)
             sender.full_sync_all()
             deployment.store.wal.subscribe(wal_observer(best.server.metrics))
+            deployment.manager.metrics = best.server.metrics
             deployment.store.wal.subscribe(sender.observe)
             if self._history is not None:
                 self._history.attach(index, deployment.store.wal)
@@ -598,6 +599,7 @@ class ReplicatedFleet:
             metrics=server.metrics,
         )
         deployment.store.wal.subscribe(wal_observer(server.metrics))
+        deployment.manager.metrics = server.metrics
         deployment.store.wal.subscribe(sender.observe)
         if self._history is not None:
             self._history.attach(index, deployment.store.wal)

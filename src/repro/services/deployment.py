@@ -65,7 +65,9 @@ class Deployment:
         # siblings' disks live.
         # ``metrics`` (optional) hooks this deployment's WAL into a
         # shared registry (``wal.appends`` / ``wal.commits`` /
-        # ``wal.checkpoints``) and routes recovery audits through it.
+        # ``wal.checkpoints``), gives the promise manager somewhere to
+        # report check width and the live-promise count, and routes
+        # recovery audits through it.
         self.name = name
         self.clock = clock or LogicalClock()
         self.metrics = metrics
@@ -88,6 +90,7 @@ class Deployment:
             name=manager_name or name,
             max_duration=max_duration,
             counter_offers=counter_offers,
+            metrics=metrics,
         )
         if metrics is not None:
             self.store.wal.subscribe(wal_observer(metrics))

@@ -54,12 +54,14 @@ class LogRecordType(enum.Enum):
     CHECKPOINT = "checkpoint"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     """One WAL entry.
 
     ``value`` carries the full after-image for PUT records; CHECKPOINT
     records carry a snapshot of the whole store in ``value`` instead.
+    The log keeps every record in memory, some two dozen per request, so
+    the instances carry no ``__dict__``.
     """
 
     lsn: int

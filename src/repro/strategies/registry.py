@@ -78,6 +78,10 @@ class StrategyRegistry:
         """
         return self._by_resource.get(resource_id)
 
+    def named(self, name: str) -> IsolationStrategy | None:
+        """The registered strategy called ``name``, or ``None``."""
+        return self._strategies.get(name)
+
     def strategies(self) -> list[IsolationStrategy]:
         """Every distinct strategy the registry knows, default included."""
         return list(self._strategies.values())

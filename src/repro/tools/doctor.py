@@ -15,8 +15,9 @@ Checks:
   live promise (stale tags strand resources forever);
 * **escrow balance** — each pool's ``allocated`` counter equals the sum of
   live escrow bookkeeping over it;
-* **index integrity** — the active-promise index and the per-collection
-  instance indexes agree with a full scan;
+* **index integrity** — the per-resource promise index, the expiry
+  watermark and the per-collection instance indexes agree with a full
+  scan of the rows they are derived from;
 * **satisfiability** — the whole live promise set passes the manager's own
   joint consistency check;
 * **record hygiene** — every stored promise deserialises.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from ..core.manager import PromiseManager
 from ..core.promise import Promise
 from ..obs.metrics import MetricsRegistry
-from ..core.table import PROMISE_INDEX_TABLE, PROMISES_TABLE, _ACTIVE_KEY
+from ..core.table import PROMISES_TABLE
 from ..resources.records import (
     INSTANCE_INDEX_TABLE,
     INSTANCES_TABLE,
@@ -89,7 +90,7 @@ class Doctor:
         findings.extend(self._check_promise_records())
         findings.extend(self._check_tags())
         findings.extend(self._check_escrow())
-        findings.extend(self._check_active_index())
+        findings.extend(self._check_promise_index())
         findings.extend(self._check_instance_index())
         findings.extend(self._check_satisfiability())
         if self._registry is not None:
@@ -101,10 +102,11 @@ class Doctor:
         """Fix mechanically-safe drift; returns what was repaired.
 
         Stale tags (instance promised to a dead promise) are reset to
-        available; both indexes are rebuilt from scans.  Run :meth:`check`
-        afterwards to see what (if anything) remains.
+        available; the promise index, the expiry watermark and the
+        instance indexes are rebuilt from the rows they are derived from.
+        Run :meth:`check` afterwards to see what (if anything) remains.
         """
-        repaired: list[Finding] = []
+        repaired = self.rebuild_promise_index()
         manager = self._manager
         with manager.store.begin() as txn:
             live = {
@@ -130,19 +132,6 @@ class Doctor:
                             f"cleared stale tag to dead promise {promise_id}",
                         )
                     )
-            # Rebuild the active index.
-            current = txn.get_or_none(PROMISE_INDEX_TABLE, _ACTIVE_KEY) or []
-            expected = sorted(live)
-            if list(current) != expected:  # type: ignore[arg-type]
-                txn.put(PROMISE_INDEX_TABLE, _ACTIVE_KEY, expected)
-                repaired.append(
-                    Finding(
-                        Severity.REPAIRED,
-                        "active-index",
-                        _ACTIVE_KEY,
-                        f"rebuilt ({len(current)} -> {len(expected)} entries)",  # type: ignore[arg-type]
-                    )
-                )
             # Rebuild instance indexes.
             memberships: dict[str, list[str]] = {}
             for key, payload in txn.scan(INSTANCES_TABLE):
@@ -168,6 +157,16 @@ class Doctor:
         if self._registry is not None:
             self._registry.inc("doctor.repairs", len(repaired))
         return repaired
+
+    def rebuild_promise_index(self) -> list[Finding]:
+        """Rewrite drifted rows of the promise index, and the expiry
+        watermark, from the promise rows.  Part of :meth:`repair`; recovery
+        also runs it on its own, before anything reads through the index."""
+        with self._manager.store.begin() as txn:
+            return [
+                Finding(Severity.REPAIRED, "promise-index", key, f"rebuilt: {detail}")
+                for key, detail in self._manager.table.rebuild_index(txn).items()
+            ]
 
     # ------------------------------------------------------------ internals
 
@@ -251,37 +250,12 @@ class Doctor:
                     )
         return findings
 
-    def _check_active_index(self) -> list[Finding]:
-        findings = []
-        manager = self._manager
-        with manager.store.begin() as txn:
-            stored = set(
-                txn.get_or_none(PROMISE_INDEX_TABLE, _ACTIVE_KEY) or []
-            )
-            actual = {
-                promise.promise_id
-                for promise in self._safe_promises(txn)
-                if promise.is_active
-            }
-            for missing in sorted(actual - stored):
-                findings.append(
-                    Finding(
-                        Severity.ERROR,
-                        "active-index",
-                        missing,
-                        "live promise missing from the active index",
-                    )
-                )
-            for stale in sorted(stored - actual):
-                findings.append(
-                    Finding(
-                        Severity.ERROR,
-                        "active-index",
-                        str(stale),
-                        "index lists a promise that is not live",
-                    )
-                )
-        return findings
+    def _check_promise_index(self) -> list[Finding]:
+        with self._manager.store.begin() as txn:
+            return [
+                Finding(Severity.ERROR, "promise-index", key, detail)
+                for key, detail in self._manager.table.index_drift(txn).items()
+            ]
 
     def _check_instance_index(self) -> list[Finding]:
         findings = []

@@ -50,6 +50,10 @@ class TestTop:
         assert "shard 0 @" in output and "shard 1 @" in output
         assert "server.scrapes = 1" in output
         assert "wal.appends" in output
+        # Sweep width without a benchmark: one promise stands, and the
+        # grant's isolation check loaded none (nothing shared its pool).
+        assert "manager.live_promises = 1" in output
+        assert "manager.check.promises = count 1, mean 0.00\n" in output
 
     def test_single_server_and_json(self, fleet):
         host, port = fleet.addresses()[0]

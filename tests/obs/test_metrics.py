@@ -159,3 +159,28 @@ def test_wal_observer_counts_appends(tmp_path):
     deployment.close()
     assert registry.value("wal.appends") > 0
     assert registry.value("wal.commits") >= 1
+
+
+def test_manager_reports_check_width_and_live_promises():
+    """``manager.check.promises`` is how many promises one isolation check
+    loaded; ``manager.live_promises`` follows grants and releases."""
+    from repro.core.predicates import quantity_at_least
+    from repro.services.deployment import Deployment
+
+    registry = MetricsRegistry()
+    deployment = Deployment(name="obs", metrics=registry)
+    deployment.use_pool_strategy("stock", "other")
+    with deployment.seed() as txn:
+        deployment.resources.create_pool(txn, "stock", 50)
+        deployment.resources.create_pool(txn, "other", 50)
+    manager = deployment.manager
+    for pool in ("stock", "stock", "other"):
+        granted = manager.request_promise_for([quantity_at_least(pool, 1)], 10)
+    assert registry.value("manager.live_promises") == 3
+    # The three checks loaded 0, 1 and 0 promises: only the second grant
+    # shared a pool with a standing promise.
+    widths = registry.snapshot()["histograms"]["manager.check.promises"]
+    assert (widths["count"], widths["sum"]) == (3, 1.0)
+    manager.release(granted.promise_id)
+    assert registry.value("manager.live_promises") == 2
+    deployment.close()

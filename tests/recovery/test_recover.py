@@ -10,6 +10,8 @@ across the restart.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.clock import LogicalClock
 from repro.core.events import EventKind
 from repro.core.manager import PromiseManager
@@ -221,3 +223,49 @@ class TestExpiryAcrossRestart:
         report = recover(revived)
         assert report.expired_on_recovery == ()
         assert revived.is_promise_active(response.promise_id)
+
+
+class TestLegacyIndexMigration:
+    """A log written before the per-resource promise index holds one
+    ``active`` id list and no watermark; both are derived state, so
+    recovery builds them from the promise rows before it sweeps."""
+
+    def downgrade(self, manager: PromiseManager) -> dict:
+        """Rewrite the index the way the old code left it; returns the
+        per-resource rows it replaced."""
+        from repro.core.table import PROMISE_INDEX_TABLE
+
+        with manager.store.begin() as txn:
+            rows = dict(txn.scan(PROMISE_INDEX_TABLE))
+            for key in rows:
+                txn.delete(PROMISE_INDEX_TABLE, key)
+            live = sorted(p.promise_id for p in manager.table.all_promises(txn))
+            txn.put(PROMISE_INDEX_TABLE, "active", live)
+        return rows
+
+    @pytest.mark.parametrize("repair", [True, False])
+    def test_recover_migrates_and_sweeps_a_legacy_log(self, tmp_path, repair):
+        from repro.core.table import PROMISE_INDEX_TABLE
+
+        wal = tmp_path / "shop.wal"
+        manager = build_manager(wal)
+        short = grant(manager, "req-1", amount=60, duration=5)
+        long = grant(manager, "req-2", amount=30, duration=50)
+        rows = self.downgrade(manager)
+        manager.store.close()
+
+        revived = build_manager(wal, clock=LogicalClock(20))
+        report = recover(revived, repair=repair)
+        # (The watermark needs no repair: absent reads as "unknown, scan".)
+        resource_rows = {key for key, row in rows.items() if isinstance(row, list)}
+        assert {f.subject for f in report.repaired} == resource_rows | {"active"}
+        assert report.healthy, report.findings
+        # The sweep found the promise that ran out while the log was legacy.
+        assert report.expired_on_recovery == (short.promise_id,)
+        with revived.store.begin() as txn:
+            index = dict(txn.scan(PROMISE_INDEX_TABLE))
+        assert "active" not in index
+        assert [long.promise_id] in index.values()
+        # And the narrowed check sees the survivor: 30 of 100 are escrowed.
+        assert not grant(revived, "req-3", amount=71).accepted
+        assert grant(revived, "req-4", amount=70).accepted

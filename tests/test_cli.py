@@ -109,6 +109,39 @@ class TestDoctorCommand:
         code, output = run_cli("doctor", "--wal", str(wal), "--repair")
         assert code == 0
 
+    @pytest.mark.parametrize("flags", [("--repair",), ()])
+    def test_rebuilds_corrupted_promise_index(self, tmp_path, flags):
+        """The index and the watermark are derived state: recovery rebuilds
+        them before anything reads through them, with ``--repair`` or not."""
+        from repro.core.predicates import quantity_at_least
+        from repro.core.table import PROMISE_INDEX_TABLE
+        from repro.services.deployment import Deployment
+
+        wal = tmp_path / "shop.wal"
+        run_cli("serve", "--self-test", "--wal", str(wal))
+        shop = Deployment(name="shop", wal_path=str(wal))
+        shop.use_pool_strategy("widgets")
+        shop.recover()
+        standing = shop.manager.request_promise_for(
+            [quantity_at_least("widgets", 1)], 10**6
+        )
+        assert standing.accepted
+        # Empty the promise's resource row and make the watermark claim
+        # that nothing is live: the promise would never be checked again,
+        # nor ever expire.
+        with shop.seed() as txn:
+            for key, row in dict(txn.scan(PROMISE_INDEX_TABLE)).items():
+                emptied = [] if isinstance(row, list) else {"at": None}
+                txn.put(PROMISE_INDEX_TABLE, key, emptied)
+        shop.close()
+
+        code, output = run_cli("doctor", "--wal", str(wal), *flags)
+        assert code == 0
+        assert output.count("repaired: [repaired] promise-index") == 2
+        assert standing.promise_id in output
+        code, output = run_cli("doctor", "--wal", str(wal))
+        assert code == 0 and "healthy" in output and "repaired" not in output
+
     def test_missing_wal(self, tmp_path):
         code, output = run_cli("doctor", "--wal", str(tmp_path / "nope.wal"))
         assert code == 2

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.parser import P
 from repro.core.predicates import quantity_at_least
-from repro.core.table import PROMISE_INDEX_TABLE, _ACTIVE_KEY
+from repro.core.table import PROMISE_INDEX_TABLE
 from repro.resources.records import INSTANCE_INDEX_TABLE, INSTANCES_TABLE, InstanceStatus
 from repro.tools import Doctor, Severity
 
@@ -74,17 +74,34 @@ class TestEscrowBalance:
 
 
 class TestIndexIntegrity:
-    def test_corrupted_active_index_detected_and_rebuilt(self, healthy):
+    def test_corrupted_promise_index_detected_and_rebuilt(self, healthy):
         manager, promise_id = healthy
         with manager.store.begin() as txn:
-            txn.put(PROMISE_INDEX_TABLE, _ACTIVE_KEY, ["ghost-promise"])
+            before = dict(txn.scan(PROMISE_INDEX_TABLE))
+            for key, row in before.items():
+                # Resource rows are id lists; the expiry watermark is a
+                # mapping, here pushed past every live promise's expiry.
+                corrupt = ["ghost-promise"] if isinstance(row, list) else {"at": 10**9}
+                txn.put(PROMISE_INDEX_TABLE, key, corrupt)
+            # A row no live promise maps to — what a log from before the
+            # per-resource index holds.
+            txn.put(PROMISE_INDEX_TABLE, "active", [promise_id])
+        assert len(before) == 2  # the widgets row and the watermark
+
         doctor = Doctor(manager)
-        findings = doctor.check()
-        kinds = {f.subject for f in findings if f.check == "active-index"}
-        assert promise_id in kinds         # live promise missing
-        assert "ghost-promise" in kinds    # stale entry
-        doctor.repair()
-        assert not any(f.check == "active-index" for f in doctor.check())
+        findings = [f for f in doctor.check() if f.check == "promise-index"]
+        assert {f.subject for f in findings} == set(before) | {"active"}
+        assert any(
+            "ghost-promise" in f.detail and promise_id in f.detail
+            for f in findings
+        )
+
+        repaired = doctor.repair()
+        assert {f.subject for f in repaired} == set(before) | {"active"}
+        assert not any(f.check == "promise-index" for f in doctor.check())
+        with manager.store.begin() as txn:
+            assert dict(txn.scan(PROMISE_INDEX_TABLE)) == before
+        assert [p.promise_id for p in manager.active_promises()] == [promise_id]
 
     def test_corrupted_instance_index_detected_and_rebuilt(
         self, tentative_rooms_manager
