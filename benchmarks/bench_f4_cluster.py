@@ -42,15 +42,11 @@ import json
 import sys
 import time
 
-from repro.cluster import (
-    ClusterFleet,
-    ClusterGateway,
-    PartitionMap,
-    provision_products,
-)
+from repro.cluster import ClusterGateway, PartitionMap, provision_products
 from repro.core.parser import P
 from repro.protocol.client import PromiseClient
 from repro.protocol.retry import RetryPolicy
+from repro.replication import ReplicatedFleet
 from repro.services.deployment import Deployment
 from repro.services.merchant import MerchantService
 
@@ -229,8 +225,9 @@ def crash_audit(tmp_dir: str, shards: int = 3) -> dict[str, object]:
     The row this returns is F4's correctness datum: after the rejection,
     restart and one flush, no shard may hold an orphaned sub-promise.
     """
-    fleet = ClusterFleet(
+    fleet = ReplicatedFleet(
         shards,
+        replicas=0,
         provision=provision_products(POOLS, STOCK),
         wal_dir=tmp_dir,
     )

@@ -42,7 +42,7 @@ import sys
 import threading
 import time
 
-from repro.cluster import ClusterFleet, ClusterGateway, provision_products
+from repro.cluster import ClusterGateway, provision_products
 from repro.core.parser import P
 from repro.net import NetworkTransport, PromiseServer, ThreadedServer
 from repro.protocol.client import PromiseClient
@@ -53,6 +53,7 @@ from repro.protocol.errors import (
     TransportFailure,
 )
 from repro.protocol.retry import RetryPolicy
+from repro.replication import ReplicatedFleet
 from repro.resilience import AdmissionController, CircuitBreaker
 from repro.services.deployment import Deployment
 from repro.services.merchant import MerchantService
@@ -245,8 +246,8 @@ def overload_sweep(
 
 def breaker_run(use_breaker: bool) -> dict[str, object]:
     """Round-robin workload over a 3-shard fleet with one shard dead."""
-    fleet = ClusterFleet(
-        3, provision=provision_products(CLUSTER_PRODUCTS, STOCK)
+    fleet = ReplicatedFleet(
+        3, replicas=0, provision=provision_products(CLUSTER_PRODUCTS, STOCK)
     )
     with fleet:
         products = [f"product-{n}" for n in range(CLUSTER_PRODUCTS)]

@@ -15,7 +15,7 @@ Quantifies the `repro.replication` tentpole with two sweeps:
   and **zero orphaned promises** at the end.
 * ``test_report_f6_goodput`` — the same kill under a round-robin
   workload over every product, replicated fleet (automatic failover)
-  vs the PR 3 baseline (unreplicated :class:`ClusterFleet` where an
+  vs the PR 3 baseline (the same fleet with ``replicas=0``, where an
   operator restarts the shard after ``OPERATOR_DELAY_S``).  Goodput
   and the longest success gap ("downtime") are compared; the
   acceptance bar is the replicated fleet's downtime beating the
@@ -41,7 +41,7 @@ import threading
 import time
 from dataclasses import replace
 
-from repro.cluster import ClusterFleet, provision_products
+from repro.cluster import provision_products
 from repro.core.parser import P
 from repro.faults.nemesis import audit_fleet
 from repro.protocol.client import PromiseClient
@@ -262,24 +262,19 @@ def mttr_sweep(
 # --------------------------------------------------------------- goodput
 
 
-def goodput_run(replicated: bool) -> dict[str, object]:
+def goodput_run(replicas: int) -> dict[str, object]:
     """Round-robin workload across all products through one kill.
 
-    ``replicated=False`` is the PR 3 posture: a plain
-    :class:`ClusterFleet` whose dead shard comes back only when the
-    simulated operator runs ``restart`` after ``OPERATOR_DELAY_S``.
-    ``replicated=True`` lets the heartbeat detector promote the
-    follower with no operator in the loop.
+    ``replicas=0`` is the PR 3 posture: the dead shard comes back only
+    when the simulated operator runs ``restart`` after
+    ``OPERATOR_DELAY_S``.  With followers the heartbeat detector
+    promotes one with no operator in the loop.
     """
+    replicated = replicas > 0
     products = [f"product-{n}" for n in range(PRODUCTS)]
-    if replicated:
-        fleet = ReplicatedFleet(
-            2, replicas=1, provision=provision_products(PRODUCTS, STOCK)
-        )
-    else:
-        fleet = ClusterFleet(
-            2, provision=provision_products(PRODUCTS, STOCK)
-        )
+    fleet = ReplicatedFleet(
+        2, replicas=replicas, provision=provision_products(PRODUCTS, STOCK)
+    )
     with fleet:
         victim, _ = _victim_shard(fleet)
         detector = None
@@ -369,7 +364,7 @@ def goodput_run(replicated: bool) -> dict[str, object]:
 
 def goodput_sweep() -> list[dict[str, object]]:
     """The same kill, operator-bound vs heartbeat-bound recovery."""
-    return [goodput_run(False), goodput_run(True)]
+    return [goodput_run(0), goodput_run(1)]
 
 
 # ------------------------------------------------------------- reporting

@@ -103,24 +103,20 @@ from .baselines import (
     PromiseRegime,
     ValidationRegime,
 )
-from .cluster import ClusterFleet, ClusterGateway, provision_products
+from .cluster import ClusterGateway, host_deployment, provision_products
 from .core.environment import Environment
 from .core.errors import PredicateSyntaxError
 from .core.parser import P
-from .net import NetworkTransport, PromiseServer, ThreadedServer
+from .net import NetworkTransport, ThreadedServer
 from .storage.group_commit import GroupCommitConfig
-from .net.server import (
-    METRICS_ENDPOINT,
-    NET_REPLY_JOURNAL_TABLE,
-    SPANS_ENDPOINT,
-)
-from .obs.metrics import snapshot_delta, wal_observer
+from .net.server import METRICS_ENDPOINT, SPANS_ENDPOINT
+from .obs.metrics import snapshot_delta
 from .obs.trace import Span, SpanRecorder, render_trace, spans_from_jsonl
 from .protocol.client import PromiseClient
-from .recovery import ReplyJournal
 from .storage.errors import RecoveryError
 from .protocol.errors import ProtocolError
 from .protocol.messages import ActionPayload, Message
+from .replication import HeartbeatDetector, ReplicatedFleet
 from .resilience.admission import AdmissionController
 from .resilience.breaker import CircuitBreaker
 from .services.deployment import Deployment
@@ -547,40 +543,6 @@ def _build_served_deployment(
     return deployment
 
 
-def _build_server(
-    deployment: Deployment,
-    endpoint: str,
-    host: str,
-    port: int,
-    admission: AdmissionController | None = None,
-    workers: int = 0,
-) -> PromiseServer:
-    """A :class:`PromiseServer` for ``deployment``, with a durable
-    reply journal when the deployment has one to give."""
-    journal = None
-    if deployment.store.durable:
-        journal = ReplyJournal(
-            deployment.store, table=NET_REPLY_JOURNAL_TABLE
-        )
-    server = PromiseServer(
-        host=host, port=port, reply_journal=journal, admission=admission,
-        workers=workers,
-    )
-    # The server owns the deployment's registry too: WAL appends land
-    # beside the request counters, so one ``_metrics`` scrape (``repro
-    # top``) covers the whole process.
-    deployment.store.wal.subscribe(wal_observer(server.metrics))
-    deployment.store.wal.set_metrics(server.metrics)
-    deployment.manager.metrics = server.metrics
-    server.attach_store(deployment.store)
-    server.register(
-        endpoint,
-        deployment.endpoint.handle,
-        keys=deployment.endpoint.dispatch_keys,
-    )
-    return server
-
-
 def run_serve(
     host: str,
     port: int | None,
@@ -615,8 +577,9 @@ def run_serve(
         group_commit=group_commit, out=out,
     )
     admission = _admission_from_flags(max_queue, rate_limit)
-    server = _build_server(
-        deployment, endpoint, host, port, admission, workers=workers
+    server = host_deployment(
+        deployment, endpoint, host=host, port=port,
+        admission=admission, workers=workers,
     )
 
     async def serve() -> None:
@@ -717,9 +680,9 @@ def _self_test_two_lives(
         endpoint, stock, wal, fsync, checkpoint_every,
         group_commit=group_commit, out=out,
     )
-    server = _build_server(
-        deployment, endpoint, host, port,
-        _admission_from_flags(max_queue, rate_limit),
+    server = host_deployment(
+        deployment, endpoint, host=host, port=port,
+        admission=_admission_from_flags(max_queue, rate_limit),
         workers=workers,
     )
     with ThreadedServer(server) as (host, bound_port):
@@ -793,9 +756,9 @@ def _self_test_two_lives(
     )
     report = deployment.recovery_report
     recovered_ok = report is not None and report.healthy
-    server = _build_server(
-        deployment, endpoint, host, port,
-        _admission_from_flags(max_queue, rate_limit),
+    server = host_deployment(
+        deployment, endpoint, host=host, port=port,
+        admission=_admission_from_flags(max_queue, rate_limit),
         workers=workers,
     )
     with ThreadedServer(server) as (host, bound_port):
@@ -860,6 +823,9 @@ def run_serve_cluster(
     out=sys.stdout,
 ) -> int:
     """Host a sharded fleet over TCP; returns a process exit code."""
+    import tempfile
+    import threading
+
     if shards < 1:
         print(f"need at least one shard, got {shards}", file=out)
         return 2
@@ -872,27 +838,9 @@ def run_serve_cluster(
         # shard's bucket protects its own event loop, not the fleet's.
         def admission(index: int) -> AdmissionController:
             return _admission_from_flags(max_queue, rate_limit)
-    if self_test:
-        if replicas > 0:
-            return _serve_cluster_failover_self_test(
-                shards, host, endpoint, products, stock,
-                replicas=replicas, heartbeat_interval=heartbeat_interval,
-                admission=admission, breaker_threshold=breaker_threshold,
-                out=out,
-            )
-        return _serve_cluster_self_test(
-            shards, host, endpoint, products, stock,
-            admission=admission, breaker_threshold=breaker_threshold,
-            out=out,
-        )
-    if port is None:
-        port = DEFAULT_PORT
 
-    detector = None
-    if replicas > 0:
-        from .replication import HeartbeatDetector, ReplicatedFleet
-
-        fleet = ReplicatedFleet(
+    def build(wal_dir: str | None, base_port: int | None) -> ReplicatedFleet:
+        return ReplicatedFleet(
             shards,
             replicas=replicas,
             endpoint=endpoint,
@@ -900,31 +848,36 @@ def run_serve_cluster(
             wal_dir=wal_dir,
             fsync=fsync,
             host=host,
-            base_port=port,
-            admission=admission,
-        )
-    else:
-        fleet = ClusterFleet(
-            shards,
-            endpoint=endpoint,
-            provision=provision_products(products, stock),
-            wal_dir=wal_dir,
-            fsync=fsync,
-            host=host,
-            base_port=port,
+            base_port=base_port,
             admission=admission,
             workers=workers,
             group_commit=group_commit,
         )
+
+    if self_test:
+        with tempfile.TemporaryDirectory(prefix="repro-cluster-") as scratch:
+            with build(scratch, None) as fleet:
+                # With followers the road back from a kill is the
+                # detector's promotion; without, restart-from-WAL.
+                if replicas > 0:
+                    return _serve_cluster_failover_self_test(
+                        fleet, heartbeat_interval, breaker_threshold, out
+                    )
+                return _serve_cluster_self_test(
+                    fleet, products, breaker_threshold, out
+                )
+    if port is None:
+        port = DEFAULT_PORT
+
+    fleet = build(wal_dir, port)
     try:
         addresses = fleet.start()
     except OSError as error:
         print(f"cannot serve on {host}:{port}+: {error}", file=out)
         return 2
+    detector = None
     try:
         if replicas > 0:
-            from .replication import HeartbeatDetector  # noqa: F811
-
             detector = HeartbeatDetector(
                 fleet, interval=heartbeat_interval, miss_threshold=3
             ).start()
@@ -943,12 +896,11 @@ def run_serve_cluster(
             owned = fleet.ring.placement(
                 [f"product-{number}" for number in range(products)]
             ).get(index, [])
-            extra = ""
-            if replicas > 0:
-                followers = fleet.group(index).followers
-                extra = ", followers: " + ", ".join(
-                    f"{f.address[0]}:{f.address[1]}" for f in followers
-                )
+            followers = ", ".join(
+                f"{f.address[0]}:{f.address[1]}"
+                for f in fleet.group(index).followers
+            )
+            extra = f", followers: {followers}" if followers else ""
             print(
                 f"  shard {index}: {bound_host}:{bound_port} "
                 f"({len(owned)} pools{extra})",
@@ -956,8 +908,6 @@ def run_serve_cluster(
             )
         joined = ",".join(f"{h}:{p}" for h, p in addresses)
         print(f"gateway clients: call --cluster {joined}", file=out)
-        import threading
-
         threading.Event().wait()
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         print("shutting down fleet", file=out)
@@ -969,20 +919,11 @@ def run_serve_cluster(
 
 
 def _serve_cluster_failover_self_test(
-    shards: int,
-    host: str,
-    endpoint: str,
-    products: int,
-    stock: int,
-    replicas: int,
-    heartbeat_interval: float,
-    admission=None,
-    breaker_threshold: int | None = None,
-    out=sys.stdout,
+    fleet, heartbeat_interval: float, breaker_threshold: int | None, out
 ) -> int:
     """Replicated-fleet smoke test: grant, kill the primary, recover.
 
-    Boots the replica groups with a heartbeat detector, grants a
+    Runs a heartbeat detector over the booted replica groups, grants a
     promise, verifies the WAL stream is caught up, then kills the
     promise's home primary.  The detector must promote a follower
     within a few heartbeats, after which the same gateway — remapped
@@ -990,247 +931,203 @@ def _serve_cluster_failover_self_test(
     intervention; the dead primary rejoins as a follower and the
     doctor audit must come back clean.
     """
-    import tempfile
     import time
 
     from .protocol.retry import RetryPolicy
-    from .replication import HeartbeatDetector, ReplicatedFleet
 
+    endpoint = fleet.endpoint
     checks: list[tuple[str, bool]] = []
 
     def check(label: str, ok: bool) -> None:
         checks.append((label, ok))
         print(f"{label}: {'ok' if ok else 'FAILED'}", file=out)
 
-    with tempfile.TemporaryDirectory(prefix="repro-replica-") as wal_dir:
-        fleet = ReplicatedFleet(
-            shards,
-            replicas=replicas,
-            endpoint=endpoint,
-            provision=provision_products(products, stock),
-            wal_dir=wal_dir,
-            host=host,
-            admission=admission,
+    print(
+        f"self-test: {len(fleet)} replica groups x "
+        f"{1 + len(fleet.group(0).followers)} nodes, "
+        f"heartbeat {heartbeat_interval}s",
+        file=out,
+    )
+    with HeartbeatDetector(
+        fleet, interval=heartbeat_interval, miss_threshold=3
+    ):
+        gateway = fleet.gateway(
+            timeout=2.0,
+            retry=RetryPolicy(max_attempts=4, base_delay=0.05, max_delay=0.2),
+            breaker_threshold=breaker_threshold or 4,
+            breaker_reset=0.2,
         )
-        with fleet:
+        with gateway:
+            client = PromiseClient(
+                "failover-self-test", gateway, deadline=10.0
+            )
+            product = "product-0"
+            victim = fleet.ring.shard_of(product)
+            response = client.request_promise(
+                endpoint, [P(f"quantity('{product}') >= 2")], 60
+            )
+            check("grant before failover", response.accepted)
+            stream = fleet.replication_status(victim)["stream"]
+            check(
+                "followers caught up",
+                stream is not None
+                and stream["synced_lsn"] == stream["last_lsn"],
+            )
+            epoch_before = fleet.epoch(victim)
+            fleet.kill(victim)
             print(
-                f"self-test: {shards} replica groups x "
-                f"{1 + replicas} nodes, heartbeat {heartbeat_interval}s",
+                f"killed primary of shard {victim}; waiting for "
+                "the detector...",
                 file=out,
             )
-            detector = HeartbeatDetector(
-                fleet, interval=heartbeat_interval, miss_threshold=3
-            ).start()
-            try:
-                gateway = fleet.gateway(
-                    timeout=2.0,
-                    retry=RetryPolicy(
-                        max_attempts=4, base_delay=0.05, max_delay=0.2
-                    ),
-                    breaker_threshold=breaker_threshold or 4,
-                    breaker_reset=0.2,
-                )
-                with gateway:
-                    client = PromiseClient(
-                        "failover-self-test", gateway, deadline=10.0
+            started = time.monotonic()
+            promoted = fleet.await_failover(
+                victim, beyond_epoch=epoch_before, timeout=15.0
+            )
+            elapsed = time.monotonic() - started
+            check(
+                f"automatic failover (epoch "
+                f"{fleet.epoch(victim)}, {elapsed:.2f}s)",
+                promoted,
+            )
+            retry = client.request_promise(
+                endpoint, [P(f"quantity('{product}') >= 1")], 60
+            )
+            check("grant after failover", retry.accepted)
+            released = True
+            for pid in (response.promise_id, retry.promise_id):
+                if pid:
+                    released = (
+                        client.release(endpoint, pid) == () and released
                     )
-                    product = "product-0"
-                    victim = fleet.ring.shard_of(product)
-                    response = client.request_promise(
-                        endpoint, [P(f"quantity('{product}') >= 2")], 60
-                    )
-                    check("grant before failover", response.accepted)
-                    stream = fleet.replication_status(victim)["stream"]
-                    check(
-                        "followers caught up",
-                        stream is not None
-                        and stream["synced_lsn"] == stream["last_lsn"],
-                    )
-                    epoch_before = fleet.epoch(victim)
-                    fleet.kill(victim)
-                    print(
-                        f"killed primary of shard {victim}; waiting for "
-                        "the detector...",
-                        file=out,
-                    )
-                    started = time.monotonic()
-                    promoted = fleet.await_failover(
-                        victim, beyond_epoch=epoch_before, timeout=15.0
-                    )
-                    elapsed = time.monotonic() - started
-                    check(
-                        f"automatic failover (epoch "
-                        f"{fleet.epoch(victim)}, {elapsed:.2f}s)",
-                        promoted,
-                    )
-                    retry = client.request_promise(
-                        endpoint, [P(f"quantity('{product}') >= 1")], 60
-                    )
-                    check("grant after failover", retry.accepted)
-                    released = True
-                    for pid in (response.promise_id, retry.promise_id):
-                        if pid:
-                            released = (
-                                client.release(endpoint, pid) == ()
-                                and released
-                            )
-                    check("releases across the failover", released)
-                    rejoined = fleet.rejoin(victim)
-                    check("dead primary rejoined as follower", rejoined == 1)
-                    counts = fleet.live_promises()
-                    findings = fleet.audit()
-                    check(
-                        "no orphaned promises",
-                        all(count == 0 for count in counts.values()),
-                    )
-                    check(
-                        "doctor audit clean",
-                        all(not found for found in findings.values()),
-                    )
-            finally:
-                detector.stop()
+            check("releases across the failover", released)
+            rejoined = fleet.rejoin(victim)
+            check("dead primary rejoined as follower", rejoined == 1)
+            counts = fleet.live_promises()
+            findings = fleet.audit()
+            check(
+                "no orphaned promises",
+                all(count == 0 for count in counts.values()),
+            )
+            check(
+                "doctor audit clean",
+                all(not found for found in findings.values()),
+            )
     healthy = all(ok for __, ok in checks)
     print("failover self-test " + ("ok" if healthy else "FAILED"), file=out)
     return 0 if healthy else 1
 
 
 def _serve_cluster_self_test(
-    shards: int,
-    host: str,
-    endpoint: str,
-    products: int,
-    stock: int,
-    admission=None,
-    breaker_threshold: int | None = None,
-    out=sys.stdout,
+    fleet, products: int, breaker_threshold: int | None, out
 ) -> int:
     """Loopback fleet smoke test: grant, cross-shard, crash, audit.
 
-    Boots the fleet on ephemeral ports with per-shard WALs in a
-    temporary directory, then drives one gateway through the paths that
-    define the subsystem: a single-shard grant/release, a cross-shard
-    composite grant/release, an action routed by its resource
-    parameter, and a shard kill mid-fleet — the cross-shard request must
-    be rejected, the compensation queued, and one flush after restart
-    must leave every shard's doctor audit clean.
+    Drives one gateway over the booted fleet (ephemeral ports, per-shard
+    WALs in a temporary directory) through the paths that define the
+    subsystem: a single-shard grant/release, a cross-shard composite
+    grant/release, an action routed by its resource parameter, and a
+    shard kill mid-fleet — the cross-shard request must be rejected, the
+    compensation queued, and one flush after restart must leave every
+    shard's doctor audit clean.
     """
-    import tempfile
-
     from .protocol.retry import RetryPolicy
 
+    endpoint = fleet.endpoint
     checks: list[tuple[str, bool]] = []
 
     def check(label: str, ok: bool) -> None:
         checks.append((label, ok))
         print(f"{label}: {'ok' if ok else 'FAILED'}", file=out)
 
-    with tempfile.TemporaryDirectory(prefix="repro-cluster-") as wal_dir:
-        fleet = ClusterFleet(
-            shards,
-            endpoint=endpoint,
-            provision=provision_products(products, stock),
-            wal_dir=wal_dir,
-            host=host,
-            admission=admission,
+    print(
+        f"self-test: {len(fleet)} shards on "
+        + ", ".join(f"{h}:{p}" for h, p in fleet.addresses()),
+        file=out,
+    )
+    pair = _cross_shard_pair(fleet, products)
+    if pair is None:
+        print(
+            f"self-test FAILED: the ring placed all {products} "
+            "products on one shard; rerun with more --products",
+            file=out,
         )
-        with fleet:
-            addresses = fleet.addresses()
-            print(
-                f"self-test: {shards} shards on "
-                + ", ".join(f"{h}:{p}" for h, p in addresses),
-                file=out,
-            )
-            pair = _cross_shard_pair(fleet, products)
-            if pair is None:
-                print(
-                    f"self-test FAILED: the ring placed all {products} "
-                    "products on one shard; rerun with more --products",
-                    file=out,
-                )
-                return 1
-            near, far = pair
-            with fleet.gateway(
-                timeout=2.0,
-                retry=RetryPolicy.none(),
-                breaker_threshold=breaker_threshold,
-                breaker_reset=0.2,
-            ) as gateway:
-                client = PromiseClient(
-                    "cluster-self-test", gateway, retry=RetryPolicy.none()
-                )
+        return 1
+    near, far = pair
+    with fleet.gateway(
+        timeout=2.0,
+        retry=RetryPolicy.none(),
+        breaker_threshold=breaker_threshold,
+        breaker_reset=0.2,
+    ) as gateway:
+        client = PromiseClient(
+            "cluster-self-test", gateway, retry=RetryPolicy.none()
+        )
 
-                response = client.request_promise(
-                    endpoint, [P(f"quantity('{near}') >= 1")], 30
-                )
-                check("single-shard grant", response.accepted)
-                check(
-                    "single-shard release",
-                    client.release(endpoint, response.promise_id) == (),
-                )
+        response = client.request_promise(
+            endpoint, [P(f"quantity('{near}') >= 1")], 30
+        )
+        check("single-shard grant", response.accepted)
+        check(
+            "single-shard release",
+            client.release(endpoint, response.promise_id) == (),
+        )
 
-                response = client.request_promise(
-                    endpoint,
-                    [P(f"quantity('{near}') >= 2"), P(f"quantity('{far}') >= 1")],
-                    30,
-                )
-                check(
-                    "cross-shard composite grant",
-                    response.accepted
-                    and response.promise_id.startswith("cluster/"),
-                )
-                check(
-                    "composite release fan-out",
-                    client.release(endpoint, response.promise_id) == (),
-                )
+        response = client.request_promise(
+            endpoint,
+            [P(f"quantity('{near}') >= 2"), P(f"quantity('{far}') >= 1")],
+            30,
+        )
+        check(
+            "cross-shard composite grant",
+            response.accepted
+            and response.promise_id.startswith("cluster/"),
+        )
+        check(
+            "composite release fan-out",
+            client.release(endpoint, response.promise_id) == (),
+        )
 
-                outcome = client.call(
-                    endpoint, "merchant", "sell",
-                    {"product": far, "quantity": 1},
-                )
-                check("action routed to resource shard", outcome.success)
+        outcome = client.call(
+            endpoint, "merchant", "sell",
+            {"product": far, "quantity": 1},
+        )
+        check("action routed to resource shard", outcome.success)
 
-                victim = fleet.ring.shard_of(far)
-                fleet.kill(victim)
-                response = client.request_promise(
-                    endpoint,
-                    [P(f"quantity('{near}') >= 2"), P(f"quantity('{far}') >= 1")],
-                    30,
-                )
-                check(
-                    "cross-shard request rejected while shard down",
-                    not response.accepted,
-                )
-                check(
-                    "compensation queued for dead shard",
-                    gateway.pending_compensations == 1,
-                )
-                fleet.restart(victim)
-                if breaker_threshold is not None:
-                    # Give a tripped per-shard breaker time to half-open
-                    # so the flush probe reaches the restarted shard.
-                    import time
+        victim = fleet.ring.shard_of(far)
+        fleet.kill(victim)
+        response = client.request_promise(
+            endpoint,
+            [P(f"quantity('{near}') >= 2"), P(f"quantity('{far}') >= 1")],
+            30,
+        )
+        check(
+            "cross-shard request rejected while shard down",
+            not response.accepted,
+        )
+        check(
+            "compensation queued for dead shard",
+            gateway.pending_compensations == 1,
+        )
+        fleet.restart(victim)
+        check("queued compensation flushed", gateway.flush_pending() == 1)
 
-                    time.sleep(0.25)
-                check("queued compensation flushed", gateway.flush_pending() == 1)
-
-                counts = fleet.live_promises()
-                findings = fleet.audit()
-                check(
-                    "no orphaned sub-promises",
-                    all(count == 0 for count in counts.values()),
-                )
-                check(
-                    "per-shard doctor audit clean",
-                    all(not found for found in findings.values()),
-                )
+        counts = fleet.live_promises()
+        findings = fleet.audit()
+        check(
+            "no orphaned sub-promises",
+            all(count == 0 for count in counts.values()),
+        )
+        check(
+            "per-shard doctor audit clean",
+            all(not found for found in findings.values()),
+        )
     healthy = all(ok for __, ok in checks)
     print("cluster self-test " + ("ok" if healthy else "FAILED"), file=out)
     return 0 if healthy else 1
 
 
-def _cross_shard_pair(
-    fleet: ClusterFleet, products: int
-) -> tuple[str, str] | None:
+def _cross_shard_pair(fleet, products: int) -> tuple[str, str] | None:
     """Two product pools the fleet's ring places on different shards."""
     first = "product-0"
     home = fleet.ring.shard_of(first)

@@ -15,22 +15,26 @@ manager.
   scatter-gathers cross-shard promise requests with compensating
   release, so no torn cross-shard promise survives a rejection, a
   timeout or a shard crash.
-* :mod:`~repro.cluster.fleet` — :class:`ClusterFleet`, booting the
-  shards (own store, WAL, recovery, TCP port each) with kill/restart of
-  individual members and a fleet-wide consistency audit.
+* :mod:`~repro.cluster.provision` — what one shard is made of:
+  :func:`provision_products` seeds the pools the ring places on it, and
+  :func:`host_deployment` puts a deployment behind a server the same
+  way for ``repro serve``, a shard's boot and a follower's promotion.
+
+The fleet that boots, kills, restarts and audits the shards is
+:class:`repro.replication.ReplicatedFleet`; an unreplicated fleet is
+that class with ``replicas=0``.
 """
 
-from .fleet import ClusterFleet, Shard, provision_products
 from .gateway import ClusterGateway, GatewayStats
 from .partition import CrossShardPredicate, PartitionError, PartitionMap
+from .provision import host_deployment, provision_products
 
 __all__ = [
-    "ClusterFleet",
     "ClusterGateway",
     "CrossShardPredicate",
     "GatewayStats",
     "PartitionError",
     "PartitionMap",
-    "Shard",
+    "host_deployment",
     "provision_products",
 ]

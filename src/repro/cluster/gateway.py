@@ -274,9 +274,8 @@ class ClusterGateway:
     def reset_breaker(self, shard: int) -> bool:
         """Force the shard's breaker half-open (shard restarted/promoted).
 
-        ``ClusterFleet.restart`` and replica failover both bring a
-        healthy server back behind an address the breaker has already
-        written off; without this nudge the gateway keeps fast-failing
+        A fleet restart and a replica failover both bring a healthy
+        server back for a shard the breaker has already written off; without this nudge the gateway keeps fast-failing
         it until the open window lapses.  Half-open (not closed): the
         next request is a probe, so a wrong hint costs one request.
         """

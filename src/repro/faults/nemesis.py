@@ -46,9 +46,9 @@ import tempfile
 import time
 from dataclasses import dataclass, field, replace
 
-from ..cluster.fleet import ClusterFleet, provision_products
 from ..cluster.gateway import ClusterGateway
 from ..cluster.partition import PartitionMap
+from ..cluster.provision import provision_products
 from ..core.parser import P
 from ..net.transport import NetworkTransport
 from ..obs.trace import SpanRecorder
@@ -56,6 +56,7 @@ from ..protocol.client import PromiseClient
 from ..protocol.errors import ProtocolError, RequestTimeout, TransportFailure
 from ..protocol.messages import Message
 from ..protocol.retry import RetryPolicy
+from ..replication import HeartbeatDetector, ReplicatedFleet
 from ..resilience.admission import KIND_CHECK, AdmissionController
 from ..resilience.breaker import CircuitBreaker
 from .crashpoints import clear, install
@@ -200,9 +201,9 @@ class ChaosNemesis:
         self.steps = steps
         self.fault_every = max(1, fault_every)
         self.time_budget = time_budget
-        #: Followers per shard.  0 = the PR 3/4 unreplicated fleet;
-        #: > 0 boots a ReplicatedFleet plus heartbeat detector and adds
-        #: the primary-targeting fault classes to the schedule.
+        #: Followers per shard.  > 0 runs a heartbeat detector over the
+        #: fleet and adds the primary-targeting fault classes to the
+        #: schedule.
         self.replicas = replicas
         self.heartbeat_interval = heartbeat_interval
         self.fault_classes: tuple[str, ...] = FAULT_CLASSES + (
@@ -235,33 +236,21 @@ class ChaosNemesis:
         wal_dir = self._wal_dir or tempfile.mkdtemp(prefix="nemesis-")
         clear()
         ring = self._ring
+        fleet = ReplicatedFleet(
+            self.shards,
+            replicas=self.replicas,
+            provision=provision_products(self.products, self.stock),
+            ring=ring,
+            wal_dir=wal_dir,
+            admission=self._admission_factory,
+            history=self.history,
+        )
+        fleet.start()
         detector = None
         if self.replicas > 0:
-            from ..replication import HeartbeatDetector, ReplicatedFleet
-
-            fleet = ReplicatedFleet(
-                self.shards,
-                replicas=self.replicas,
-                provision=provision_products(self.products, self.stock),
-                ring=ring,
-                wal_dir=wal_dir,
-                admission=self._admission_factory,
-                history=self.history,
-            )
-            fleet.start()
             detector = HeartbeatDetector(
                 fleet, interval=self.heartbeat_interval, miss_threshold=3
             ).start()
-        else:
-            fleet = ClusterFleet(
-                self.shards,
-                provision=provision_products(self.products, self.stock),
-                ring=ring,
-                wal_dir=wal_dir,
-                admission=self._admission_factory,
-                history=self.history,
-            )
-            fleet.start()
         transports = [
             NetworkTransport(address, timeout=2.0, retry=RetryPolicy.none())
             for address in fleet.addresses()
@@ -279,8 +268,7 @@ class ChaosNemesis:
             pending_limit=64,
             tracer=self.tracer,
         )
-        if self.replicas > 0:
-            fleet.attach(gateway)
+        fleet.attach(gateway)
         self._recorder = _RecordingGateway(gateway)
         client = PromiseClient(
             "nemesis",
@@ -318,8 +306,7 @@ class ChaosNemesis:
             if detector is not None:
                 detector.stop()
             self.history.detach_all()
-            for transport in transports:
-                transport.close()
+            gateway.close()
             fleet.stop()
             if owned_dir:
                 shutil.rmtree(wal_dir, ignore_errors=True)
@@ -327,7 +314,7 @@ class ChaosNemesis:
 
     # --------------------------------------------------------- workload
 
-    def _operate(self, fleet: ClusterFleet, client: PromiseClient) -> None:
+    def _operate(self, fleet: ReplicatedFleet, client: PromiseClient) -> None:
         choice = self._rng.random()
         if choice < 0.4 or not self._held:
             if self._rng.random() < 0.6:
@@ -410,7 +397,7 @@ class ChaosNemesis:
     def _inject(
         self,
         fault: str,
-        fleet: ClusterFleet,
+        fleet: ReplicatedFleet,
         gateway: ClusterGateway,
         client: PromiseClient,
     ) -> None:
@@ -458,12 +445,12 @@ class ChaosNemesis:
     def _inject_crash(
         self,
         victim: int,
-        fleet: ClusterFleet,
+        fleet: ReplicatedFleet,
         gateway: ClusterGateway,
         client: PromiseClient,
     ) -> None:
         point = self._rng.choice(CRASH_PROBE_POINTS)
-        schedule = install(point, scope=self._scope(fleet, victim))
+        schedule = install(point, scope=fleet.primary_scope(victim))
         try:
             self._grant(client, [self._pick_product(shard=victim)])
         finally:
@@ -481,7 +468,7 @@ class ChaosNemesis:
     def _inject_kill(
         self,
         victim: int,
-        fleet: ClusterFleet,
+        fleet: ReplicatedFleet,
         gateway: ClusterGateway,
         client: PromiseClient,
     ) -> None:
@@ -493,7 +480,7 @@ class ChaosNemesis:
         self._flush(gateway)
 
     def _inject_overload(
-        self, victim: int, fleet: ClusterFleet, client: PromiseClient
+        self, victim: int, fleet: ReplicatedFleet, client: PromiseClient
     ) -> None:
         admission = self._admissions.get(victim)
         server_stats = fleet.shard(victim).server.stats
@@ -510,7 +497,7 @@ class ChaosNemesis:
     def _inject_kill_primary(
         self,
         victim: int,
-        fleet,
+        fleet: ReplicatedFleet,
         gateway: ClusterGateway,
         client: PromiseClient,
     ) -> None:
@@ -529,7 +516,7 @@ class ChaosNemesis:
         epoch_before = fleet.epoch(victim)
         g1_message, g1_id = self._acked_grant(victim, client)
         point = "manager.after-grant-before-reply"
-        schedule = install(point, scope=self._scope(fleet, victim))
+        schedule = install(point, scope=fleet.primary_scope(victim))
         g2_message = None
         try:
             self._count_op("grant")
@@ -578,7 +565,7 @@ class ChaosNemesis:
     def _inject_partition(
         self,
         victim: int,
-        fleet,
+        fleet: ReplicatedFleet,
         gateway: ClusterGateway,
         client: PromiseClient,
     ) -> None:
@@ -646,16 +633,9 @@ class ChaosNemesis:
                     revealed.append(response.promise_id)
         return revealed
 
-    def _scope(self, fleet, victim: int) -> str:
-        """The victim's crash-injection scope, replicated or not."""
-        scope_of = getattr(fleet, "primary_scope", None)
-        if scope_of is not None:
-            return scope_of(victim)
-        return f"shard-{victim}"
-
     def _ensure_fired(
         self,
-        fleet: ClusterFleet,
+        fleet: ReplicatedFleet,
         gateway: ClusterGateway,
         client: PromiseClient,
     ) -> None:
@@ -693,7 +673,7 @@ class ChaosNemesis:
 
     def _drain(
         self,
-        fleet: ClusterFleet,
+        fleet: ReplicatedFleet,
         gateway: ClusterGateway,
         client: PromiseClient,
     ) -> None:
@@ -755,7 +735,7 @@ class ChaosNemesis:
 
     # ------------------------------------------------------------- audits
 
-    def _audit(self, fleet: ClusterFleet, gateway: ClusterGateway) -> None:
+    def _audit(self, fleet: ReplicatedFleet, gateway: ClusterGateway) -> None:
         self.report.violations.extend(audit_fleet(fleet, self.stock))
         if gateway.pending_compensations:
             self.report.violations.append(
@@ -767,7 +747,7 @@ class ChaosNemesis:
         self.report.history_records = self.history.events_recorded
         self.report.violations.extend(audit_history(self.history))
 
-    def _collect_spans(self, fleet: ClusterFleet) -> list[dict]:
+    def _collect_spans(self, fleet: ReplicatedFleet) -> list[dict]:
         """Every span the run produced, from every recorder that has one.
 
         The nemesis recorder holds the client/gateway halves; each shard
@@ -778,20 +758,11 @@ class ChaosNemesis:
         process's recorder.
         """
         spans = [span.to_dict() for span in self.tracer.spans()]
-        group_of = getattr(fleet, "group", None)
-        if group_of is not None:
-            for index in range(self.shards):
-                group = group_of(index)
-                replicas = [group.primary] + group.followers + group.deposed
-                for replica in replicas:
-                    spans.extend(
-                        span.to_dict() for span in replica.server.tracer.spans()
-                    )
-        else:
-            for index in range(self.shards):
-                shard = fleet.shard(index)
+        for index in range(self.shards):
+            group = fleet.group(index)
+            for replica in [group.primary] + group.followers + group.deposed:
                 spans.extend(
-                    span.to_dict() for span in shard.server.tracer.spans()
+                    span.to_dict() for span in replica.server.tracer.spans()
                 )
         return spans
 
@@ -862,7 +833,7 @@ def audit_spans(spans: list[dict]) -> list[str]:
     return violations
 
 
-def audit_fleet(fleet: ClusterFleet, stock: int) -> list[str]:
+def audit_fleet(fleet: ReplicatedFleet, stock: int) -> list[str]:
     """End-state invariant audit shared by the nemesis and its self-test.
 
     With every promise released, over-grant, double-execution and lost
@@ -950,8 +921,9 @@ def self_test(wal_dir: str | None = None) -> bool:
         return False
     owned_dir = wal_dir is None
     directory = wal_dir or tempfile.mkdtemp(prefix="nemesis-selftest-")
-    fleet = ClusterFleet(
+    fleet = ReplicatedFleet(
         2,
+        replicas=0,
         provision=provision_products(4, 10),
         wal_dir=directory,
     )

@@ -806,6 +806,11 @@ class ThreadedServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
 
+    @property
+    def running(self) -> bool:
+        """True between :meth:`start` and :meth:`stop`."""
+        return self._thread is not None
+
     def start(self) -> tuple[str, int]:
         """Start the loop thread and bind the server; returns address."""
         if self._thread is not None:

@@ -1,9 +1,13 @@
-"""Primary/backup replication for promise-manager shards.
+"""The fleet, and primary/backup replication for its shards.
 
 The paper's prototype (§8) interposes a *single* promise manager in
-front of the resource manager; PR 3 sharded it, but a killed shard's
-resources stayed unavailable until an operator called ``restart``.  This
-package replicates each shard as a **replica group**:
+front of the resource manager.  :class:`ReplicatedFleet` boots N of them
+as the shards a :class:`~repro.cluster.gateway.ClusterGateway` routes
+over, each shard a **replica group** of one primary and ``replicas``
+followers.  ``replicas=0`` is the paper's arrangement — a killed shard's
+resources stay unavailable until someone calls ``restart``, which
+reboots it from its own WAL — and is not a different class: it is a
+group with nobody to ship to.  With followers:
 
 * the primary streams its WAL records over the existing framed
   transport to one or more followers
@@ -22,6 +26,10 @@ package replicates each shard as a **replica group**:
   gateway routing, resets the shard's circuit breaker and flushes
   pending compensations — a shard crash costs a few heartbeat
   intervals instead of manual intervention.
+
+The class is named for its general case and lives here, not in
+:mod:`repro.cluster`, because the benchmark harness imports it by this
+name and path.
 """
 
 from .routing import ReplicaRouting

@@ -1,23 +1,40 @@
-"""A fleet of replica groups with heartbeat-driven automatic failover.
+"""The fleet: N shards, each a replica group, booted, killed and healed.
 
-:class:`ReplicatedFleet` is the replicated sibling of
-:class:`~repro.cluster.fleet.ClusterFleet` and keeps its surface
-(``start``/``stop``/``kill``/``restart``/``shard``/``gateway``/
-``audit``/``live_promises``), so gateways, the chaos nemesis and the
-benchmarks drive either interchangeably.  Each shard index is a
-**replica group**: one primary deployment serving the application
-endpoint plus *R* hot followers that hold nothing but a
-:class:`~repro.replication.shipping.ReplicationReceiver` and the WAL it
-keeps in lock-step with the primary's.
+:class:`ReplicatedFleet` stands up *N* promise managers — each with its
+own store, write-ahead log, recovery path and
+:class:`~repro.net.server.PromiseServer` on its own port — and presents
+them as the fleet a :class:`~repro.cluster.gateway.ClusterGateway`
+routes over.  Every shard serves the **same endpoint name** (clients
+address "shop", not "shop-s3"), while manager id pools are unique per
+shard (``shop-s3:prm-1``) so two shards can never mint the same promise
+id.  Each shard's store carries a scoped fault tag (``shard-3``), so the
+crash-point machinery (:mod:`repro.faults`) can kill exactly one shard
+of a single-process fleet.
+
+Each shard index is a **replica group**: one primary deployment serving
+the application endpoint plus ``replicas`` hot followers that hold
+nothing but a :class:`~repro.replication.shipping.ReplicationReceiver`
+and the WAL it keeps in lock-step with the primary's.  ``replicas=0`` is
+the paper's prototype (§8) — one promise manager per shard, a group at
+epoch 0 with nobody to ship to and no ack gate — and the only fleet
+whose stores may live in memory (``wal_dir=None``): a follower *is* a
+log file, so a replicated fleet without a directory makes its own.
+
+Shards are independent failure domains.  :meth:`kill` drops one
+primary's listener and closes its WAL while its siblings keep serving;
+:meth:`restart` heals the group — by promoting a follower when there is
+one, by rebooting the primary on its own port and WAL when there is not
+— and either way a gateway retrying a pre-crash message gets the
+journaled reply rather than a double grant, because both roads end in
+the same boot (:meth:`_seat_primary`) through ordinary recovery.
 
 Failover is a local state machine, not a consensus protocol — the paper
-(§8) targets a single administrative domain, and the safety burden is
+targets a single administrative domain, and the safety burden is
 carried by fencing rather than quorum:
 
 * :meth:`failover` promotes the most-caught-up follower by booting a
-  full deployment off the follower's WAL through the ordinary recovery
-  path (the same code that handles a crash-restart, which is the point:
-  a promoted follower *is* a recovered primary);
+  full deployment off the follower's WAL (a promoted follower *is* a
+  recovered primary);
 * the group epoch increments on promotion and is pushed to the
   remaining followers (via full re-sync), to the promoted server, and
   to every attached gateway — the deposed primary's stream, writes and
@@ -36,25 +53,20 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..net.server import (
-    NET_REPLY_JOURNAL_TABLE,
-    PING_ENDPOINT,
-    PromiseServer,
-    ThreadedServer,
-)
+from ..net.server import PING_ENDPOINT, PromiseServer, ThreadedServer
 from ..net.transport import NetworkTransport
-from ..obs.metrics import MetricsRegistry, wal_observer
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import SpanRecorder
 from ..protocol.errors import ProtocolError, RequestTimeout, TransportFailure
 from ..protocol.messages import Message
 from ..protocol.retry import RetryPolicy
-from ..recovery import ReplyJournal
 from ..resilience.breaker import CircuitBreaker
-from ..cluster.fleet import AdmissionFactory, Provisioner
 from ..cluster.gateway import ClusterGateway
 from ..cluster.partition import PartitionMap
+from ..cluster.provision import AdmissionFactory, Provisioner, host_deployment
 from ..faults.history import HistoryRecorder
 from ..services.deployment import Deployment
+from ..storage.group_commit import GroupCommitConfig
 from ..tools.doctor import Doctor, Finding
 from .routing import ReplicaRouting
 from .shipping import REPL_ENDPOINT, ReplicationReceiver, ReplicationSender
@@ -73,16 +85,19 @@ class Replica:
     server: PromiseServer
     runner: ThreadedServer
     address: tuple[str, int]
-    wal_path: str
+    #: ``None`` only for the in-memory store of an unreplicated fleet.
+    wal_path: str | None
     #: Follower half: applies the primary's shipped records.
     receiver: ReplicationReceiver | None = None
-    #: Primary half: full application deployment plus its WAL shipper.
+    #: Primary half: full application deployment, plus its WAL shipper
+    #: when the fleet replicates.
     deployment: Deployment | None = None
     sender: ReplicationSender | None = None
 
     @property
     def alive(self) -> bool:
-        return self.runner is not None and self.runner._thread is not None
+        """True while this process's listener is up."""
+        return self.runner.running
 
     def applied_lsn(self) -> int:
         if self.receiver is not None and not self.receiver.promoted:
@@ -107,7 +122,7 @@ class ReplicaGroup:
 
 
 class ReplicatedFleet:
-    """Boot N replica groups and fail them over automatically."""
+    """Boot N shards as replica groups; kill, restart and fail them over."""
 
     def __init__(
         self,
@@ -122,13 +137,12 @@ class ReplicatedFleet:
         ring: PartitionMap | None = None,
         admission: AdmissionFactory | None = None,
         base_port: int | None = None,
+        workers: int = 0,
+        group_commit: "GroupCommitConfig | None" = None,
         history: "HistoryRecorder | None" = None,
     ) -> None:
-        if replicas < 1:
-            raise ValueError(
-                "a replica group needs at least one follower to promote; "
-                "use ClusterFleet for unreplicated shards"
-            )
+        if replicas < 0:
+            raise ValueError(f"replicas must be >= 0, got {replicas}")
         self.endpoint = endpoint
         self.ring = ring or PartitionMap(shards)
         if self.ring.shards != shards:
@@ -140,7 +154,9 @@ class ReplicatedFleet:
         self._replicas = replicas
         self._provision = provision
         self._owned_dir: tempfile.TemporaryDirectory | None = None
-        if wal_dir is None:
+        if wal_dir is None and replicas > 0:
+            # A follower is a log file; only an unreplicated fleet can
+            # keep its stores in memory.
             self._owned_dir = tempfile.TemporaryDirectory(prefix="repl-fleet-")
             wal_dir = self._owned_dir.name
         self._wal_dir = wal_dir
@@ -149,11 +165,19 @@ class ReplicatedFleet:
         self._host = host
         self._admission = admission
         self._base_port = base_port
+        #: Parallel-dispatch worker count of every server — followers
+        #: included, so a promoted follower dispatches the way its
+        #: predecessor did — and the group-commit tuning of every
+        #: primary's WAL.
+        self._workers = workers
+        self._group_commit = group_commit
         #: Optional isolation auditor: each acting primary's WAL is
-        #: attached as it takes office, so the recorded history follows
-        #: the epoch fence (a deposed primary's appends go unheard).
+        #: attached as it takes office (re-attaching after a restart
+        #: prunes the lost tail), so the recorded history follows the
+        #: epoch fence — a deposed primary's appends go unheard.
         self._history = history
         self._groups: list[ReplicaGroup] = []
+        #: Gateways under maintenance (:meth:`gateway`, :meth:`attach`).
         self._gateways: list[ClusterGateway] = []
         #: Simulated partitions: shard index -> the Replica cut off.
         self._partitioned: dict[int, Replica] = {}
@@ -206,9 +230,11 @@ class ReplicatedFleet:
     def kill(self, index: int) -> None:
         """Crash the group's primary (listener down, store closed).
 
-        The followers keep running — the whole point: the group's state
-        survives on their disks, and the failure detector (or an
-        explicit :meth:`failover`) promotes one.
+        The rest of the fleet keeps serving; in-flight requests to this
+        shard fail with transport errors, which is the point.  Its
+        followers keep running too: the group's state survives on their
+        disks, and the failure detector (or an explicit
+        :meth:`failover`) promotes one.
         """
         with self._lock:
             primary = self._groups[index].primary
@@ -220,9 +246,13 @@ class ReplicatedFleet:
                 primary.sender.close()
 
     def restart(self, index: int) -> tuple[str, int]:
-        """ClusterFleet-compatible recovery: promote if the primary is
-        down (or reboot it when no follower remains), then rejoin every
-        deposed node as a fresh follower."""
+        """Heal the group; returns the address now serving the shard.
+
+        A dead primary is replaced by a promoted follower when one
+        exists, and otherwise rebooted on its own port from its own WAL;
+        then every deposed node rejoins as a fresh follower.  Attached
+        gateways are told either way (:meth:`attach`).
+        """
         with self._lock:
             group = self._groups[index]
             if not group.primary.alive:
@@ -305,50 +335,21 @@ class ReplicatedFleet:
             best = max(group.followers, key=lambda r: r.applied_lsn())
             new_epoch = group.epoch + 1
 
-            # Seal the follower's log and fence its stream, then boot a
-            # full deployment off that log through ordinary recovery.
+            # Seal the follower's log and fence its stream, then seat a
+            # full deployment booted off that log on the follower's own
+            # server, streaming at the new epoch to the followers that
+            # remain; the full re-sync both heals any divergence and
+            # pushes the epoch bump into their receivers.
             assert best.receiver is not None
             wal_path = best.receiver.promote(new_epoch)
-            deployment = self._build_deployment(index, best.scope, wal_path)
-            journal = None
-            if deployment.store.durable:
-                journal = ReplyJournal(
-                    deployment.store, table=NET_REPLY_JOURNAL_TABLE
-                )
-                best.server.attach_journal(journal)
-            if self._admission is not None:
-                best.server.attach_admission(self._admission(index))
-
-            # New replication stream at the new epoch over the remaining
-            # followers; the full re-sync both heals any divergence and
-            # pushes the epoch bump into their receivers.
-            sender = ReplicationSender(
-                group=self._group_name(index),
-                epoch=new_epoch,
-                wal=deployment.store.wal,
-                sender_name=f"{self.endpoint}-s{index}",
-                metrics=best.server.metrics,
+            remaining = [f for f in group.followers if f is not best]
+            best.deployment, _, best.sender = self._seat_primary(
+                index, new_epoch, best.scope, wal_path, remaining,
+                server=best.server,
             )
-            for follower in group.followers:
-                if follower is best:
-                    continue
-                sender.add_follower(follower.address, follower.name)
-            sender.full_sync_all()
-            deployment.store.wal.subscribe(wal_observer(best.server.metrics))
-            deployment.manager.metrics = best.server.metrics
-            deployment.store.wal.subscribe(sender.observe)
-            if self._history is not None:
-                self._history.attach(index, deployment.store.wal)
-
-            best.deployment = deployment
-            best.sender = sender
             best.receiver = None
-            best.server.epoch = new_epoch
-            best.server.gate = sender.gate
-            best.server.ping_info = self._primary_ping_info(index, best)
-            best.server.register(self.endpoint, deployment.endpoint.handle)
 
-            group.followers.remove(best)
+            group.followers = remaining
             group.deposed.append(old)
             group.primary = best
             group.epoch = new_epoch
@@ -362,13 +363,19 @@ class ReplicatedFleet:
         if self.routing is not None:
             self.routing.promote(index, best.address)
         for gateway in gateways:
+            # The new leg behaves as the one it replaces did: a gateway
+            # built not to retry, or to pipeline, stays that way.
+            displaced = gateway.transport(index)
             gateway.remap(
                 index,
                 NetworkTransport(
-                    best.address, timeout=5.0, retry=RetryPolicy.network()
+                    best.address,
+                    timeout=displaced.client.timeout,
+                    retry=displaced.client.retry,
+                    pipelined=displaced.pipelined,
                 ),
                 epoch=new_epoch,
-            )
+            ).close()
             gateway.flush_pending()
         return new_epoch
 
@@ -420,7 +427,7 @@ class ReplicatedFleet:
             return [group.primary.address for group in self._groups]
 
     def shard(self, index: int) -> Replica:
-        """The group's current primary (ClusterFleet-compatible view)."""
+        """The group's current primary (deployment, server, address)."""
         with self._lock:
             return self._groups[index].primary
 
@@ -440,20 +447,31 @@ class ReplicatedFleet:
         pending_limit: int | None = 256,
         pending_max_age: float | None = None,
         tracer: SpanRecorder | None = None,
+        pipelined: bool = False,
     ) -> ClusterGateway:
         """A routing gateway over the current primaries.
 
-        The fleet keeps a reference: :meth:`failover` remaps the shard's
-        transport, pushes the new epoch for request stamping, resets the
-        breaker, and flushes pending compensations on every gateway
-        built here.
+        ``breaker_threshold`` (consecutive failures) turns on one
+        circuit breaker per shard; a dead shard then fails fast at the
+        gateway instead of consuming every request's retry schedule.
+
+        ``pipelined`` makes each shard leg a pipelined connection:
+        scatter-gather legs from concurrent gateway callers share one
+        socket per shard with many requests in flight, instead of
+        serialising on per-connection pool checkout.
+
+        The fleet keeps the gateway under maintenance, as
+        :meth:`attach` describes.
         """
+        # One critical section from reading the addresses to adoption: a
+        # failover in between would leave a leg on the deposed primary.
         with self._lock:
             transports = [
                 NetworkTransport(
                     address,
                     timeout=timeout,
                     retry=retry or RetryPolicy.network(),
+                    pipelined=pipelined,
                 )
                 for address in self.addresses()
             ]
@@ -476,18 +494,21 @@ class ReplicatedFleet:
                 pending_max_age=pending_max_age,
                 tracer=tracer,
             )
-            for index, group in enumerate(self._groups):
-                gateway.set_epoch(index, group.epoch)
-            self._gateways.append(gateway)
+            self.attach(gateway)
             return gateway
 
     def attach(self, gateway: ClusterGateway) -> None:
-        """Adopt an externally-built gateway for failover maintenance.
+        """Adopt a gateway for maintenance across shard lifetimes.
 
-        Same contract as gateways built by :meth:`gateway`: on every
-        :meth:`failover` the fleet remaps the shard's transport, pushes
-        the new epoch, resets the breaker and flushes pending
-        compensations.  Current epochs are pushed immediately.
+        A shard that comes back behind its old address (:meth:`restart`
+        with no follower) gets its circuit breaker forced half-open —
+        leaving it open would fast-fail a healthy shard for the rest of
+        the open window.  A shard that comes back as a promoted follower
+        (:meth:`failover`) additionally gets its leg remapped to the new
+        address with the displaced leg's timeout, retry policy and
+        pipelining, the new epoch pushed for request stamping, and the
+        gateway's pending compensations flushed.  Current epochs are
+        pushed immediately.
         """
         with self._lock:
             for index, group in enumerate(self._groups):
@@ -495,7 +516,12 @@ class ReplicatedFleet:
             self._gateways.append(gateway)
 
     def audit(self) -> dict[int, list[Finding]]:
-        """Consistency doctor over every live primary."""
+        """Run the consistency doctor on every live primary.
+
+        An empty list per shard means no orphaned sub-promises, no
+        escrow drift, no index damage — the fleet-level acceptance check
+        for the gateway's compensation logic.
+        """
         findings: dict[int, list[Finding]] = {}
         with self._lock:
             for group in self._groups:
@@ -541,70 +567,52 @@ class ReplicatedFleet:
         incarnation = self._incarnations[index]
         self._incarnations[index] += 1
         if incarnation == 0:
-            # The first primary keeps the ClusterFleet-compatible scope
-            # so existing scoped schedules ("shard-3") target it.
+            # The first primary's scope is the shard's plain name, the
+            # one scoped crash schedules ("shard-3") are written against.
             return f"shard-{index}"
         return f"shard-{index}i{incarnation}"
 
-    def _primary_wal_path(self, index: int) -> str:
+    def _primary_wal_path(self, index: int) -> str | None:
+        if self._wal_dir is None:
+            return None
         return os.path.join(self._wal_dir, f"shard-{index}.wal")
 
     def _follower_wal_path(self, index: int, incarnation: int) -> str:
+        assert self._wal_dir is not None
         return os.path.join(
             self._wal_dir, f"shard-{index}-r{incarnation}.wal"
         )
 
     def _boot_group(self, index: int) -> ReplicaGroup:
         port = 0 if self._base_port is None else self._base_port + index
+        # The primary is the group's first incarnation (scope
+        # "shard-N", follower logs count from r1) even though its
+        # followers are listening before it boots, so the provisioning
+        # records reach them in the boot's own full sync.
+        scope = self._next_scope(index)
+        followers = [
+            self._boot_follower(index, epoch=0)
+            for _ in range(self._replicas)
+        ]
         primary = self._boot_primary(
-            index, epoch=0, wal_path=self._primary_wal_path(index), port=port
+            index, 0, scope, self._primary_wal_path(index), port, followers
         )
-        group = ReplicaGroup(index=index, epoch=0, primary=primary)
-        sender = primary.sender
-        assert sender is not None
-        for _ in range(self._replicas):
-            follower = self._boot_follower(index, epoch=0)
-            group.followers.append(follower)
-            sender.add_follower(follower.address, follower.name)
-        # The provisioning records landed before any follower existed;
-        # the full sync hands them over, and delivery stays idempotent
-        # if a subscribed flush raced it (the receiver skips by LSN).
-        sender.full_sync_all()
-        return group
+        return ReplicaGroup(
+            index=index, epoch=0, primary=primary, followers=followers
+        )
 
     def _boot_primary(
-        self, index: int, epoch: int, wal_path: str, port: int
+        self,
+        index: int,
+        epoch: int,
+        scope: str,
+        wal_path: str | None,
+        port: int,
+        followers: list[Replica],
     ) -> Replica:
-        scope = self._next_scope(index)
-        deployment = self._build_deployment(index, scope, wal_path)
-        journal = None
-        if deployment.store.durable:
-            journal = ReplyJournal(
-                deployment.store, table=NET_REPLY_JOURNAL_TABLE
-            )
-        admission = (
-            self._admission(index) if self._admission is not None else None
+        deployment, server, sender = self._seat_primary(
+            index, epoch, scope, wal_path, followers, port=port
         )
-        server = PromiseServer(
-            host=self._host, port=port, reply_journal=journal,
-            admission=admission,
-            metrics=admission.metrics if admission is not None else None,
-        )
-        server.register(self.endpoint, deployment.endpoint.handle)
-        sender = ReplicationSender(
-            group=self._group_name(index),
-            epoch=epoch,
-            wal=deployment.store.wal,
-            sender_name=f"{self.endpoint}-s{index}",
-            metrics=server.metrics,
-        )
-        deployment.store.wal.subscribe(wal_observer(server.metrics))
-        deployment.manager.metrics = server.metrics
-        deployment.store.wal.subscribe(sender.observe)
-        if self._history is not None:
-            self._history.attach(index, deployment.store.wal)
-        server.epoch = epoch
-        server.gate = sender.gate
         runner = ThreadedServer(server)
         address = runner.start()
         replica = Replica(
@@ -618,30 +626,88 @@ class ReplicatedFleet:
             deployment=deployment,
             sender=sender,
         )
-        server.ping_info = self._primary_ping_info(index, replica)
+        server.ping_info = self._ping_info(index, replica)
         return replica
 
     def _reboot_primary(self, group: ReplicaGroup) -> None:
-        """Last-resort restart of a dead primary with no successor.
+        """Restart a dead primary that has no follower to succeed it.
 
         Same epoch (nothing was promoted, so nothing needs fencing),
-        same WAL, same port — this is exactly ``ClusterFleet.restart``,
-        and the breaker reset on attached gateways matches it.
+        same WAL, same port: attached gateways keep their transports and
+        only need the shard's breaker nudged half-open.
         """
         old = group.primary
-        index = group.index
-        replacement = self._boot_primary(
-            index, epoch=group.epoch, wal_path=old.wal_path,
-            port=old.address[1],
+        group.primary = self._boot_primary(
+            group.index, group.epoch, self._next_scope(group.index),
+            old.wal_path, old.address[1], group.followers,
         )
-        group.primary = replacement
-        sender = replacement.sender
-        assert sender is not None
-        for follower in group.followers:
-            sender.add_follower(follower.address, follower.name)
-        sender.full_sync_all()
         for gateway in self._gateways:
-            gateway.reset_breaker(index)
+            gateway.reset_breaker(group.index)
+
+    def _seat_primary(
+        self,
+        index: int,
+        epoch: int,
+        scope: str,
+        wal_path: str | None,
+        followers: list[Replica],
+        server: PromiseServer | None = None,
+        port: int = 0,
+    ) -> tuple[Deployment, PromiseServer, ReplicationSender | None]:
+        """Boot a deployment off ``wal_path`` and put it in office.
+
+        The one road to a serving primary: first boot and crash restart
+        get a new server on ``port``, a promotion hands over the
+        follower's listening ``server``.  All three recover through the
+        same code, which is the restart invariant stated once — whatever
+        the log holds (promises, escrow, journaled replies) is what the
+        new primary serves.  A replicating fleet then opens a stream at
+        ``epoch`` to ``followers`` and closes the ack gate behind it.
+        """
+        deployment = Deployment(
+            name=self.endpoint,
+            manager_name=f"{self.endpoint}-s{index}",
+            fault_scope=scope,
+            counter_offers=True,
+            wal_path=wal_path,
+            fsync=self._fsync,
+            auto_checkpoint_every=self._auto_checkpoint_every,
+            group_commit=self._group_commit,
+        )
+        if self._provision is not None:
+            self._provision(deployment, index, self.ring)
+        if deployment.recovered:
+            deployment.recover()
+        server = host_deployment(
+            deployment,
+            self.endpoint,
+            server,
+            host=self._host,
+            port=port,
+            admission=(
+                self._admission(index) if self._admission is not None else None
+            ),
+            workers=self._workers,
+        )
+        wal = deployment.store.wal
+        sender = None
+        if self._replicas > 0:
+            sender = ReplicationSender(
+                group=self._group_name(index),
+                epoch=epoch,
+                wal=wal,
+                sender_name=f"{self.endpoint}-s{index}",
+                metrics=server.metrics,
+            )
+            for follower in followers:
+                sender.add_follower(follower.address, follower.name)
+            sender.full_sync_all()
+            wal.subscribe(sender.observe)
+            server.gate = sender.gate
+        if self._history is not None:
+            self._history.attach(index, wal)
+        server.epoch = epoch
+        return deployment, server, sender
 
     def _boot_follower(
         self, index: int, epoch: int, wal_path: str | None = None
@@ -655,7 +721,9 @@ class ReplicatedFleet:
             # between boot and first sync.
             if os.path.exists(wal_path):
                 os.unlink(wal_path)
-        server = PromiseServer(host=self._host, port=0)
+        server = PromiseServer(
+            host=self._host, port=0, workers=self._workers
+        )
         receiver = ReplicationReceiver(
             group=self._group_name(index),
             wal_path=wal_path,
@@ -678,41 +746,13 @@ class ReplicatedFleet:
             wal_path=wal_path,
             receiver=receiver,
         )
-        server.ping_info = self._follower_ping_info(index, replica)
+        server.ping_info = self._ping_info(index, replica)
         return replica
 
-    def _build_deployment(
-        self, index: int, scope: str, wal_path: str
-    ) -> Deployment:
-        deployment = Deployment(
-            name=self.endpoint,
-            manager_name=f"{self.endpoint}-s{index}",
-            fault_scope=scope,
-            counter_offers=True,
-            wal_path=wal_path,
-            fsync=self._fsync,
-            auto_checkpoint_every=self._auto_checkpoint_every,
-        )
-        if self._provision is not None:
-            self._provision(deployment, index, self.ring)
-        if deployment.recovered:
-            deployment.recover()
-        return deployment
+    def _ping_info(self, index: int, replica: Replica):
+        """Liveness payload of one process, whatever its role is now
+        (a promoted follower keeps answering through this closure)."""
 
-    def _primary_ping_info(self, index: int, replica: Replica):
-        def info() -> dict[str, object]:
-            return {
-                "role": "primary",
-                "group": self._group_name(index),
-                "epoch": self._groups[index].epoch
-                if index < len(self._groups)
-                else replica.server.epoch,
-                "applied_lsn": replica.applied_lsn(),
-            }
-
-        return info
-
-    def _follower_ping_info(self, index: int, replica: Replica):
         def info() -> dict[str, object]:
             receiver = replica.receiver
             return {

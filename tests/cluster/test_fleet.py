@@ -8,7 +8,11 @@ audit clean, every live-promise count zero) and never over-grant.
 
 Runs real :class:`~repro.net.server.PromiseServer` sockets with
 WAL-backed shards, so recovery and the durable reply journal are part of
-the loop.  Marked ``cluster``; CI runs them as the cluster-suite job.
+the loop.  Every scenario runs twice against the one fleet class:
+unreplicated (``replicas=0``: a killed shard restarts on its own port
+from its own WAL) and with one follower per shard (``replicas=1``: the
+restart is a promotion, to a new address at the next epoch).  Marked
+``cluster``; CI runs them as the fleet-suite job.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import threading
 
 import pytest
 
-from repro.cluster import ClusterFleet, PartitionMap, provision_products
+from repro.cluster import PartitionMap, provision_products
 from repro.cluster.gateway import ClusterGateway
 from repro.core.parser import P
 from repro.faults.crashpoints import clear, install
@@ -27,6 +31,7 @@ from repro.protocol.client import PromiseClient
 from repro.protocol.errors import TransportFailure
 from repro.protocol.messages import ActionPayload, Message
 from repro.protocol.retry import RetryPolicy
+from repro.replication import ReplicatedFleet
 from repro.resilience import CircuitOpen
 
 pytestmark = pytest.mark.cluster
@@ -42,11 +47,12 @@ def disarm():
     clear()
 
 
-@pytest.fixture()
-def fleet(tmp_path):
+@pytest.fixture(params=[0, 1], ids=["replicas=0", "replicas=1"])
+def fleet(request, tmp_path):
     ring = PartitionMap(3)
-    fleet = ClusterFleet(
+    fleet = ReplicatedFleet(
         3,
+        replicas=request.param,
         provision=provision_products(PRODUCTS, STOCK),
         ring=ring,
         wal_dir=str(tmp_path),
@@ -66,7 +72,11 @@ def cross_pair(ring: PartitionMap) -> tuple[str, str]:
     raise AssertionError("no cross-shard pair")
 
 
-def assert_no_orphans(fleet: ClusterFleet) -> None:
+def replicated(fleet: ReplicatedFleet) -> bool:
+    return bool(fleet.group(0).followers)
+
+
+def assert_no_orphans(fleet: ReplicatedFleet) -> None:
     assert all(count == 0 for count in fleet.live_promises().values())
     assert all(not findings for findings in fleet.audit().values())
 
@@ -105,11 +115,16 @@ class TestFleetLifecycle:
             )
             first = gateway.send(probe)
 
+            served_from = fleet.shard(home).address
             fleet.kill(home)
-            fleet.restart(home)
+            restarted_on = fleet.restart(home)
+            # Same WAL contents either way; the same port when the shard
+            # rebooted, a promoted follower's when it had one.
+            assert (restarted_on == served_from) == (not replicated(fleet))
+            assert fleet.epoch(home) == (1 if replicated(fleet) else 0)
 
-            # Same port, same WAL: the promise survived, and the stale
-            # pooled connection is discarded rather than reused.
+            # The promise survived, and the stale pooled connection is
+            # discarded (or remapped) rather than reused.
             replayed = gateway.send(probe)
             assert replayed == first
             assert fleet.shard(home).server.stats.duplicates_served == 1
@@ -179,7 +194,9 @@ class TestShardCrashMidScatter:
             assert gateway.pending_compensations == 1
 
             fleet.restart(victim)
-            assert gateway.flush_pending() == 1
+            # A reboot leaves the flush to the caller; a promotion has
+            # already run it by the time restart returns.
+            assert gateway.flush_pending() == (0 if replicated(fleet) else 1)
             assert gateway.pending_compensations == 0
             assert_no_orphans(fleet)
 

@@ -8,7 +8,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.cluster import ClusterFleet, provision_products
+from repro.cluster import provision_products
+from repro.replication import ReplicatedFleet
 
 pytestmark = pytest.mark.obs
 
@@ -23,8 +24,9 @@ def run_cli(*argv: str) -> tuple[int, str]:
 
 @pytest.fixture()
 def fleet(tmp_path):
-    fleet = ClusterFleet(
+    fleet = ReplicatedFleet(
         2,
+        replicas=0,
         provision=provision_products(4, STOCK),
         wal_dir=str(tmp_path),
     )

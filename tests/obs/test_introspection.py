@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import ClusterFleet, provision_products
+from repro.cluster import provision_products
 from repro.core.parser import P
 from repro.net import NetworkTransport, PromiseServer, ThreadedServer
 from repro.net.server import METRICS_ENDPOINT, SPANS_ENDPOINT
@@ -22,6 +22,7 @@ from repro.protocol.client import PromiseClient
 from repro.protocol.errors import ProtocolError
 from repro.protocol.messages import ActionPayload, Message
 from repro.protocol.retry import RetryPolicy
+from repro.replication import ReplicatedFleet
 from repro.resilience.admission import AdmissionController
 from repro.services.deployment import Deployment
 from repro.services.merchant import MerchantService
@@ -145,8 +146,9 @@ def test_scrapes_bypass_admission_control():
 
 def test_gateway_snapshots_aggregate_the_fleet(tmp_path):
     recorder = SpanRecorder()
-    fleet = ClusterFleet(
+    fleet = ReplicatedFleet(
         2,
+        replicas=0,
         provision=provision_products(4, STOCK),
         wal_dir=str(tmp_path),
     )

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import ClusterFleet, provision_products
+from repro.cluster import provision_products
 from repro.core.parser import P
 from repro.net import NetworkTransport, PromiseServer, ThreadedServer
 from repro.obs.trace import SpanRecorder, render_trace
 from repro.protocol.client import PromiseClient
 from repro.protocol.retry import RetryPolicy
+from repro.replication import ReplicatedFleet
 from repro.services.deployment import Deployment
 from repro.services.merchant import MerchantService
 
@@ -81,8 +82,11 @@ def test_retry_after_reply_drop_stays_one_trace():
 
 def test_cross_shard_scatter_gather_stays_one_trace(tmp_path):
     recorder = SpanRecorder()
-    fleet = ClusterFleet(
-        2, provision=provision_products(6, STOCK), wal_dir=str(tmp_path)
+    fleet = ReplicatedFleet(
+        2,
+        replicas=0,
+        provision=provision_products(6, STOCK),
+        wal_dir=str(tmp_path),
     )
     with fleet:
         near = "product-0"
@@ -142,8 +146,6 @@ def test_cross_shard_scatter_gather_stays_one_trace(tmp_path):
 def test_failover_redelivery_spans_carry_both_epochs(tmp_path):
     """A grant at epoch 0, redelivered after promotion, is one trace
     whose dispatch spans are annotated with the old *and* new epoch."""
-    from repro.replication import ReplicatedFleet
-
     recorder = SpanRecorder()
     fleet = ReplicatedFleet(
         2,

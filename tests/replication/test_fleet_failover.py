@@ -26,6 +26,7 @@ from repro.protocol.errors import (
 )
 from repro.protocol.retry import RetryPolicy
 from repro.replication import HeartbeatDetector, ReplicatedFleet
+from repro.storage.group_commit import GroupCommitConfig
 
 pytestmark = pytest.mark.failover
 
@@ -169,6 +170,71 @@ def test_failover_promotes_the_most_caught_up_follower(tmp_path):
         gateway.close()
     history.detach_all()
     assert history.check() == []
+
+
+def test_dispatch_and_commit_tuning_survive_failover(tmp_path):
+    """``workers`` reaches every server, followers included, and
+    ``group_commit`` every acting primary's WAL — so a promoted follower
+    dispatches and hardens the way the primary it replaces did."""
+    tuning = GroupCommitConfig(max_batch=16, max_hold=0.001)
+    fleet = ReplicatedFleet(
+        2,
+        replicas=1,
+        provision=provision_products(PRODUCTS, STOCK),
+        wal_dir=str(tmp_path),
+        workers=3,
+        group_commit=tuning,
+    )
+
+    def as_configured() -> None:
+        for index in range(len(fleet)):
+            group = fleet.group(index)
+            assert group.primary.deployment.store.wal.group_commit == tuning
+            for replica in [group.primary] + group.followers:
+                assert replica.server.workers == 3
+
+    with fleet:
+        gateway, _, client = make_client(fleet)
+        as_configured()
+        for victim in range(len(fleet)):
+            fleet.kill(victim)
+            fleet.failover(victim)
+            fleet.rejoin(victim)
+        as_configured()
+        for product in (f"product-{n}" for n in range(PRODUCTS)):
+            response = grant(client, product)
+            assert response.accepted
+            client.release("shop", response.promise_id)
+        assert all(not findings for findings in fleet.audit().values())
+        gateway.close()
+
+
+def test_failover_keeps_each_gateways_transport_settings(fleet):
+    """The leg a promotion installs is built from the leg it displaces
+    — a gateway made not to retry, or to pipeline, stays that way — and
+    the displaced leg is closed, not leaked."""
+    victim, _ = victim_product(fleet)
+    patient = fleet.gateway(timeout=1.5, retry=RetryPolicy.none())
+    eager = fleet.gateway(
+        timeout=4.0, retry=RetryPolicy(max_attempts=7), pipelined=True
+    )
+    displaced = [g.transport(victim) for g in (patient, eager)]
+
+    fleet.kill(victim)
+    fleet.failover(victim)
+
+    promoted = fleet.shard(victim).address
+    for gateway, old, (timeout, attempts, pipelined) in zip(
+        (patient, eager), displaced, ((1.5, 1, False), (4.0, 7, True))
+    ):
+        leg = gateway.transport(victim)
+        assert leg is not old and leg.address == promoted
+        assert leg.client.timeout == timeout
+        assert leg.client.retry.max_attempts == attempts
+        assert leg.pipelined is pipelined
+        with pytest.raises(TransportFailure, match="closed"):
+            old.client.request(b"")
+        gateway.close()
 
 
 def test_epochs_are_monotonic_across_repeated_failovers(fleet):

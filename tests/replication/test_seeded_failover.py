@@ -5,8 +5,10 @@ grants and releases across every product, interleaved with
 seed-chosen primary kills, promotions, and rejoins — and must end with
 every client-visible grant accounted for, redundancy restored, and the
 offline history checker finding nothing.  These are the failover seeds
-the ISSUE-10 acceptance bar names (7/11/23); they are multi-seed and
-socket-heavy, hence ``slow`` — the fast lane skips them.
+the ISSUE-10 acceptance bar names (7/11/23), plus seed 7 again on the
+pipelined hot path (keyed dispatch workers and group commit on every
+primary, promoted ones included); they are multi-seed and socket-heavy,
+hence ``slow`` — the fast lane skips them.
 """
 
 from __future__ import annotations
@@ -25,10 +27,13 @@ from repro.protocol.errors import (
 from repro.protocol.retry import RetryPolicy
 from repro.replication import ReplicatedFleet
 from repro.sim import RandomStream
+from repro.storage.group_commit import GroupCommitConfig
 
 pytestmark = [pytest.mark.failover, pytest.mark.slow]
 
-SEEDS = (7, 11, 23)
+SERIAL: dict = {}
+PIPELINED = {"workers": 4, "group_commit": GroupCommitConfig()}
+STORMS = ((7, SERIAL), (11, SERIAL), (23, SERIAL), (7, PIPELINED))
 PRODUCTS = 4
 STOCK = 10
 ROUNDS = 6
@@ -36,8 +41,10 @@ REQUESTS_PER_ROUND = 8
 CLIENT_ERRORS = (TransportFailure, RequestTimeout, ProtocolError)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_seeded_failover_storm_stays_audit_clean(seed, tmp_path):
+@pytest.mark.parametrize(
+    "seed, hot_path", STORMS, ids=["7", "11", "23", "7-pipelined"]
+)
+def test_seeded_failover_storm_stays_audit_clean(seed, hot_path, tmp_path):
     rng = RandomStream(seed, "failover-storm")
     history = HistoryRecorder()
     fleet = ReplicatedFleet(
@@ -46,6 +53,7 @@ def test_seeded_failover_storm_stays_audit_clean(seed, tmp_path):
         provision=provision_products(PRODUCTS, STOCK),
         wal_dir=str(tmp_path),
         history=history,
+        **hot_path,
     )
     products = [f"product-{n}" for n in range(PRODUCTS)]
     kills = 0
