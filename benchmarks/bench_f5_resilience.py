@@ -297,8 +297,11 @@ def breaker_run(use_breaker: bool) -> dict[str, object]:
             except ProtocolError:  # includes CircuitOpen, TransportFailure
                 failures += 1
         elapsed = time.perf_counter() - start
-        dead_stats = transports[victim].client.stats
-        dead_attempts = dead_stats.requests + dead_stats.retries
+        dead_metrics = transports[victim].client.metrics
+        dead_attempts = int(
+            dead_metrics.value("client.requests")
+            + dead_metrics.value("client.retries")
+        )
         row = {
             "breaker": use_breaker,
             "requests": CLUSTER_REQUESTS,

@@ -11,18 +11,16 @@ processes:
   registered ``Handler``, with per-connection read loops, graceful
   shutdown and §6 duplicate suppression (redelivered requests return
   the cached reply instead of re-executing);
-* :mod:`repro.net.client` — a connection-pooling blocking client with
-  per-request deadlines and retry via
-  :class:`~repro.protocol.retry.RetryPolicy`;
-* :mod:`repro.net.pipeline` — :class:`PipelinedClient`, many
-  outstanding requests on one connection with id-correlated replies;
+* :mod:`repro.net.pipeline` — :class:`PipelinedClient`, the one wire
+  client: a single connection, many outstanding requests with
+  id-correlated replies, and one ``request`` path carrying deadline,
+  circuit breaker and :class:`~repro.protocol.retry.RetryPolicy`;
 * :mod:`repro.net.executor` — :class:`KeyedExecutor`, the per-key FIFO
   pool behind the server's parallel dispatch;
 * :mod:`repro.net.transport` — :class:`NetworkTransport`, a drop-in
   replacement for the in-process transport, fault plans included.
 """
 
-from .client import ClientStats, NetworkClient
 from .executor import DEFAULT_WORKERS, KeyedExecutor
 from .pipeline import PipelinedClient
 from .framing import (
@@ -43,14 +41,12 @@ from .server import (
 from .transport import NetworkTransport
 
 __all__ = [
-    "ClientStats",
     "DEFAULT_MAX_FRAME_SIZE",
     "DEFAULT_WORKERS",
     "KeyedExecutor",
     "PipelinedClient",
     "FrameError",
     "FrameTooLarge",
-    "NetworkClient",
     "NetworkTransport",
     "PromiseServer",
     "ServerStats",

@@ -1,37 +1,45 @@
-"""Pipelined client: many outstanding requests on one connection.
+"""The wire client: one connection, id-correlated replies, one request path.
 
-The request/reply client (:class:`~repro.net.client.NetworkClient`)
-write-then-reads: a second request waits for the first reply, so a
-round trip of latency is paid per message even when the server could
-overlap them.  :class:`PipelinedClient` removes that stall: requests
-are framed and written as they arrive, a reader thread drains reply
-frames as the server produces them, and each reply is matched back to
-its request by message id — replies may arrive in *any* order, which
-is exactly what the server's parallel dispatch produces.
-
-Correlation rides the protocol itself: every reply's ``<routing>``
+Callers hand it encoded envelope bytes and get encoded reply bytes
+back.  Requests are framed and written as they arrive, a reader thread
+drains reply frames as the server produces them, and each reply is
+matched to its request by message id — every reply's ``<routing>``
 element carries ``correlation="<request message-id>"`` (§6's request
-identifier), so the matcher needs only a cheap scan of the reply bytes,
-not a full decode.  Requests whose replies never arrive (connection
-drop, server death) fail with
-:class:`~repro.protocol.errors.TransportFailure`; the payload can then
-be re-sent through any transport — same message id, so the server's
-reply cache keeps the retry at-most-once.
+identifier), so a cheap scan of the bytes suffices, and replies may
+arrive in *any* order, which is what the server's parallel dispatch
+produces.  A caller that waits for each reply before sending the next is
+running the same pipeline at a window of one; there is no second,
+blocking client.
 
-This client is deliberately below the retry layer: it moves bytes and
-correlates frames.  Callers that want retries wrap it the same way they
-wrap :class:`NetworkClient`.
+The invariant §6's redelivery rests on is stated here and nowhere else:
+**a message id is on this client's wire at most once at a time, and a
+retry re-sends the same bytes.**  ``submit`` refuses an id that is still
+pending; an attempt that times out or dies *forgets* its pending entry
+before the retry re-submits the identical payload, so the server's reply
+cache — not the client — decides whether the handler runs again.  A
+reply that arrives for a forgotten id is counted
+(``pipeline.orphan_replies``) and dropped.
+
+Connection errors and truncated frames are mapped onto
+:class:`~repro.protocol.errors.TransportFailure`, keeping the exception
+vocabulary identical to the in-process transport.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import socket
+import struct
 import threading
+import time
 from concurrent.futures import Future
 
 from ..obs.metrics import MetricsRegistry
 from ..protocol.errors import RequestTimeout, TransportFailure
+from ..protocol.retry import RetryPolicy
+from ..resilience.breaker import CircuitBreaker
+from ..resilience.deadline import remaining_budget
 from .framing import DEFAULT_MAX_FRAME_SIZE, encode_frame, read_frame
 
 #: The routing element is the first thing in every envelope's header;
@@ -62,13 +70,14 @@ def _extract(payload: bytes, attribute: re.Pattern[bytes]) -> str | None:
 
 
 class PipelinedClient:
-    """Many in-flight requests over one TCP connection.
+    """Framed request/reply over one TCP connection, many in flight.
 
-    ``submit`` returns a :class:`concurrent.futures.Future` resolving
-    with the reply bytes; ``request`` is the blocking convenience and
-    ``request_many`` ships a whole batch before waiting on any reply.
-    ``max_outstanding`` bounds the pipeline depth — a full window makes
-    ``submit`` block, which is this client's flow control.
+    ``request`` is the one request path — ``retry`` policy (default:
+    never), overall deadline, ``breaker``, then ``submit`` and wait.
+    ``submit`` (a Future per reply) and ``request_many`` are the raw
+    windowed layer beneath it and never retry.  ``max_outstanding``
+    bounds the depth: a full window makes ``submit`` block, which is
+    this client's flow control.
     """
 
     def __init__(
@@ -77,6 +86,8 @@ class PipelinedClient:
         timeout: float = 5.0,
         max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
         max_outstanding: int = 128,
+        retry: RetryPolicy | None = None,
+        breaker: CircuitBreaker | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if max_outstanding < 1:
@@ -84,6 +95,8 @@ class PipelinedClient:
         self.address = address
         self.timeout = timeout
         self.max_frame_size = max_frame_size
+        self.retry = retry or RetryPolicy.none()
+        self.breaker = breaker
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.Lock()
         self._pending: dict[str, Future[bytes]] = {}
@@ -94,57 +107,89 @@ class PipelinedClient:
 
     # ------------------------------------------------------------- requests
 
-    def submit(self, payload: bytes) -> "Future[bytes]":
+    def request(
+        self,
+        payload: bytes,
+        timeout: float | None = None,
+        deadline: object | None = None,
+    ) -> bytes:
+        """Round-trip ``payload`` and return the reply bytes.
+
+        Retries per the policy on transport failures and timeouts, with
+        the identical ``payload`` (hence message id) on every attempt.
+        ``timeout`` bounds one attempt; ``deadline`` (``None``, a
+        :class:`~repro.resilience.Deadline`, or an absolute monotonic
+        timestamp) bounds the whole retry loop — attempt budgets are
+        clamped to what remains of it, and backoff sleeps never
+        overshoot it.  A configured circuit breaker is consulted before
+        every attempt and told its outcome, so a dead server flips it
+        open and later requests fail fast with
+        :class:`~repro.resilience.CircuitOpen` (not retried).
+        """
+        if self._closed:
+            raise TransportFailure("client is closed")
+        self.metrics.inc("client.requests")
+        budget = self.timeout if timeout is None else timeout
+        attempts = itertools.count()
+
+        def attempt() -> bytes:
+            # Counted per request: the policy object (and its own tally)
+            # may be shared by every thread and every leg of a gateway.
+            if next(attempts):
+                self.metrics.inc("client.retries")
+            return self._attempt(payload, budget, deadline)
+
+        try:
+            return self.retry.run(attempt, deadline=deadline)
+        except TransportFailure:
+            self.metrics.inc("client.failures")
+            raise
+
+    def submit(
+        self, payload: bytes, timeout: float | None = None
+    ) -> "Future[bytes]":
         """Ship ``payload`` now; the Future resolves with its reply.
 
         Blocks only when ``max_outstanding`` requests are already in
-        flight.  The Future fails with :class:`TransportFailure` if the
-        connection dies before the reply arrives, and with
-        :class:`RequestTimeout` if it is still unresolved when
-        :meth:`close` reaps the pipeline.
+        flight (at most ``timeout`` seconds, which also bounds the
+        connect).  The Future fails with :class:`TransportFailure` if
+        the connection dies before the reply arrives.  Whichever way
+        this call or the Future ends, the window slot comes back.
         """
+        budget = self.timeout if timeout is None else timeout
         message_id = extract_message_id(payload)
         if message_id is None:
             raise TransportFailure("payload carries no message-id to correlate")
-        if not self._window.acquire(timeout=self.timeout):
+        frame = encode_frame(payload, self.max_frame_size)
+        if not self._window.acquire(timeout=budget):
             self.metrics.inc("pipeline.window_stalls")
             raise RequestTimeout(
                 f"pipeline window full ({len(self._pending)} outstanding)"
             )
         future: Future[bytes] = Future()
         future.add_done_callback(lambda _: self._window.release())
-        frame = encode_frame(payload, self.max_frame_size)
-        with self._lock:
-            if self._closed:
-                raise TransportFailure("pipelined client is closed")
-            if message_id in self._pending:
-                raise TransportFailure(
-                    f"message id {message_id!r} already in flight"
-                )
-            sock = self._ensure_connected()
-            self._pending[message_id] = future
-            try:
-                sock.sendall(frame)
-            except OSError as exc:
-                self._pending.pop(message_id, None)
-                self._teardown_locked(TransportFailure(f"send failed: {exc}"))
-                raise TransportFailure(f"send failed: {exc}") from exc
+        try:
+            with self._lock:
+                if self._closed:
+                    raise TransportFailure("client is closed")
+                if message_id in self._pending:
+                    raise TransportFailure(
+                        f"message id {message_id!r} already in flight"
+                    )
+                sock = self._ensure_connected(budget)
+                self._pending[message_id] = future
+                try:
+                    sock.sendall(frame)
+                except OSError as exc:
+                    error = TransportFailure(f"send failed: {exc}")
+                    self._drop_locked(sock, error)
+                    raise error from exc
+        except BaseException:
+            future.cancel()  # never sent, or already failed: free the slot
+            raise
         self.metrics.inc("pipeline.submitted")
         self.metrics.inc("client.bytes_sent", len(payload))
         return future
-
-    def request(self, payload: bytes, timeout: float | None = None) -> bytes:
-        """Blocking round trip through the pipeline."""
-        future = self.submit(payload)
-        try:
-            return future.result(
-                timeout=self.timeout if timeout is None else timeout
-            )
-        except TimeoutError:
-            self.metrics.inc("client.timeouts")
-            raise RequestTimeout(
-                f"no reply from {self.address[0]}:{self.address[1]}"
-            ) from None
 
     def request_many(
         self, payloads: list[bytes], timeout: float | None = None
@@ -154,18 +199,26 @@ class PipelinedClient:
         Replies come back in *request* order regardless of the order the
         server finished them in — the whole point of correlation.
         """
-        futures = [self.submit(payload) for payload in payloads]
         budget = self.timeout if timeout is None else timeout
-        replies: list[bytes] = []
-        for future in futures:
-            try:
-                replies.append(future.result(timeout=budget))
-            except TimeoutError:
-                self.metrics.inc("client.timeouts")
-                raise RequestTimeout(
-                    f"no reply from {self.address[0]}:{self.address[1]}"
-                ) from None
-        return replies
+        futures = [self.submit(payload, budget) for payload in payloads]
+        return [self._wait(future, budget) for future in futures]
+
+    def send_and_abandon(self, payload: bytes) -> None:
+        """Deliver ``payload`` on a throw-away connection, never read.
+
+        The socket-layer reimplementation of the in-process transport's
+        *reply drop*: the server receives and executes the request, but
+        the reply has nowhere to go.  Used by the deterministic fault
+        plans; a subsequent :meth:`request` with the same payload then
+        exercises the redelivery path.
+        """
+        frame = encode_frame(payload, self.max_frame_size)
+        sock = self._connect(self.timeout)
+        try:
+            sock.sendall(frame)
+            self.metrics.inc("client.bytes_sent", len(payload))
+        finally:
+            sock.close()
 
     @property
     def outstanding(self) -> int:
@@ -177,9 +230,11 @@ class PipelinedClient:
         """Tear the connection down; unresolved futures fail."""
         with self._lock:
             self._closed = True
-            self._teardown_locked(
-                TransportFailure("pipelined client closed with request in flight")
-            )
+            if self._sock is not None:
+                self._drop_locked(
+                    self._sock,
+                    TransportFailure("client closed with request in flight"),
+                )
         reader = self._reader
         if reader is not None and reader is not threading.current_thread():
             reader.join(timeout=5)
@@ -192,46 +247,95 @@ class PipelinedClient:
 
     # ------------------------------------------------------------ internals
 
-    def _ensure_connected(self) -> socket.socket:
-        if self._sock is not None:
-            return self._sock
+    def _attempt(
+        self, payload: bytes, budget: float, deadline: object | None
+    ) -> bytes:
+        remaining = remaining_budget(deadline)
+        if remaining is not None:
+            if remaining <= 0:
+                self.metrics.inc("client.timeouts")
+                raise RequestTimeout("request deadline elapsed before attempt")
+            budget = min(budget, remaining)
+        if self.breaker is not None:
+            self.breaker.guard()
+        started = time.monotonic()
         try:
-            sock = socket.create_connection(self.address, timeout=self.timeout)
+            future = self.submit(payload, budget)
+            # Window wait and connect spent part of this attempt's budget.
+            reply = self._wait(future, budget - (time.monotonic() - started))
+        except TransportFailure:
+            if self.breaker is not None:
+                self.breaker.record_failure()
+            raise
+        if self.breaker is not None:
+            self.breaker.record_success()
+        return reply
+
+    def _wait(self, future: "Future[bytes]", budget: float) -> bytes:
+        try:
+            return future.result(timeout=budget)
+        except TimeoutError:
+            pass
+        # Forget the id so a retry may put the same bytes on the wire
+        # again; the reply, if it ever comes, is an orphan.
+        with self._lock:
+            self._pending = {
+                k: f for k, f in self._pending.items() if f is not future
+            }
+        if not future.cancel():
+            return future.result()  # resolved in the gap after the timeout
+        self.metrics.inc("client.timeouts")
+        raise RequestTimeout(
+            f"no reply from {self.address[0]}:{self.address[1]} "
+            f"within {budget:.3f}s"
+        )
+
+    def _connect(self, timeout: float) -> socket.socket:
+        try:
+            sock = socket.create_connection(self.address, timeout=timeout)
         except socket.timeout as exc:
+            self.metrics.inc("client.timeouts")
             raise RequestTimeout(
                 f"connect to {self.address[0]}:{self.address[1]} timed out"
             ) from exc
         except OSError as exc:
             raise TransportFailure(f"cannot connect: {exc}") from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # The reader blocks in recv for as long as replies might take;
-        # it is the close() path, not a socket timeout, that ends it.
-        sock.settimeout(None)
-        self._sock = sock
         self.metrics.inc("client.connections_opened")
+        return sock
+
+    def _ensure_connected(self, timeout: float) -> socket.socket:
+        if self._sock is not None:
+            return self._sock
+        sock = self._connect(timeout)
+        # The reader blocks in recv for as long as replies might take —
+        # it is close(), not a socket timeout, that ends it — so writes
+        # are bounded in the kernel instead: a peer that stops reading
+        # fails the send rather than wedging every caller on the lock.
+        sock.settimeout(None)
+        micros = max(1, int(self.timeout * 1_000_000))
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDTIMEO,
+            struct.pack("ll", *divmod(micros, 1_000_000)),
+        )
+        self._sock = sock
         self._reader = threading.Thread(
-            target=self._read_replies, name="pipeline-reader", daemon=True
+            target=self._read_replies, args=(sock,), daemon=True,
+            name="pipeline-reader",
         )
         self._reader.start()
         return sock
 
-    def _read_replies(self) -> None:
-        sock = self._sock
-        assert sock is not None
-
-        def recv(count: int) -> bytes:
-            return sock.recv(count)
-
+    def _read_replies(self, sock: socket.socket) -> None:
+        error = TransportFailure("server closed the connection")
         while True:
             try:
-                reply = read_frame(recv, self.max_frame_size)
+                reply = read_frame(sock.recv, self.max_frame_size)
             except Exception as exc:  # noqa: BLE001 - reader boundary
-                self._fail_pending(TransportFailure(f"connection failed: {exc}"))
-                return
-            if reply is None:  # orderly EOF from the server
-                self._fail_pending(
-                    TransportFailure("server closed the pipelined connection")
-                )
+                reply, error = None, TransportFailure(f"connection failed: {exc}")
+            if reply is None:  # EOF or a broken frame: this socket is done
+                with self._lock:
+                    self._drop_locked(sock, error)
                 return
             self.metrics.inc("client.bytes_received", len(reply))
             correlation = extract_correlation(reply)
@@ -246,34 +350,22 @@ class PipelinedClient:
                 self.metrics.inc("pipeline.orphan_replies")
                 continue
             self.metrics.inc("pipeline.completed")
-            if not future.set_running_or_notify_cancel():
-                continue
-            future.set_result(reply)
-
-    def _fail_pending(self, error: TransportFailure) -> None:
-        with self._lock:
-            self._sock = None
-            pending = list(self._pending.values())
-            self._pending.clear()
-        for future in pending:
             if future.set_running_or_notify_cancel():
-                future.set_exception(error)
+                future.set_result(reply)
 
-    def _teardown_locked(self, error: TransportFailure) -> None:
-        """Close the socket and fail pending futures (lock already held)."""
-        sock = self._sock
+    def _drop_locked(self, sock: socket.socket, error: TransportFailure) -> None:
+        """Close ``sock``; if it is the live connection, fail what waits
+        on it (lock already held).  A reader catching up on a connection
+        already replaced must not touch its successor's requests."""
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        sock.close()
+        if sock is not self._sock:
+            return
         self._sock = None
-        if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
-        pending = list(self._pending.values())
-        self._pending.clear()
-        for future in pending:
+        pending, self._pending = self._pending, {}
+        for future in pending.values():
             if future.set_running_or_notify_cancel():
                 future.set_exception(error)

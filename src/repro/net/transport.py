@@ -10,10 +10,12 @@ and benchmark can run over real sockets unchanged: hand a
 spans an actual TCP hop.
 
 The fault plans are reimplemented at the socket layer: a *request drop*
-never writes to the socket, a *reply drop* writes the request and then
-closes the connection before reading — the server executes the action
-but the reply is lost, the classic partial failure §6's redelivery
-semantics exist to survive.
+never writes to the socket, a *reply drop* writes the request on a
+throw-away connection and closes it unread — the server executes the
+action but the reply is lost, the classic partial failure §6's
+redelivery semantics exist to survive.  Everything else goes through
+the one :class:`~repro.net.pipeline.PipelinedClient` this transport
+holds; ``send`` has no other path.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from ..protocol.transport import (
     _FaultPlan,
 )
 from ..resilience.breaker import CircuitBreaker
-from .client import NetworkClient
 from .framing import DEFAULT_MAX_FRAME_SIZE
 from .pipeline import PipelinedClient
 from .server import TRANSPORT_FAULT_PREFIX, PromiseServer
@@ -60,12 +61,9 @@ class NetworkTransport:
         codec: SoapCodec | None = None,
         timeout: float = 5.0,
         retry: RetryPolicy | None = None,
-        pool_size: int = 4,
         max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
         log_limit: int | None = DEFAULT_LOG_LIMIT,
         breaker: CircuitBreaker | None = None,
-        pipelined: bool = False,
-        max_outstanding: int = 128,
     ) -> None:
         if address is None:
             if server is None:
@@ -73,49 +71,40 @@ class NetworkTransport:
             address = server.address
         self._server = server
         self._codec = codec or SoapCodec()
-        self._retry = retry or RetryPolicy.network()
-        self._client = NetworkClient(
+        #: The server address this transport talks to.
+        self.address = address
+        #: The byte-level client: one connection shared by every sending
+        #: thread; retry, deadline and breaker all live in it.
+        self.client = PipelinedClient(
             address,
             timeout=timeout,
             max_frame_size=max_frame_size,
-            pool_size=pool_size,
-            retry=self._retry,
+            retry=retry or RetryPolicy.network(),
             breaker=breaker,
-        )
-        # ``pipelined=True`` routes ordinary sends through one shared
-        # connection with many requests in flight (callers on different
-        # threads no longer serialise on per-connection checkout); the
-        # pooled client stays for fault plans and as the retry fallback.
-        self._pipeline = (
-            PipelinedClient(
-                address,
-                timeout=timeout,
-                max_frame_size=max_frame_size,
-                max_outstanding=max_outstanding,
-            )
-            if pipelined
-            else None
         )
         self._faults = _FaultPlan()
         self._log: deque[str] = deque(maxlen=log_limit)
-        self.stats = TransportStats()
+        # ``transport.*`` counts on the client's registry, beside its
+        # ``client.*`` / ``pipeline.*`` — one scrape sees the whole leg.
+        self.metrics = self.client.metrics
+        self.stats = TransportStats(self.metrics)
 
     # ------------------------------------------------------------- surface
 
-    @property
-    def address(self) -> tuple[str, int]:
-        """The server address this transport talks to."""
-        return self._client.address
-
-    @property
-    def client(self) -> NetworkClient:
-        """The underlying pooled byte-level client (for its stats)."""
-        return self._client
-
-    @property
-    def pipelined(self) -> bool:
-        """True when ordinary sends ride the shared pipelined connection."""
-        return self._pipeline is not None
+    def rebound(self, address: tuple[str, int]) -> "NetworkTransport":
+        """A fresh transport with this one's settings, aimed at ``address``
+        — what a failover installs in place of the leg to a deposed
+        primary.  The breaker is carried: it guards the shard, whichever
+        node currently serves it."""
+        return NetworkTransport(
+            address,
+            codec=self._codec,
+            timeout=self.client.timeout,
+            retry=self.client.retry,
+            max_frame_size=self.client.max_frame_size,
+            log_limit=self._log.maxlen,
+            breaker=self.client.breaker,
+        )
 
     def register(self, endpoint: str, handler: Handler) -> None:
         """Register on the co-hosted local server (if there is one)."""
@@ -148,53 +137,48 @@ class NetworkTransport:
         from the server's ``transport:`` fault) and
         :class:`TransportFailure` for drops, resets and timeouts.
         """
-        self.stats.sent += 1
+        self.metrics.inc("transport.sent")
         delivery = self.stats.sent
 
         encoded = self._codec.encode(message)
         payload = encoded.encode("utf-8")
-        self.stats.bytes_on_wire += len(payload)
+        self.metrics.inc("transport.bytes_on_wire", len(payload))
         self._log.append(encoded)
 
         if delivery in self._faults.drop_requests:
-            self.stats.dropped_requests += 1
+            self.metrics.inc("transport.dropped_requests")
             raise TransportFailure(
                 f"request {message.message_id} lost in transit"
             )
 
         if delivery in self._faults.drop_replies:
-            self._client.send_and_abandon(payload)
-            self.stats.dropped_replies += 1
+            self.client.send_and_abandon(payload)
+            self.metrics.inc("transport.dropped_replies")
             raise TransportFailure(
                 f"reply to {message.message_id} lost in transit"
             )
 
         # The message's deadline stamp is the budget remaining *now*;
         # hand the byte client the matching absolute deadline so its
-        # own retry loop (attempt timeouts and backoff sleeps alike)
-        # stays inside it.
+        # retry loop (attempt timeouts and backoff sleeps alike) stays
+        # inside it.
         deadline = (
             time.monotonic() + message.deadline
             if message.deadline is not None
             else None
         )
-        if self._pipeline is not None:
-            reply_bytes = self._pipelined_request(payload, deadline)
-        else:
-            reply_bytes = self._client.request(payload, deadline=deadline)
+        reply_bytes = self.client.request(payload, deadline=deadline)
         reply_text = reply_bytes.decode("utf-8")
-        self.stats.bytes_on_wire += len(reply_bytes)
+        self.metrics.inc("transport.bytes_on_wire", len(reply_bytes))
         self._log.append(reply_text)
         reply = self._codec.decode(reply_text)
         self._raise_transport_faults(message, reply)
-        self.stats.delivered += 1
+        self.metrics.inc("transport.delivered")
         return reply
 
     def close(self) -> None:
-        """Release pooled connections."""
-        if self._pipeline is not None:
-            self._pipeline.close()
-        self._client.close()
+        """Close the connection."""
+        self.client.close()
 
     def __enter__(self) -> "NetworkTransport":
         return self
@@ -208,30 +192,6 @@ class NetworkTransport:
         return list(self._log)
 
     # ----------------------------------------------------------- internals
-
-    def _pipelined_request(
-        self, payload: bytes, deadline: float | None
-    ) -> bytes:
-        """One request over the shared pipelined connection, with retry.
-
-        The pipelined client is below the retry layer, so the transport
-        supplies the redelivery loop itself — same policy, same §6
-        safety (the server's reply cache answers a redelivered id).  A
-        dead connection fails every in-flight future at once; each
-        waiter redelivers independently and the first submit reconnects.
-        """
-        assert self._pipeline is not None
-        pipeline = self._pipeline
-
-        def attempt() -> bytes:
-            remaining = (
-                None if deadline is None else deadline - time.monotonic()
-            )
-            if remaining is not None and remaining <= 0:
-                raise RequestTimeout("deadline expired before pipelined send")
-            return pipeline.request(payload, timeout=remaining)
-
-        return self._retry.run(attempt, deadline=deadline)
 
     def _raise_transport_faults(self, message: Message, reply: Message) -> None:
         for fault in reply.faults:

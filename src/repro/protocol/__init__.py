@@ -29,7 +29,6 @@ from .transport import InProcessTransport, TransportStats
 # Networked counterparts, re-exported lazily: repro.net imports this
 # package's submodules, so an eager import here would be circular.
 _NET_EXPORTS = {
-    "NetworkClient",
     "NetworkTransport",
     "PromiseServer",
     "ThreadedServer",
@@ -46,7 +45,6 @@ __all__ = [
     "MatchedExchange",
     "Message",
     "MessageTransport",
-    "NetworkClient",
     "NetworkTransport",
     "Overloaded",
     "PROMISE_NS",

@@ -57,7 +57,7 @@ from ..net.server import PING_ENDPOINT, PromiseServer, ThreadedServer
 from ..net.transport import NetworkTransport
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import SpanRecorder
-from ..protocol.errors import ProtocolError, RequestTimeout, TransportFailure
+from ..protocol.errors import ProtocolError
 from ..protocol.messages import Message
 from ..protocol.retry import RetryPolicy
 from ..resilience.breaker import CircuitBreaker
@@ -364,16 +364,10 @@ class ReplicatedFleet:
             self.routing.promote(index, best.address)
         for gateway in gateways:
             # The new leg behaves as the one it replaces did: a gateway
-            # built not to retry, or to pipeline, stays that way.
-            displaced = gateway.transport(index)
+            # built not to retry stays that way.
             gateway.remap(
                 index,
-                NetworkTransport(
-                    best.address,
-                    timeout=displaced.client.timeout,
-                    retry=displaced.client.retry,
-                    pipelined=displaced.pipelined,
-                ),
+                gateway.transport(index).rebound(best.address),
                 epoch=new_epoch,
             ).close()
             gateway.flush_pending()
@@ -447,7 +441,6 @@ class ReplicatedFleet:
         pending_limit: int | None = 256,
         pending_max_age: float | None = None,
         tracer: SpanRecorder | None = None,
-        pipelined: bool = False,
     ) -> ClusterGateway:
         """A routing gateway over the current primaries.
 
@@ -455,10 +448,8 @@ class ReplicatedFleet:
         circuit breaker per shard; a dead shard then fails fast at the
         gateway instead of consuming every request's retry schedule.
 
-        ``pipelined`` makes each shard leg a pipelined connection:
-        scatter-gather legs from concurrent gateway callers share one
-        socket per shard with many requests in flight, instead of
-        serialising on per-connection pool checkout.
+        Each shard leg is one connection: scatter-gather legs from
+        concurrent gateway callers share it with many requests in flight.
 
         The fleet keeps the gateway under maintenance, as
         :meth:`attach` describes.
@@ -471,7 +462,6 @@ class ReplicatedFleet:
                     address,
                     timeout=timeout,
                     retry=retry or RetryPolicy.network(),
-                    pipelined=pipelined,
                 )
                 for address in self.addresses()
             ]
@@ -875,22 +865,15 @@ class HeartbeatDetector:
 
     def _ping(self, address: tuple[str, int]) -> bool:
         self._counter += 1
-        transport = NetworkTransport(
-            address,
-            timeout=max(0.25, self.interval),
-            retry=RetryPolicy.none(),
-        )
         message = Message(
             message_id=f"hb:{self._counter}",
             sender="heartbeat-detector",
             recipient=PING_ENDPOINT,
         )
-        try:
-            reply = transport.send(message)
-        except (TransportFailure, RequestTimeout, ProtocolError):
-            return False
-        finally:
-            closer = getattr(transport, "close", None)
-            if closer is not None:
-                closer()
-        return not reply.faults
+        with NetworkTransport(
+            address, timeout=max(0.25, self.interval), retry=RetryPolicy.none()
+        ) as transport:
+            try:
+                return not transport.send(message).faults
+            except ProtocolError:  # includes TransportFailure, RequestTimeout
+                return False

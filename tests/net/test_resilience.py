@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.parser import P
 from repro.core.promise import PromiseRequest
-from repro.net.client import NetworkClient
+from repro.net.pipeline import PipelinedClient
 from repro.net.server import PromiseServer, ThreadedServer
 from repro.net.transport import NetworkTransport
 from repro.protocol.errors import Overloaded, RequestTimeout, TransportFailure
@@ -23,6 +23,9 @@ CODEC = SoapCodec()
 
 def encode(message: Message) -> bytes:
     return CODEC.encode(message).encode("utf-8")
+
+
+PAYLOAD = encode(Message("m0", "alice", "echo"))
 
 
 def decode(payload: bytes) -> Message:
@@ -83,7 +86,7 @@ class TestServerSheds:
         )
         server = echo_server(admission=admission)
         with ThreadedServer(server) as address:
-            with NetworkClient(address, timeout=5.0) as client:
+            with PipelinedClient(address, timeout=5.0) as client:
                 ok1 = decode(client.request(encode(check_message("m1"))))
                 ok2 = decode(client.request(encode(check_message("m2"))))
                 shed = decode(client.request(encode(check_message("m3"))))
@@ -101,7 +104,7 @@ class TestServerSheds:
         )
         server = echo_server(admission=admission)
         with ThreadedServer(server) as address:
-            with NetworkClient(address, timeout=5.0) as client:
+            with PipelinedClient(address, timeout=5.0) as client:
                 client.request(encode(check_message("m1")))  # drains bucket
                 shed = decode(client.request(encode(check_message("m2"))))
                 release = decode(
@@ -122,7 +125,7 @@ class TestServerSheds:
         )
         server = echo_server(admission=admission)
         with ThreadedServer(server) as address:
-            with NetworkClient(address, timeout=5.0) as client:
+            with PipelinedClient(address, timeout=5.0) as client:
                 first = decode(client.request(encode(check_message("m1"))))
                 again = decode(client.request(encode(check_message("m1"))))
         assert first.message_id == again.message_id
@@ -138,7 +141,7 @@ class TestServerSheds:
         )
         server = echo_server(admission=admission)
         with ThreadedServer(server) as address:
-            with NetworkClient(address, timeout=5.0) as client:
+            with PipelinedClient(address, timeout=5.0) as client:
                 client.request(encode(check_message("m1")))  # drains bucket
                 shed = decode(client.request(encode(check_message("m2"))))
                 clock.advance(1.0)  # refill
@@ -156,7 +159,7 @@ class TestServerDeadlines:
             "echo", lambda m: (calls.append(1), m.reply(message_id="r1"))[1]
         )
         with ThreadedServer(server) as address:
-            with NetworkClient(address, timeout=5.0) as client:
+            with PipelinedClient(address, timeout=5.0) as client:
                 dead = Message("m1", "alice", "echo", deadline=-0.5)
                 reply = decode(client.request(encode(dead)))
         assert any("deadline-expired" in fault for fault in reply.faults)
@@ -166,7 +169,7 @@ class TestServerDeadlines:
     def test_live_deadline_dispatches_normally(self):
         server = echo_server()
         with ThreadedServer(server) as address:
-            with NetworkClient(address, timeout=5.0) as client:
+            with PipelinedClient(address, timeout=5.0) as client:
                 live = Message("m1", "alice", "echo", deadline=30.0)
                 reply = decode(client.request(encode(live)))
         assert not reply.faults
@@ -222,28 +225,28 @@ class TestClientBreaker:
 
     def test_breaker_opens_after_connect_failures(self):
         breaker = CircuitBreaker("dead", failure_threshold=2, reset_timeout=60)
-        client = NetworkClient(
+        client = PipelinedClient(
             self._dead_address(), timeout=0.2, breaker=breaker
         )
         for _ in range(2):
             with pytest.raises(TransportFailure):
-                client.request(b"payload")
+                client.request(PAYLOAD)
         with pytest.raises(CircuitOpen):
-            client.request(b"payload")
+            client.request(PAYLOAD)
         assert breaker.fast_failures == 1
         assert breaker.trips == 1
 
     def test_circuit_open_cuts_the_retry_loop_short(self):
         breaker = CircuitBreaker("dead", failure_threshold=1, reset_timeout=60)
         retry = RetryPolicy.fast(max_attempts=5)
-        client = NetworkClient(
+        client = PipelinedClient(
             self._dead_address(), timeout=0.2, retry=retry, breaker=breaker
         )
         # Attempt 1 fails and trips the breaker; attempt 2 fails fast
         # with CircuitOpen, which is NOT a TransportFailure — so the
         # remaining three attempts of the schedule are never made.
         with pytest.raises(CircuitOpen):
-            client.request(b"payload")
+            client.request(PAYLOAD)
         assert retry.retries == 1
         assert breaker.fast_failures == 1
 
@@ -254,7 +257,7 @@ class TestClientBreaker:
         )
         server = echo_server()
         with ThreadedServer(server) as address:
-            client = NetworkClient(address, timeout=2.0, breaker=breaker)
+            client = PipelinedClient(address, timeout=2.0, breaker=breaker)
             breaker.record_failure()  # trip it by hand: threshold=1
             with pytest.raises(CircuitOpen):
                 client.request(encode(Message("m1", "a", "echo")))
@@ -334,10 +337,10 @@ class TestEndToEndDeadline:
         sink.bind(("127.0.0.1", 0))
         sink.listen(8)
         retry = RetryPolicy(max_attempts=10, base_delay=0.2, max_delay=0.2)
-        client = NetworkClient(sink.getsockname(), timeout=0.3, retry=retry)
+        client = PipelinedClient(sink.getsockname(), timeout=0.3, retry=retry)
         started = time.monotonic()
         with pytest.raises(RequestTimeout):
-            client.request(b"payload", deadline=time.monotonic() + 0.6)
+            client.request(PAYLOAD, deadline=time.monotonic() + 0.6)
         elapsed = time.monotonic() - started
         sink.close()
         # Unbounded schedule would take ~ 10*0.3 + 9*0.2 > 4s.

@@ -1,4 +1,8 @@
-"""Integration tests for the asyncio server and the pooled client."""
+"""Integration tests for the asyncio server, driven through the wire client.
+
+What the *client* promises on its own (window, correlation, retry,
+reconnect) is tested against it in ``tests/pipeline/test_pipelined_client.py``.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +12,8 @@ import time
 
 import pytest
 
-from repro.net.client import NetworkClient
-from repro.net.framing import HEADER, FrameTooLarge, encode_frame, read_frame
+from repro.net.framing import HEADER, FrameTooLarge
+from repro.net.pipeline import PipelinedClient
 from repro.net.server import PromiseServer, ThreadedServer
 from repro.protocol.errors import RequestTimeout, TransportFailure
 from repro.protocol.messages import Message
@@ -40,7 +44,7 @@ def echo_server(**kwargs) -> PromiseServer:
 def running_echo():
     server = echo_server()
     with ThreadedServer(server) as address:
-        with NetworkClient(address, timeout=5.0) as client:
+        with PipelinedClient(address, timeout=5.0) as client:
             yield server, client
 
 
@@ -53,12 +57,11 @@ class TestRoundTrip:
         assert server.stats.requests == 1
         assert server.stats.replies == 1
 
-    def test_connections_are_pooled(self, running_echo):
+    def test_one_connection_serves_every_request(self, running_echo):
         server, client = running_echo
         for n in range(5):
             client.request(encode(Message(f"m{n}", "a", "echo")))
-        assert client.stats.connections_opened == 1
-        assert client.stats.connections_reused == 4
+        assert client.metrics.value("client.connections_opened") == 1
         assert server.stats.connections == 1
 
     def test_concurrent_clients(self):
@@ -69,7 +72,7 @@ class TestRoundTrip:
 
             def worker(name: str) -> None:
                 try:
-                    with NetworkClient(address, timeout=10.0) as client:
+                    with PipelinedClient(address, timeout=10.0) as client:
                         for n in range(10):
                             reply = decode(client.request(
                                 encode(Message(f"{name}:m{n}", name, "echo"))
@@ -122,9 +125,9 @@ class TestFaults:
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             free_port = probe.getsockname()[1]
-        client = NetworkClient(("127.0.0.1", free_port), timeout=0.5)
+        client = PipelinedClient(("127.0.0.1", free_port), timeout=0.5)
         with pytest.raises(TransportFailure):
-            client.request(b"<Envelope/>")
+            client.request(encode(Message("m1", "a", "echo")))
 
     def test_request_timeout(self):
         server = echo_server()
@@ -135,26 +138,26 @@ class TestFaults:
 
         server.register("slow", sleepy)
         with ThreadedServer(server) as address:
-            with NetworkClient(address, timeout=0.2) as client:
+            with PipelinedClient(address, timeout=0.2) as client:
                 with pytest.raises(RequestTimeout):
                     client.request(encode(Message("m1", "a", "slow")))
-                assert client.stats.timeouts >= 1
+                assert client.metrics.value("client.timeouts") >= 1
 
     def test_client_retry_reconnects(self):
         server = echo_server()
         with ThreadedServer(server) as address:
-            client = NetworkClient(
+            client = PipelinedClient(
                 address, timeout=5.0,
                 retry=RetryPolicy(max_attempts=3, base_delay=0.01),
             )
             payload = encode(Message("m1", "a", "echo"))
             client.request(payload)
-            # Kill the pooled connection under the client; the retry
-            # must open a fresh one and redeliver.
-            for sock in list(client._idle):
-                sock.close()
+            # Kill the connection under the client; the retry must open
+            # a fresh one and redeliver.
+            client._sock.shutdown(socket.SHUT_RDWR)
             reply = client.request(encode(Message("m2", "a", "echo")))
             assert decode(reply).correlation == "m2"
+            assert client.metrics.value("client.connections_opened") == 2
             client.close()
 
 
@@ -180,7 +183,7 @@ class TestFrameLimits:
         __, client = running_echo
         client.max_frame_size = 64
         with pytest.raises(FrameTooLarge):
-            client.request(b"x" * 65)
+            client.request(encode(Message("m1", "a", "echo")) + b" " * 65)
 
     def test_mid_frame_connection_drop_leaves_server_healthy(self):
         server = echo_server()
@@ -193,7 +196,7 @@ class TestFrameLimits:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             # The next well-formed request still succeeds.
-            with NetworkClient(address, timeout=5.0) as client:
+            with PipelinedClient(address, timeout=5.0) as client:
                 reply = decode(client.request(encode(Message("m1", "a", "echo"))))
                 assert reply.correlation == "m1"
 
@@ -203,7 +206,7 @@ class TestGracefulShutdown:
         server = echo_server()
         threaded = ThreadedServer(server)
         address = threaded.start()
-        client = NetworkClient(address, timeout=2.0)
+        client = PipelinedClient(address, timeout=2.0)
         client.request(encode(Message("m1", "a", "echo")))
         threaded.stop()
         with pytest.raises(TransportFailure):

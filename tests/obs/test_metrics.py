@@ -10,11 +10,11 @@ the moment the increment spans more than one bytecode).
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
 
-from repro.net.client import ClientStats
 from repro.net.server import ServerStats
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -26,6 +26,7 @@ from repro.obs.metrics import (
     snapshot_delta,
     wal_observer,
 )
+from repro.protocol.transport import TransportStats
 
 pytestmark = pytest.mark.obs
 
@@ -122,6 +123,49 @@ def test_concurrent_increments_never_lose_updates():
     assert registry.value("hammer.level") == threads_n * per_thread
 
 
+def test_transport_counters_survive_a_sixteen_thread_hammer():
+    """The gateway's scatter threads share one ``NetworkTransport``: its
+    ``transport.*`` counts go through the client's registry (never a
+    ``stats.field += 1``), so none is lost and a scrape can see them."""
+    from repro.net import NetworkTransport, PromiseServer, ThreadedServer
+    from repro.protocol.messages import Message
+
+    server = PromiseServer()
+    server.register("echo", lambda m: m.reply(f"echo:{m.message_id}"))
+    threads_n, per_thread = 16, 50
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # make a lost ``+=`` likely, not lucky
+    try:
+        with ThreadedServer(server) as address:
+            with NetworkTransport(address) as transport:
+
+                def hammer(name: int):
+                    for n in range(per_thread):
+                        transport.send(
+                            Message(f"t{name}:m{n}", "hammer", "echo")
+                        )
+
+                threads = [
+                    threading.Thread(target=hammer, args=(name,))
+                    for name in range(threads_n)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                total = threads_n * per_thread
+                assert transport.stats.sent == total
+                assert transport.stats.delivered == total
+                counters = transport.client.metrics.snapshot()["counters"]
+                assert counters["transport.sent"] == total
+                assert counters["client.requests"] == total
+                assert counters["client.connections_opened"] == 1
+                assert vars(transport.stats) == {"registry": transport.metrics}
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_stats_view_reads_through_registry():
     class DemoStats(StatsView):
         _prefix = "demo"
@@ -141,7 +185,7 @@ def test_stats_view_reads_through_registry():
 
 def test_legacy_stats_classes_are_views():
     """The pre-obs ``stats`` types still construct bare and read zeros."""
-    for stats_type in (ClientStats, ServerStats):
+    for stats_type in (TransportStats, ServerStats):
         view = stats_type()
         assert all(value == 0 for value in view.as_dict().values())
 

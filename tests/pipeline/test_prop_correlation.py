@@ -6,6 +6,10 @@ subset, then closes the connection.  Whatever the schedule: every
 answered request's future resolves with the reply carrying *its*
 correlation id, and every dropped request fails with
 ``TransportFailure`` — never a misdelivered or stranded future.
+
+The same schedules then run through ``request`` with a retry policy:
+every caller gets *its* reply, each dropped id is re-sent exactly once
+with the same bytes, and no answered id goes on the wire twice.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from repro.net.pipeline import (
     extract_message_id,
 )
 from repro.protocol.errors import TransportFailure
+from repro.protocol.retry import RetryPolicy
 from repro.protocol.soap import SoapCodec
 
 from .conftest import grant_message
@@ -46,12 +51,24 @@ def reply_payload(index: int, correlation: str) -> bytes:
 
 
 class ReorderServer:
-    """Accept one connection; answer ``order``'s requests, skip ``drops``."""
+    """Accept one connection; answer ``order``'s requests, skip ``drops``.
 
-    def __init__(self, count: int, order: list[int], drops: set[int]):
+    With ``second_chance`` a second connection is then accepted on which
+    the dropped requests, redelivered, are all answered.
+    """
+
+    def __init__(
+        self,
+        count: int,
+        order: list[int],
+        drops: set[int],
+        second_chance: bool = False,
+    ):
         self.count = count
         self.order = order
         self.drops = drops
+        self.second_chance = second_chance
+        self.frames: list[bytes] = []
         self.error: BaseException | None = None
         self._listener = socket.socket()
         self._listener.bind(("127.0.0.1", 0))
@@ -63,29 +80,35 @@ class ReorderServer:
 
     def _serve(self):
         try:
-            conn, _ = self._listener.accept()
-            conn.settimeout(5)
-            try:
-                ids: list[str] = []
-                for _ in range(self.count):
-                    frame = read_frame(conn.recv, DEFAULT_MAX_FRAME_SIZE)
-                    assert frame is not None
-                    message_id = extract_message_id(frame)
-                    assert message_id is not None
-                    ids.append(message_id)
-                for index in self.order:
-                    if index in self.drops:
-                        continue
-                    conn.sendall(
-                        encode_frame(
-                            reply_payload(index, ids[index]),
-                            DEFAULT_MAX_FRAME_SIZE,
-                        )
-                    )
-            finally:
-                conn.close()  # EOF: dropped requests fail, not hang
+            self._answer(self.count, self.drops)
+            if self.second_chance and self.drops:
+                self._answer(len(self.drops), set())
         except BaseException as exc:  # noqa: BLE001 - surfaced by the test
             self.error = exc
+
+    def _answer(self, expected: int, drops: set[int]):
+        conn, _ = self._listener.accept()
+        conn.settimeout(5)
+        try:
+            ids: dict[int, str] = {}
+            for _ in range(expected):
+                frame = read_frame(conn.recv, DEFAULT_MAX_FRAME_SIZE)
+                assert frame is not None
+                self.frames.append(frame)
+                message_id = extract_message_id(frame)
+                assert message_id is not None
+                ids[int(message_id.removeprefix("m-"))] = message_id
+            for index in self.order:
+                if index in drops or index not in ids:
+                    continue
+                conn.sendall(
+                    encode_frame(
+                        reply_payload(index, ids[index]),
+                        DEFAULT_MAX_FRAME_SIZE,
+                    )
+                )
+        finally:
+            conn.close()  # EOF: dropped requests fail, not hang
 
     def close(self):
         self._thread.join(timeout=5)
@@ -114,6 +137,46 @@ def test_any_reorder_and_drops_preserve_correlation(data):
             else:
                 reply = future.result(timeout=5)
                 assert extract_correlation(reply) == f"m-{index}"
+    finally:
+        client.close()
+        server.close()
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_retry_rides_out_any_reorder_and_drops(data):
+    count = data.draw(st.integers(min_value=1, max_value=6), label="count")
+    order = data.draw(st.permutations(list(range(count))), label="order")
+    drops = data.draw(
+        st.sets(st.integers(min_value=0, max_value=count - 1)), label="drops"
+    )
+    server = ReorderServer(count, list(order), drops, second_chance=True)
+    client = PipelinedClient(
+        server.address, timeout=5.0, retry=RetryPolicy.fast(max_attempts=2)
+    )
+    replies: dict[int, bytes] = {}
+
+    def call(index: int) -> None:
+        replies[index] = client.request(request_payload(index))
+
+    callers = [
+        threading.Thread(target=call, args=(index,)) for index in range(count)
+    ]
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=10)
+        assert sorted(replies) == list(range(count))
+        for index, reply in replies.items():
+            assert extract_correlation(reply) == f"m-{index}"
+        # Same bytes, and on the wire again only for the ids that needed it.
+        sent = sorted(server.frames)
+        expected = [request_payload(index) for index in range(count)]
+        expected += [request_payload(index) for index in drops]
+        assert sent == sorted(expected)
+        assert client.metrics.value("client.retries") == len(drops)
+        assert client.outstanding == 0
     finally:
         client.close()
         server.close()

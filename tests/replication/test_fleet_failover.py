@@ -210,28 +210,26 @@ def test_dispatch_and_commit_tuning_survive_failover(tmp_path):
 
 
 def test_failover_keeps_each_gateways_transport_settings(fleet):
-    """The leg a promotion installs is built from the leg it displaces
-    — a gateway made not to retry, or to pipeline, stays that way — and
+    """The leg a promotion installs is the displaced leg ``rebound`` to
+    the new primary — a gateway made not to retry stays that way — and
     the displaced leg is closed, not leaked."""
     victim, _ = victim_product(fleet)
     patient = fleet.gateway(timeout=1.5, retry=RetryPolicy.none())
-    eager = fleet.gateway(
-        timeout=4.0, retry=RetryPolicy(max_attempts=7), pipelined=True
-    )
+    eager = fleet.gateway(timeout=4.0, retry=RetryPolicy(max_attempts=7))
     displaced = [g.transport(victim) for g in (patient, eager)]
 
     fleet.kill(victim)
     fleet.failover(victim)
 
     promoted = fleet.shard(victim).address
-    for gateway, old, (timeout, attempts, pipelined) in zip(
-        (patient, eager), displaced, ((1.5, 1, False), (4.0, 7, True))
+    for gateway, old, (timeout, attempts) in zip(
+        (patient, eager), displaced, ((1.5, 1), (4.0, 7))
     ):
         leg = gateway.transport(victim)
         assert leg is not old and leg.address == promoted
         assert leg.client.timeout == timeout
+        assert leg.client.retry is old.client.retry
         assert leg.client.retry.max_attempts == attempts
-        assert leg.pipelined is pipelined
         with pytest.raises(TransportFailure, match="closed"):
             old.client.request(b"")
         gateway.close()
