@@ -1,13 +1,24 @@
 """WAL shipping between a shard primary and its hot followers.
 
+The invariant this layer keeps, whatever is underneath it: **acked to
+the client ⇒ on at least one follower at that LSN, in LSN order, under
+one epoch** (``tests/replication/test_shipping_invariants.py`` tests it
+with nothing else running).
+
 The sender subscribes to the primary's
 :class:`~repro.storage.wal.WriteAheadLog` and, at every transaction
 boundary (COMMIT, ABORT, CHECKPOINT, CREATE_TABLE), synchronously ships
-the suffix each follower is missing as a ``_repl`` message over the
-ordinary framed transport.  The receiver applies shipped records into
-its *own* WAL file via :meth:`~repro.storage.wal.WriteAheadLog.ingest`,
-preserving the primary's LSNs byte-for-byte — promotion later boots a
-deployment straight off that file through the normal recovery path.
+each follower the suffix past that link's cursor — read by bisection
+(:meth:`~repro.storage.wal.WriteAheadLog.since`), never by scanning the
+log — as a ``_repl`` message over the ordinary framed transport, to all
+lagging followers at the same time.  A ship's payload is a batch of WAL
+lines: newline-joined :meth:`LogRecord.to_json` output, the log's own
+file format.  The receiver writes the lines it has not got *verbatim*
+into its own WAL file
+(:meth:`~repro.storage.wal.WriteAheadLog.ingest_lines`: one write, one
+barrier per batch) and acks the LSN it holds after that barrier, so the
+follower's file is the primary's byte for byte — promotion later boots a
+deployment straight off it through the normal recovery path.
 
 Three properties carry the failover guarantees:
 
@@ -27,14 +38,17 @@ Three properties carry the failover guarantees:
 
 from __future__ import annotations
 
-import json
+import itertools
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
 from typing import Callable
 
 from ..obs.metrics import MetricsRegistry
 from ..protocol.errors import ProtocolError, RequestTimeout, TransportFailure
 from ..protocol.messages import ActionOutcomePayload, ActionPayload, Message
 from ..protocol.retry import RetryPolicy
+from ..storage.errors import RecoveryError
 from ..storage.wal import LogRecord, LogRecordType, WriteAheadLog
 
 #: Endpoint name the receiver's handler is registered under on every
@@ -68,15 +82,10 @@ _FLUSH_TYPES = frozenset(
 #: survives a mid-catch-up failure.
 SHIP_CHUNK_RECORDS = 512
 
-
-def _record_to_wire(record: LogRecord) -> dict[str, object]:
-    """One WAL record as codec-encodable params (plain JSON types)."""
-    return json.loads(record.to_json())
-
-
-def _record_from_wire(payload: object) -> LogRecord:
-    """Inverse of :func:`_record_to_wire`."""
-    return LogRecord.from_json(json.dumps(payload))
+#: Threads a sender keeps for shipping to several followers at the same
+#: time (the flushing thread takes one link itself).  Lagging links
+#: beyond that queue up behind them; none is skipped.
+_FANOUT_THREADS = 4
 
 
 class _FollowerLink:
@@ -98,8 +107,8 @@ class _FollowerLink:
 class ReplicationSender:
     """Ship one primary's WAL to its followers, synchronously on commit.
 
-    Subscribe :meth:`observe` to the primary's WAL; the sender reads the
-    unacked suffix straight from the log's in-memory records (which a
+    Subscribe :meth:`observe` to the primary's WAL; the sender reads
+    each link's unacked suffix from the log's in-memory records (which a
     checkpoint truncates to a snapshot record the receiver applies as a
     whole-file replace), so a follower that has been unreachable for any
     length of time catches up from whatever the log still holds.
@@ -122,8 +131,14 @@ class ReplicationSender:
         self._timeout = timeout
         self._transport_factory = transport_factory
         self._links: list[_FollowerLink] = []
+        #: Held for the whole of a flush, fan-out included: nothing
+        #: closes a transport a pool thread is mid-``send`` on.  The
+        #: ship legs themselves must never take it.
         self._lock = threading.RLock()
-        self._counter = 0
+        #: ``next()`` on it is atomic: two concurrent ships never share
+        #: a ``repl:`` message id (the follower's server dedups by it).
+        self._ids = itertools.count(1)
+        self._pool: ThreadPoolExecutor | None = None
         #: Simulated network partition from every follower: flushes fail
         #: without touching a socket.  The chaos nemesis flips this.
         self.blocked = False
@@ -143,11 +158,19 @@ class ReplicationSender:
         return int(self.metrics.value("repl.records_shipped"))
 
     def _update_lag(self) -> None:
-        """Refresh the ``repl.ship_lag_lsn`` gauge (primary vs followers)."""
+        """Refresh the lag gauges: ``repl.lag_lsn.<follower>`` per link
+        and ``repl.ship_lag_lsn`` (primary vs the best follower)."""
+        for name, lag in self._lags().items():
+            self.metrics.set_gauge(f"repl.lag_lsn.{name}", float(lag))
         self.metrics.set_gauge(
             "repl.ship_lag_lsn",
             float(self._wal.last_lsn - self.synced_lsn()),
         )
+
+    def _lags(self) -> dict[str, int]:
+        """Records each follower is behind the primary's log."""
+        last = self._wal.last_lsn
+        return {link.name: last - link.acked_lsn for link in self._links}
 
     # -------------------------------------------------------------- wiring
 
@@ -171,15 +194,19 @@ class ReplicationSender:
                     link.close()
 
     def close(self) -> None:
-        """Close every follower transport."""
+        """Close every follower transport and stop the fan-out threads."""
         with self._lock:
             for link in self._links:
                 link.close()
             self._links = []
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+                self._pool = None
 
     @property
     def followers(self) -> list[str]:
-        return [link.name for link in self._links]
+        with self._lock:
+            return [link.name for link in self._links]
 
     def _make_transport(self, address: tuple[str, int]):
         if self._transport_factory is not None:
@@ -203,7 +230,8 @@ class ReplicationSender:
             self.flush()
 
     def flush(self) -> bool:
-        """Ship each follower the records it is missing.
+        """Ship each follower the records it is missing, all followers
+        at the same time.
 
         Returns True when at least one follower acknowledges holding the
         log's last LSN — the condition under which the primary may ack.
@@ -217,14 +245,52 @@ class ReplicationSender:
             target = self._wal.last_lsn
             if self.blocked:
                 return False
-            records = list(self._wal)
+            # Every follower gets a record as the same line: render it
+            # once per flush, whichever leg reaches it first.
+            lines: dict[int, str] = {}
+
+            def line_of(record: LogRecord) -> str:
+                line = lines.get(record.lsn)
+                if line is None:
+                    line = lines[record.lsn] = record.to_json()
+                return line
+
+            legs = []
             for link in self._links:
-                todo = [r for r in records if r.lsn > link.acked_lsn]
-                if not todo:
-                    continue
-                self._ship_chunked(link, "ship", todo)
+                todo = self._wal.since(link.acked_lsn)
+                if todo:
+                    legs.append(
+                        partial(self._ship_chunked, link, "ship", todo, line_of)
+                    )
+            self._fan_out(legs)
             self._update_lag()
-            return any(link.acked_lsn >= target for link in self._links)
+            return self.fenced is None and any(
+                link.acked_lsn >= target for link in self._links
+            )
+
+    def _fan_out(self, legs: list[Callable[[], object]]) -> None:
+        """Run ``legs`` at the same time; return when all have.
+
+        As the gateway's scatter legs: the calling thread takes one, the
+        sender's own small pool the others.  Called under the sender
+        lock, which the legs therefore must not take.
+        """
+        if not legs:
+            return
+        futures = []
+        if len(legs) > 1:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=_FANOUT_THREADS,
+                    thread_name_prefix=f"repl-{self.group}",
+                )
+            futures = [self._pool.submit(leg) for leg in legs[1:]]
+        try:
+            legs[0]()
+        finally:
+            wait(futures)
+        for future in futures:
+            future.result()
 
     def full_sync(self, link: _FollowerLink) -> bool:
         """Rebuild one follower's log from scratch (bootstrap / rejoin).
@@ -236,7 +302,9 @@ class ReplicationSender:
         """
         with self._lock:
             link.acked_lsn = 0
-            return self._ship_chunked(link, "full_sync", list(self._wal))
+            return self._ship_chunked(
+                link, "full_sync", list(self._wal), LogRecord.to_json
+            )
 
     def full_sync_all(self) -> None:
         """Bootstrap every registered follower."""
@@ -245,7 +313,11 @@ class ReplicationSender:
                 self.full_sync(link)
 
     def _ship_chunked(
-        self, link: _FollowerLink, op: str, records: list[LogRecord]
+        self,
+        link: _FollowerLink,
+        op: str,
+        records: list[LogRecord],
+        line_of: Callable[[LogRecord], str],
     ) -> bool:
         """Ship ``records`` in frame-sized chunks, acked one by one.
 
@@ -259,17 +331,18 @@ class ReplicationSender:
         for start in range(0, len(records), SHIP_CHUNK_RECORDS):
             chunk = records[start : start + SHIP_CHUNK_RECORDS]
             chunk_op = op if start == 0 else "ship"
-            if not self._ship(link, chunk_op, chunk):
+            if not self._ship(link, chunk_op, [line_of(r) for r in chunk]):
                 return False
         return True
 
-    def _ship(
-        self, link: _FollowerLink, op: str, records: list[LogRecord]
-    ) -> bool:
-        self._counter += 1
+    def _ship(self, link: _FollowerLink, op: str, lines: list[str]) -> bool:
+        """One ship message: ``lines`` are WAL lines, sent as the file
+        would hold them.  Runs on a fan-out thread as well as on the
+        flushing one, so it touches only its own link, the registry
+        (which locks itself) and the one-way ``fenced`` latch."""
         self.metrics.inc("repl.ships")
         message = Message(
-            message_id=f"repl:{self.group}:{self.epoch}:{self._counter}",
+            message_id=f"repl:{self.group}:{self.epoch}:{next(self._ids)}",
             sender=self._name,
             recipient=REPL_ENDPOINT,
             action=ActionPayload(
@@ -278,7 +351,7 @@ class ReplicationSender:
                 params={
                     "group": self.group,
                     "epoch": self.epoch,
-                    "records": [_record_to_wire(r) for r in records],
+                    "records": "\n".join(lines),
                 },
             ),
         )
@@ -299,7 +372,7 @@ class ReplicationSender:
         applied = outcome.value
         if isinstance(applied, dict) and "applied_lsn" in applied:
             link.acked_lsn = int(applied["applied_lsn"])  # type: ignore[arg-type]
-            self.metrics.inc("repl.records_shipped", len(records))
+            self.metrics.inc("repl.records_shipped", len(lines))
             return True
         link.ship_failures += 1
         return False
@@ -349,6 +422,7 @@ class ReplicationSender:
                 "followers": {
                     link.name: link.acked_lsn for link in self._links
                 },
+                "lag": self._lags(),
                 "fenced": self.fenced,
                 "blocked": self.blocked,
             }
@@ -444,8 +518,8 @@ class ReplicationReceiver:
                 + f", stream at {epoch}",
             )
         self.epoch = max(self.epoch, epoch)
-        records = params.get("records", [])
-        if not isinstance(records, list):
+        lines = params.get("records", "")
+        if not isinstance(lines, str):
             return self._fault(message, "repl-malformed: bad records")
         if action.operation == "full_sync":
             self._reset_log()
@@ -453,9 +527,12 @@ class ReplicationReceiver:
             return self._fault(
                 message, f"repl-malformed: unknown op {action.operation!r}"
             )
-        for payload in records:
-            if self.wal.ingest(_record_from_wire(payload)):
-                self.metrics.inc("repl.ships_applied")
+        try:
+            applied = self.wal.ingest_lines(lines)
+        except RecoveryError:
+            return self._fault(message, "repl-malformed: bad records")
+        self.metrics.inc("repl.ships_applied", applied)
+        # The ack reads the log after the batch's barrier.
         return self._ack(message)
 
     def close(self) -> None:

@@ -28,7 +28,9 @@ import json
 import logging
 import os
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterator
 
@@ -40,6 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.metrics import MetricsRegistry
 
 logger = logging.getLogger(__name__)
+
+_lsn_of = attrgetter("lsn")
 
 
 class LogRecordType(enum.Enum):
@@ -306,48 +310,94 @@ class WriteAheadLog:
             self._notify(record)
             return record
 
-    def ingest(self, record: LogRecord) -> bool:
-        """Apply a record shipped from a replication primary.
+    def since(self, lsn: int) -> list[LogRecord]:
+        """Records with an LSN above ``lsn``, oldest first.
 
-        Unlike :meth:`append`, the record keeps the LSN the primary
-        assigned it — a follower's log must be byte-compatible with its
-        primary's so promotion can boot a deployment straight off it.
-        Records at or below :attr:`last_lsn` were already applied (the
-        sender re-ships its backlog after a transient failure) and are
-        skipped, making delivery idempotent.  A CHECKPOINT record
-        truncates the follower's file exactly as a local checkpoint
-        would.  Returns True when the record advanced the log.
+        The suffix a replication link that holds ``lsn`` is missing,
+        found by bisection (the log is LSN-ordered), so the cost is the
+        suffix, not the log.  After a checkpoint truncated past ``lsn``
+        that is the whole log, starting with the CHECKPOINT record the
+        receiver applies as a file replace.
+
+        Takes no lock, and must not: the replication sender calls this
+        holding its own lock, while its observer runs *under* the log
+        mutex — taking the mutex here would invert that order and
+        deadlock a gate-path flush against an appending worker.  It
+        reads one reference to the record list instead, which is only
+        ever appended to or (by a checkpoint) swapped for a new list.
         """
-        with self._mutex:
-            return self._ingest_locked(record)
+        records = self._records
+        return records[bisect_right(records, lsn, key=_lsn_of):]
 
-    def _ingest_locked(self, record: LogRecord) -> bool:
-        if record.lsn <= self.last_lsn:
-            return False
-        if record.record_type is LogRecordType.CHECKPOINT:
+    def ingest(self, record: LogRecord) -> bool:
+        """Apply one record shipped from a replication primary: the
+        one-record case of :meth:`ingest_lines`.  Returns True when the
+        record advanced the log."""
+        with self._mutex:
+            return self._ingest_locked([(record, record.to_json())]) == 1
+
+    def ingest_lines(self, lines: str) -> int:
+        """Apply a batch shipped from a replication primary.
+
+        ``lines`` is newline-joined :meth:`LogRecord.to_json` output —
+        this log's own file format — and each accepted line is written
+        to the file *verbatim*, so a follower's log is byte-compatible
+        with its primary's by construction and promotion can boot a
+        deployment straight off it.  Unlike :meth:`append`, records keep
+        the LSN the primary assigned.  Records at or below
+        :attr:`last_lsn` were already applied (the sender re-ships its
+        backlog after a transient failure) and are skipped, making
+        delivery idempotent.  The batch costs one write, one flush and
+        (``fsync=True``) one barrier; a CHECKPOINT inside it hardens
+        what precedes it and then truncates the file exactly as a local
+        checkpoint would.  Returns how many records advanced the log.
+        """
+        entries = [
+            (LogRecord.from_json(line), line)
+            for line in lines.split("\n")
+            if line
+        ]
+        with self._mutex:
+            return self._ingest_locked(entries)
+
+    def _ingest_locked(self, entries: list[tuple[LogRecord, str]]) -> int:
+        applied = 0
+        unwritten: list[str] = []
+        for record, line in entries:
+            if record.lsn <= self.last_lsn:
+                continue
+            if record.record_type is LogRecordType.CHECKPOINT:
+                self._harden(unwritten)
+                unwritten = []
+                if self._path is not None and not crashed(self._fault_scope):
+                    tmp = self._tmp_path()
+                    with tmp.open("w", encoding="utf-8") as handle:
+                        handle.write(line + "\n")
+                        handle.flush()
+                        if self._fsync:
+                            os.fsync(handle.fileno())
+                    self._close_handle()
+                    os.replace(tmp, self._path)
+                    self._handle = self._path.open("a", encoding="utf-8")
+                self._records = [record]
+                self._since_checkpoint = 0
+            else:
+                self._records.append(record)
+                self._since_checkpoint += 1
+                unwritten.append(line)
             self._next_lsn = record.lsn + 1
-            if self._path is not None and not crashed(self._fault_scope):
-                tmp = self._tmp_path()
-                with tmp.open("w", encoding="utf-8") as handle:
-                    handle.write(record.to_json() + "\n")
-                    handle.flush()
-                    if self._fsync:
-                        os.fsync(handle.fileno())
-                self._close_handle()
-                os.replace(tmp, self._path)
-                self._handle = self._path.open("a", encoding="utf-8")
-            self._records = [record]
-            self._since_checkpoint = 0
-            return True
-        self._records.append(record)
-        self._next_lsn = record.lsn + 1
-        self._since_checkpoint += 1
-        if self._handle is not None and not crashed(self._fault_scope):
-            self._handle.write(record.to_json() + "\n")
-            self._handle.flush()
-            if self._fsync:
-                os.fsync(self._handle.fileno())
-        return True
+            applied += 1
+        self._harden(unwritten)
+        return applied
+
+    def _harden(self, lines: list[str]) -> None:
+        """One write, one flush, one barrier for ``lines``."""
+        if not lines or self._handle is None or crashed(self._fault_scope):
+            return
+        self._handle.write("\n".join(lines) + "\n")
+        self._handle.flush()
+        if self._fsync:
+            os.fsync(self._handle.fileno())
 
     def checkpoint(self, snapshot: dict[str, dict[str, object]]) -> LogRecord:
         """Write a CHECKPOINT carrying a full store snapshot and truncate.

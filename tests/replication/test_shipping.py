@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.faults import crashpoints
+from repro.faults.history import HistoryRecorder, audit_history
 from repro.protocol.errors import TransportFailure
 from repro.replication.shipping import (
     FENCED_FAULT_PREFIX,
@@ -17,6 +19,7 @@ from repro.replication.shipping import (
     ReplicationReceiver,
     ReplicationSender,
 )
+from repro.storage.errors import RecoveryError
 from repro.storage.wal import LogRecordType, WriteAheadLog
 
 pytestmark = pytest.mark.failover
@@ -209,3 +212,183 @@ def test_fenced_fault_prefix_is_stable_wire_contract():
     # The sender latches on this exact prefix; renaming it breaks
     # mixed-version replica groups.
     assert FENCED_FAULT_PREFIX == "repl-fenced:"
+
+
+# ------------------------------------------------ follower crash mid-batch
+#
+# A ship is one write of many lines on the follower.  Whatever a crash
+# leaves of it — half a line, or nothing at all — must reopen as a
+# prefix of the primary's history, and re-shipping the rest must end in
+# the primary's file, byte for byte.
+
+
+def grant_then_release(wal: WriteAheadLog, number: int) -> None:
+    """Two transactions shaped like the promise manager's, so the
+    history checker has grants and settles to fold."""
+    promise_id = f"p{number}"
+    for txn_id, available, status, escrow in (
+        (2 * number, 8, "active", {"widgets": 2}),
+        (2 * number + 1, 10, "released", {}),
+    ):
+        wal.append(LogRecordType.BEGIN, txn_id=txn_id)
+        wal.append(
+            LogRecordType.PUT, txn_id=txn_id, table="pools", key="widgets",
+            value={"available": available, "allocated": 10 - available},
+        )
+        wal.append(
+            LogRecordType.PUT, txn_id=txn_id, table="promise_table",
+            key=promise_id,
+            value={"status": status,
+                   "meta": {"resource_pool": {"escrow": escrow}}},
+        )
+        wal.append(LogRecordType.COMMIT, txn_id=txn_id)
+
+
+def history_anomalies(path) -> tuple[int, list[str]]:
+    """``(events, anomalies)`` of the log at ``path``, reopened."""
+    recorder = HistoryRecorder()
+    observe = recorder.observer(0)
+    log = WriteAheadLog(path)
+    for record in log:
+        observe(record)
+    log.close()
+    return len(recorder.events()), audit_history(recorder)
+
+
+def reship_to_reopened(tmp_path, wal, sender) -> ReplicationReceiver:
+    """The follower process restarts over its file; a new link (cursor
+    0) re-ships the log and the receiver keeps only what it lacks."""
+    sender.remove_follower("f0")
+    receiver = make_receiver(tmp_path)
+    transport = DirectTransport(receiver)
+    sender._transport_factory = lambda address: transport
+    sender.add_follower(("in-process", 0), "f0-reborn")
+    assert sender.flush()
+    receiver.close()
+    return receiver
+
+
+@pytest.mark.crash
+def test_follower_torn_mid_batch_reopens_and_catches_up(tmp_path, wal):
+    sender, receiver, _, _ = make_pair(tmp_path, wal)
+    for number in range(1, 4):
+        grant_then_release(wal, number)
+    assert sender.flush()  # one batch of 24 lines
+    receiver.close()
+    follower = tmp_path / "follower.wal"
+    primary = wal.path.read_bytes()
+    assert follower.read_bytes() == primary
+
+    # Power loss part-way through the batch's single write: the file
+    # ends inside line 11.
+    lines = primary.splitlines(keepends=True)
+    follower.write_bytes(b"".join(lines[:10]) + lines[10][:17])
+
+    reborn = reship_to_reopened(tmp_path, wal, sender)
+    assert any("torn tail" in note for note in reborn.wal.recovery_notes)
+    assert reborn.ships_applied == len(wal) - 10  # the prefix was kept
+    assert follower.read_bytes() == primary
+    events, anomalies = history_anomalies(follower)
+    assert events == 6 and anomalies == []
+
+
+@pytest.mark.crash
+def test_follower_frozen_disk_loses_the_batch_and_catches_up(tmp_path, wal):
+    receiver = ReplicationReceiver(
+        GROUP, str(tmp_path / "follower.wal"), fault_scope="follower"
+    )
+    transport = DirectTransport(receiver)
+    sender = ReplicationSender(
+        GROUP, 0, wal, transport_factory=lambda address: transport
+    )
+    sender.add_follower(("in-process", 0), "f0")
+    grant_then_release(wal, 1)
+    assert sender.flush()
+    follower = tmp_path / "follower.wal"
+    on_disk = follower.read_bytes()
+
+    # The follower's process dies (scoped): its disk takes nothing more,
+    # whatever the unwinding code still "applies" in memory.
+    with crashpoints.armed("follower.dies", scope="follower"):
+        with pytest.raises(crashpoints.SimulatedCrash):
+            crashpoints.crash_point("follower.dies", "follower")
+        grant_then_release(wal, 2)
+        sender.flush()
+        assert follower.read_bytes() == on_disk
+    receiver.close()
+
+    reship_to_reopened(tmp_path, wal, sender)
+    assert follower.read_bytes() == wal.path.read_bytes()
+    events, anomalies = history_anomalies(follower)
+    assert events == 4 and anomalies == []
+
+
+def test_checkpoint_in_the_middle_of_a_batch(tmp_path, wal):
+    """The sender never builds one (a checkpoint truncates the log it
+    reads, so the snapshot leads its batch), but the format allows it:
+    the records before the snapshot are hardened before the swap."""
+    logged = []
+    wal.subscribe(logged.append)
+    commit_txn(wal, 1)
+    wal.checkpoint({"t": {"k1": 1}})
+    commit_txn(wal, 2)
+    batch = "\n".join(record.to_json() for record in logged)
+
+    follower = tmp_path / "follower.wal"
+    log = WriteAheadLog(follower, fsync=True)
+    fsyncs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.storage.wal.os.fsync", fsyncs.append)
+        assert log.ingest_lines(batch) == 7
+    # What precedes the checkpoint is hardened into the old file, then
+    # the swap's temp file, then the rest: three barriers, seven records.
+    assert len(fsyncs) == 3
+    assert [r.lsn for r in log] == [r.lsn for r in wal] == [4, 5, 6, 7]
+    assert log.replay() == wal.replay()
+    log.close()
+    assert follower.read_bytes() == wal.path.read_bytes()
+    assert not (tmp_path / "follower.wal.tmp").exists()
+
+
+def test_shipped_checkpoint_replaces_the_followers_file(tmp_path, wal):
+    sender, receiver, _, _ = make_pair(tmp_path, wal)
+    wal.subscribe(sender.observe)
+    commit_txn(wal, 1)
+    commit_txn(wal, 2)
+    wal.checkpoint({"t": {"k1": 1, "k2": 1}})
+    commit_txn(wal, 3)
+    assert sender.gate() is None
+    assert [r.lsn for r in receiver.wal] == [r.lsn for r in wal]
+    receiver.close()
+    assert (tmp_path / "follower.wal").read_bytes() == wal.path.read_bytes()
+
+
+def test_a_batch_costs_one_barrier_and_ingest_is_its_one_record_case(tmp_path):
+    log = WriteAheadLog(tmp_path / "follower.wal", fsync=True)
+    source = WriteAheadLog()
+    for txn_id in range(1, 5):
+        commit_txn(source, txn_id)
+    records = list(source)
+    fsyncs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.storage.wal.os.fsync", fsyncs.append)
+        assert log.ingest(records[0]) is True
+        assert log.ingest(records[0]) is False  # at or below last_lsn
+        assert len(fsyncs) == 1
+        batch = "\n".join(r.to_json() for r in records)
+        assert log.ingest_lines(batch) == len(records) - 1
+        assert len(fsyncs) == 2  # eleven lines, one barrier
+        assert log.ingest_lines(batch) == 0
+        assert len(fsyncs) == 2  # nothing new, nothing hardened
+    log.close()
+    assert (tmp_path / "follower.wal").read_text() == batch + "\n"
+
+
+def test_malformed_batch_is_refused_whole(tmp_path, wal):
+    receiver = make_receiver(tmp_path)
+    commit_txn(wal, 1)
+    good = "\n".join(r.to_json() for r in wal)
+    with pytest.raises(RecoveryError):
+        receiver.wal.ingest_lines(good + "\n{not json")
+    assert receiver.applied_lsn == 0  # parsed before anything is applied
+    receiver.close()
