@@ -322,10 +322,16 @@ class PromiseManager:
             split_record: dict[str, list[dict[str, object]]] = {}
 
             relevant = self._relevant(txn, request.predicates, now)
+            # One scan of the instance table a request, made when the
+            # first strategy asks: strategies own disjoint resources, so
+            # what one tags is no other's to look at.
+            tagged: dict[str, str] | None = None
             for strategy, predicates in self._split(txn, request.predicates):
                 split_record[strategy.name] = [
                     predicate.to_dict() for predicate in predicates
                 ]
+                if tagged is None:
+                    tagged = self._tagged(txn)
                 decision = strategy.can_grant(
                     txn,
                     self._resources,
@@ -333,7 +339,7 @@ class PromiseManager:
                     duration,
                     predicates,
                     self._owned_by(strategy, relevant),
-                    self._tagged(txn),
+                    tagged,
                 )
                 if strategy.external:
                     compensations.append((strategy, decision))
@@ -976,9 +982,12 @@ class PromiseManager:
             self._sweep(txn, now)
             probe_id = f"{self.name}:probe"
             relevant = self._relevant(txn, predicates, now)
+            tagged: dict[str, str] | None = None
             for strategy, group in self._split(txn, list(predicates)):
                 if strategy.external:
                     return False
+                if tagged is None:
+                    tagged = self._tagged(txn)
                 decision = strategy.can_grant(
                     txn,
                     self._resources,
@@ -986,7 +995,7 @@ class PromiseManager:
                     duration,
                     group,
                     self._owned_by(strategy, relevant),
-                    self._tagged(txn),
+                    tagged,
                 )
                 if not decision.ok:
                     return False

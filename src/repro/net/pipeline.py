@@ -74,8 +74,8 @@ class PipelinedClient:
 
     ``request`` is the one request path — ``retry`` policy (default:
     never), overall deadline, ``breaker``, then ``submit`` and wait.
-    ``submit`` (a Future per reply) and ``request_many`` are the raw
-    windowed layer beneath it and never retry.  ``max_outstanding``
+    ``submit`` (a Future per reply, ``wait`` for it) and ``request_many``
+    are the raw windowed layer beneath it and never retry.  ``max_outstanding``
     bounds the depth: a full window makes ``submit`` block, which is
     this client's flow control.
     """
@@ -201,7 +201,7 @@ class PipelinedClient:
         """
         budget = self.timeout if timeout is None else timeout
         futures = [self.submit(payload, budget) for payload in payloads]
-        return [self._wait(future, budget) for future in futures]
+        return [self.wait(future, budget) for future in futures]
 
     def send_and_abandon(self, payload: bytes) -> None:
         """Deliver ``payload`` on a throw-away connection, never read.
@@ -262,7 +262,7 @@ class PipelinedClient:
         try:
             future = self.submit(payload, budget)
             # Window wait and connect spent part of this attempt's budget.
-            reply = self._wait(future, budget - (time.monotonic() - started))
+            reply = self.wait(future, budget - (time.monotonic() - started))
         except TransportFailure:
             if self.breaker is not None:
                 self.breaker.record_failure()
@@ -271,7 +271,12 @@ class PipelinedClient:
             self.breaker.record_success()
         return reply
 
-    def _wait(self, future: "Future[bytes]", budget: float) -> bytes:
+    def wait(
+        self, future: "Future[bytes]", timeout: float | None = None
+    ) -> bytes:
+        """The other half of :meth:`submit`: the reply, within ``timeout``
+        seconds, or :class:`RequestTimeout` with the id forgotten."""
+        budget = self.timeout if timeout is None else timeout
         try:
             return future.result(timeout=budget)
         except TimeoutError:

@@ -6,7 +6,7 @@ registered handlers (the same ``Handler`` contract
 :meth:`PromiseEndpoint.handle <repro.protocol.endpoint.PromiseEndpoint.handle>`)
 are served over length-prefixed SOAP frames on a TCP socket.
 
-Two properties carry §6's semantics onto the wire:
+Three properties carry §6's semantics onto the wire:
 
 * **Duplicate suppression** — every reply is cached by request message
   id (:class:`~repro.protocol.correlation.ReplyCache`), and a request
@@ -18,6 +18,15 @@ Two properties carry §6's semantics onto the wire:
   into ``transport:``-prefixed faults in an otherwise well-formed reply
   envelope, so one bad request never takes a connection (or the
   server) down.
+* **Closed gate, no reply** — a replicated primary's requests run
+  *execute → reply-journal row → ack gate → durability barrier*: handler
+  and journal row are one ship unit (:attr:`PromiseServer.request_scope`)
+  that the gate puts on a follower before anything is released.
+  Journalling ahead of the gate is sound because **no reply — fresh,
+  cached or warmed from the journal — leaves a primary whose gate is
+  closed**: :attr:`PromiseServer.gate` is asked before the dedup
+  lookups, so a row no follower holds (a crash, a partition, a deposed
+  primary's stale cache) is never served until one does.
 
 Dispatch runs in one of two modes.  With ``workers=0`` (the default)
 handlers run synchronously on the event loop, mirroring the paper's
@@ -38,6 +47,7 @@ blocking clients, benchmarks and the CLI can host a server in-process.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import threading
 import time
@@ -189,12 +199,20 @@ class PromiseServer:
         #: without it — and must not execute anything.
         self.epoch: int | None = None
         #: Replication write gate.  When set, it is consulted before a
-        #: request executes and again before its reply is released; a
-        #: non-``None`` reason (``"fenced by epoch 3"``, ``"no follower
-        #: caught up"``) turns the reply into a retryable transport fault
-        #: instead of an ack, so a primary that cannot replicate stops
-        #: acknowledging writes clients would lose on failover.
+        #: request is answered in any way — from the dedup cache as much
+        #: as by executing it — and again once it has executed and
+        #: journalled its reply; a non-``None`` reason (``"fenced by
+        #: epoch 3"``, ``"no follower caught up"``) turns the reply into
+        #: a retryable transport fault instead of an ack, so a primary
+        #: that cannot replicate stops acknowledging writes clients
+        #: would lose on failover.
         self.gate: Callable[[], str | None] | None = None
+        #: What a request's handler and reply-journal row run inside.  A
+        #: replication sender sets its own beside :attr:`gate`, so both
+        #: transactions leave in the one ship the gate then makes.
+        self.request_scope: Callable[
+            [], contextlib.AbstractContextManager[None]
+        ] = contextlib.nullcontext
         #: Extra liveness payload merged into ping replies (applied LSN,
         #: role) so the failure detector can pick promotion candidates.
         self.ping_info: Callable[[], dict[str, object]] | None = None
@@ -515,6 +533,22 @@ class PromiseServer:
                 "request budget spent before dispatch"
             )
 
+        # No reply of any kind leaves a primary whose gate is closed:
+        # asked before the dedup lookups, because a cached or journalled
+        # reply is state too — the row may be one no follower holds yet
+        # (journalled, then the gate refused or the process died), or
+        # this node may be a deposed primary whose cache went stale.
+        if self.gate is not None:
+            reason = self.gate()
+            if reason is not None:
+                self.metrics.inc("server.fenced")
+                if span is not None:
+                    span.set_outcome("fenced")
+                    span.annotate(gate_reason=reason)
+                return self._encode_fault(
+                    message, f"{TRANSPORT_FAULT_PREFIX}fenced: {reason}"
+                )
+
         # A duplicate of a request still executing must wait for that
         # execution, not start a second one.
         pending = self._inflight.get(message_id)
@@ -531,9 +565,10 @@ class PromiseServer:
                 span.set_outcome("duplicate")
             return cached
 
-        # Epoch fencing runs after dedup (serving a cached reply is
-        # idempotent and always safe) but before any new execution.  A
-        # request stamped with a newer epoch than ours means a promotion
+        # Epoch fencing runs after dedup but before any new execution:
+        # with the gate open, a cached reply is on a follower and safe
+        # to repeat whatever the request is stamped with.  A request
+        # stamped with a newer epoch than ours means a promotion
         # happened that this node has not seen: it is the deposed
         # primary, and a write here would be the split-brain the epoch
         # exists to prevent.  Older stamps are accepted — the *current*
@@ -552,17 +587,6 @@ class PromiseServer:
                 f"{TRANSPORT_FAULT_PREFIX}fenced: request epoch "
                 f"{message.epoch} > server epoch {self.epoch}",
             )
-
-        if self.gate is not None:
-            reason = self.gate()
-            if reason is not None:
-                self.metrics.inc("server.fenced")
-                if span is not None:
-                    span.set_outcome("fenced")
-                    span.annotate(gate_reason=reason)
-                return self._encode_fault(
-                    message, f"{TRANSPORT_FAULT_PREFIX}fenced: {reason}"
-                )
 
         # Admission control runs *after* dedup: a duplicate is served
         # from cache for free and must never be shed (the client would
@@ -588,7 +612,7 @@ class PromiseServer:
             if self._executor is None:
                 reply_bytes, releasable = self._process(message, span)
             else:
-                # Parallel dispatch: the execute → ack-gate → journal →
+                # Parallel dispatch: the execute → journal → ack-gate →
                 # durability pipeline runs on a worker thread, ordered
                 # by the request's resource keys.  All the `_inflight` /
                 # cache bookkeeping stays here on the event loop.
@@ -615,30 +639,39 @@ class PromiseServer:
     def _process(
         self, message: Message, span: ActiveSpan | None
     ) -> tuple[bytes, bool]:
-        """Execute, gate, journal and harden one request (any thread).
+        """Execute, journal, gate and harden one request (any thread).
 
         Returns ``(reply_bytes, releasable)``; ``releasable=False``
         marks a withheld ack (retryable fault, never cached).  Under
         parallel dispatch this runs on a keyed-executor worker: the
-        handler's transaction holds :attr:`txn_mutex`, while the
-        durability wait deliberately happens *outside* it so concurrent
-        commits share one group-commit fsync.
+        handler's transaction holds :attr:`txn_mutex`, while the ack
+        gate's ship and the durability wait deliberately happen
+        *outside* it so concurrent commits share one ship and one
+        group-commit fsync.
         """
-        if self._admission is not None:
-            with self._admission.slot():
+        with self.request_scope():
+            if self._admission is not None:
+                with self._admission.slot():
+                    with self.txn_mutex:
+                        reply_bytes = self._execute(message, span)
+            else:
                 with self.txn_mutex:
                     reply_bytes = self._execute(message, span)
-        else:
-            with self.txn_mutex:
-                reply_bytes = self._execute(message, span)
-        if span is not None:
-            span.annotate(executed=True)
-        # Re-check the gate *after* execution: the handler's commit
-        # is what ships WAL records, and only now do we know whether
-        # a follower actually holds them.  If not, the local commit
-        # may be on the losing side of a failover — withhold the
-        # ack (retryable fault, not cached) so no client observes
-        # state the replica group cannot promise to keep.
+            if span is not None:
+                span.annotate(executed=True)
+            if self._journal is not None:
+                # The journal row is itself a store transaction.
+                with self.txn_mutex:
+                    self._journal.record_alone(
+                        message.message_id, reply_bytes.decode("utf-8")
+                    )
+        # Only now is it known whether a follower holds what the request
+        # logged: the gate ships the handler's commit and the journal
+        # row together.  If none does, the local commit may be on the
+        # losing side of a failover — withhold the ack (retryable fault,
+        # not cached) so no client observes state the replica group
+        # cannot promise to keep.  The journal row stays behind locally;
+        # the closed-gate rule keeps it unserved until it is shipped.
         if self.gate is not None:
             reason = self._ack_gate(span)
             if reason is not None:
@@ -650,12 +683,6 @@ class PromiseServer:
                     message, f"{TRANSPORT_FAULT_PREFIX}fenced: {reason}"
                 )
                 return fault, False
-        if self._journal is not None:
-            # The journal row is itself a store transaction.
-            with self.txn_mutex:
-                self._journal.record_alone(
-                    message.message_id, reply_bytes.decode("utf-8")
-                )
         if self.durability is not None:
             # Ack barrier: the reply leaves only once every WAL record
             # it depends on — commit and journal row — is hardened.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from typing import Callable
 
 from ..protocol.errors import (
     Overloaded,
@@ -137,6 +138,51 @@ class NetworkTransport:
         from the server's ``transport:`` fault) and
         :class:`TransportFailure` for drops, resets and timeouts.
         """
+        payload = self._outbound(message)
+        # The message's deadline stamp is the budget remaining *now*;
+        # hand the byte client the matching absolute deadline so its
+        # retry loop (attempt timeouts and backoff sleeps alike) stays
+        # inside it.
+        deadline = (
+            time.monotonic() + message.deadline
+            if message.deadline is not None
+            else None
+        )
+        return self._inbound(
+            message, self.client.request(payload, deadline=deadline)
+        )
+
+    def begin(self, message: Message) -> Callable[[], Message]:
+        """Put ``message`` on the wire now; the returned thunk waits for
+        the reply and decodes it, raising what :meth:`send` would.
+
+        :meth:`send` cut in two, so a caller with several servers to
+        tell (a replication flush) has every request on its wire before
+        it waits for any answer.  Built on the client's raw windowed
+        layer: one attempt, no retry, no deadline, no breaker.
+        """
+        future = self.client.submit(self._outbound(message))
+        return lambda: self._inbound(message, self.client.wait(future))
+
+    def close(self) -> None:
+        """Close the connection."""
+        self.client.close()
+
+    def __enter__(self) -> "NetworkTransport":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    @property
+    def wire_log(self) -> list[str]:
+        """XML of recent envelopes sent/received (newest last)."""
+        return list(self._log)
+
+    # ----------------------------------------------------------- internals
+
+    def _outbound(self, message: Message) -> bytes:
+        """The sending half: encode, count, log, apply the fault plan."""
         self.metrics.inc("transport.sent")
         delivery = self.stats.sent
 
@@ -157,17 +203,10 @@ class NetworkTransport:
             raise TransportFailure(
                 f"reply to {message.message_id} lost in transit"
             )
+        return payload
 
-        # The message's deadline stamp is the budget remaining *now*;
-        # hand the byte client the matching absolute deadline so its
-        # retry loop (attempt timeouts and backoff sleeps alike) stays
-        # inside it.
-        deadline = (
-            time.monotonic() + message.deadline
-            if message.deadline is not None
-            else None
-        )
-        reply_bytes = self.client.request(payload, deadline=deadline)
+    def _inbound(self, message: Message, reply_bytes: bytes) -> Message:
+        """The receiving half: count, log, decode, raise transport faults."""
         reply_text = reply_bytes.decode("utf-8")
         self.metrics.inc("transport.bytes_on_wire", len(reply_bytes))
         self._log.append(reply_text)
@@ -175,23 +214,6 @@ class NetworkTransport:
         self._raise_transport_faults(message, reply)
         self.metrics.inc("transport.delivered")
         return reply
-
-    def close(self) -> None:
-        """Close the connection."""
-        self.client.close()
-
-    def __enter__(self) -> "NetworkTransport":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    @property
-    def wire_log(self) -> list[str]:
-        """XML of recent envelopes sent/received (newest last)."""
-        return list(self._log)
-
-    # ----------------------------------------------------------- internals
 
     def _raise_transport_faults(self, message: Message, reply: Message) -> None:
         for fault in reply.faults:

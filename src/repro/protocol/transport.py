@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from ..obs.metrics import MetricsRegistry, StatsView
@@ -161,6 +162,13 @@ class InProcessTransport:
         outbound = self._codec.decode(encoded) if self._wire_format else reply
         self.metrics.inc("transport.delivered")
         return outbound
+
+    def begin(self, message: Message) -> Callable[[], Message]:
+        """:meth:`send` in the two-step shape of
+        :meth:`NetworkTransport.begin <repro.net.transport.NetworkTransport.begin>`.
+        In process there is no wire to wait on: the delivery happens
+        when the returned thunk is called."""
+        return partial(self.send, message)
 
     @property
     def wire_log(self) -> list[str]:

@@ -694,6 +694,7 @@ class ReplicatedFleet:
             sender.full_sync_all()
             wal.subscribe(sender.observe)
             server.gate = sender.gate
+            server.request_scope = sender.request_scope
         if self._history is not None:
             self._history.attach(index, wal)
         server.epoch = epoch

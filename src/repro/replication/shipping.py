@@ -2,23 +2,30 @@
 
 The invariant this layer keeps, whatever is underneath it: **acked to
 the client ⇒ on at least one follower at that LSN, in LSN order, under
-one epoch** (``tests/replication/test_shipping_invariants.py`` tests it
-with nothing else running).
+one epoch** — and, so that it covers every reply there is, **no reply of
+any kind (fresh, cached, warmed from the journal) leaves a primary whose
+gate is closed** (``tests/replication/test_shipping_invariants.py``
+tests both with nothing else running).
 
 The sender subscribes to the primary's
-:class:`~repro.storage.wal.WriteAheadLog` and, at every transaction
-boundary (COMMIT, ABORT, CHECKPOINT, CREATE_TABLE), synchronously ships
-each follower the suffix past that link's cursor — read by bisection
+:class:`~repro.storage.wal.WriteAheadLog`.  The ship unit is the
+*request*: a server runs a request's handler and its reply-journal row
+inside :meth:`ReplicationSender.request_scope`, where commits and aborts
+are left alone, and the :meth:`~ReplicationSender.gate` call that
+follows ships both transactions — and whatever other workers committed
+meanwhile — in one batch.  A boundary record logged *outside* a request
+(seeding, ``vacuum()``, a recovery sweep, a read transaction), and a
+CHECKPOINT or CREATE_TABLE anywhere, ships as it is appended.  Each
+follower gets the suffix past its link's cursor — read by bisection
 (:meth:`~repro.storage.wal.WriteAheadLog.since`), never by scanning the
-log — as a ``_repl`` message over the ordinary framed transport, to all
-lagging followers at the same time.  A ship's payload is a batch of WAL
-lines: newline-joined :meth:`LogRecord.to_json` output, the log's own
-file format.  The receiver writes the lines it has not got *verbatim*
-into its own WAL file
-(:meth:`~repro.storage.wal.WriteAheadLog.ingest_lines`: one write, one
-barrier per batch) and acks the LSN it holds after that barrier, so the
-follower's file is the primary's byte for byte — promotion later boots a
-deployment straight off it through the normal recovery path.
+log — as a ``_repl`` message over the ordinary framed transport, every
+lagging follower's message on its wire before any ack is awaited.  The
+payload is a batch of WAL lines (newline-joined :meth:`LogRecord.to_json`
+output, the log's own file format) which the receiver writes *verbatim*
+into its own file (:meth:`~repro.storage.wal.WriteAheadLog.ingest_lines`:
+one write, one barrier per batch) before it acks the LSN it then holds,
+so the follower's file is the primary's byte for byte — promotion boots
+a deployment straight off it through the normal recovery path.
 
 Three properties carry the failover guarantees:
 
@@ -32,20 +39,21 @@ Three properties carry the failover guarantees:
 * **Ack gating** — :meth:`ReplicationSender.gate` plugs into
   :attr:`~repro.net.server.PromiseServer.gate`: while no live follower
   holds the last committed LSN (partitioned, lagging, or fenced), the
-  primary withholds acks, so no client ever observes state the replica
-  group cannot promise to keep across a failover.
+  primary withholds every reply, so no client ever observes state the
+  replica group cannot promise to keep across a failover.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+import uuid
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 from ..obs.metrics import MetricsRegistry
-from ..protocol.errors import ProtocolError, RequestTimeout, TransportFailure
+from ..protocol.errors import ProtocolError
 from ..protocol.messages import ActionOutcomePayload, ActionPayload, Message
 from ..protocol.retry import RetryPolicy
 from ..storage.errors import RecoveryError
@@ -61,17 +69,15 @@ REPL_ENDPOINT = "_repl"
 #: delivered and understood, the *sender* is what's wrong.
 FENCED_FAULT_PREFIX = "repl-fenced:"
 
-#: Record types that close a unit of work; appends of these flush the
-#: ship buffer synchronously, so an acked commit is on a follower
-#: before the primary's reply leaves the building.
-_FLUSH_TYPES = frozenset(
-    {
-        LogRecordType.COMMIT,
-        LogRecordType.ABORT,
-        LogRecordType.CHECKPOINT,
-        LogRecordType.CREATE_TABLE,
-    }
-)
+#: Record types a request scope leaves to the request's gate.
+_REQUEST_TYPES = frozenset({LogRecordType.COMMIT, LogRecordType.ABORT})
+
+#: Record types that close a unit of work; outside a request, appends of
+#: these flush the ship buffer synchronously.
+_FLUSH_TYPES = _REQUEST_TYPES | {
+    LogRecordType.CHECKPOINT,
+    LogRecordType.CREATE_TABLE,
+}
 
 #: Records per ship message.  A long-unreachable (or freshly rejoined)
 #: follower may be missing the log's entire tail; shipping that in one
@@ -82,10 +88,15 @@ _FLUSH_TYPES = frozenset(
 #: survives a mid-catch-up failure.
 SHIP_CHUNK_RECORDS = 512
 
-#: Threads a sender keeps for shipping to several followers at the same
-#: time (the flushing thread takes one link itself).  Lagging links
-#: beyond that queue up behind them; none is skipped.
-_FANOUT_THREADS = 4
+
+def _chunks(
+    records: list[LogRecord], line_of: Callable[[LogRecord], str]
+) -> Iterator[list[str]]:
+    """``records`` as frame-sized runs of WAL lines, acked one by one.
+    No records is one empty run: an empty ``full_sync`` still sends its
+    message — the reset and the epoch adoption are the point."""
+    for start in range(0, max(1, len(records)), SHIP_CHUNK_RECORDS):
+        yield [line_of(r) for r in records[start : start + SHIP_CHUNK_RECORDS]]
 
 
 class _FollowerLink:
@@ -96,22 +107,20 @@ class _FollowerLink:
         self.transport = transport
         #: Highest LSN the follower has acknowledged applying.
         self.acked_lsn = 0
-        self.ship_failures = 0
 
     def close(self) -> None:
-        closer = getattr(self.transport, "close", None)
-        if closer is not None:
-            closer()
+        self.transport.close()
 
 
 class ReplicationSender:
-    """Ship one primary's WAL to its followers, synchronously on commit.
+    """Ship one primary's WAL to its followers, one batch per request.
 
-    Subscribe :meth:`observe` to the primary's WAL; the sender reads
-    each link's unacked suffix from the log's in-memory records (which a
-    checkpoint truncates to a snapshot record the receiver applies as a
-    whole-file replace), so a follower that has been unreachable for any
-    length of time catches up from whatever the log still holds.
+    Subscribe :meth:`observe` to the primary's WAL and put
+    :meth:`request_scope` and :meth:`gate` on its server.  Each link's
+    unacked suffix is read from the log's in-memory records (which a
+    checkpoint truncates to a snapshot the receiver applies as a
+    whole-file replace), so a follower unreachable for any length of
+    time catches up from whatever the log still holds.
     """
 
     def __init__(
@@ -131,14 +140,17 @@ class ReplicationSender:
         self._timeout = timeout
         self._transport_factory = transport_factory
         self._links: list[_FollowerLink] = []
-        #: Held for the whole of a flush, fan-out included: nothing
-        #: closes a transport a pool thread is mid-``send`` on.  The
-        #: ship legs themselves must never take it.
+        #: Held for the whole of a flush: nothing closes a transport a
+        #: ship is in flight on, and one flush at a time moves cursors.
         self._lock = threading.RLock()
-        #: ``next()`` on it is atomic: two concurrent ships never share
-        #: a ``repl:`` message id (the follower's server dedups by it).
+        #: ``next()`` on it is atomic: no two ships ever share a
+        #: ``repl:`` message id (the follower's server dedups by it) —
+        #: nor do two senders, or a primary restarted at its old epoch
+        #: would be answered from the cache of the stream it replaces.
         self._ids = itertools.count(1)
-        self._pool: ThreadPoolExecutor | None = None
+        self._stream = f"repl:{group}:{epoch}:{uuid.uuid4().hex[:8]}"
+        #: Per thread: how many request scopes it is inside.
+        self._requests = threading.local()
         #: Simulated network partition from every follower: flushes fail
         #: without touching a socket.  The chaos nemesis flips this.
         self.blocked = False
@@ -146,6 +158,10 @@ class ReplicationSender:
         #: sender belongs to a deposed primary and must never ack again.
         self.fenced: str | None = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Records per ship message (a count, not a latency).
+        self._ship_sizes = self.metrics.histogram(
+            "repl.ship.records", (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+        )
 
     @property
     def ships(self) -> int:
@@ -162,10 +178,8 @@ class ReplicationSender:
         and ``repl.ship_lag_lsn`` (primary vs the best follower)."""
         for name, lag in self._lags().items():
             self.metrics.set_gauge(f"repl.lag_lsn.{name}", float(lag))
-        self.metrics.set_gauge(
-            "repl.ship_lag_lsn",
-            float(self._wal.last_lsn - self.synced_lsn()),
-        )
+        behind = self._wal.last_lsn - self.synced_lsn()
+        self.metrics.set_gauge("repl.ship_lag_lsn", float(behind))
 
     def _lags(self) -> dict[str, int]:
         """Records each follower is behind the primary's log."""
@@ -179,8 +193,7 @@ class ReplicationSender:
     ) -> _FollowerLink:
         """Register a follower to ship to (does not sync it — see
         :meth:`full_sync`)."""
-        transport = self._make_transport(address)
-        link = _FollowerLink(name, transport)
+        link = _FollowerLink(name, self._make_transport(address))
         with self._lock:
             self._links.append(link)
         return link
@@ -194,14 +207,11 @@ class ReplicationSender:
                     link.close()
 
     def close(self) -> None:
-        """Close every follower transport and stop the fan-out threads."""
+        """Close every follower transport."""
         with self._lock:
             for link in self._links:
                 link.close()
             self._links = []
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
 
     @property
     def followers(self) -> list[str]:
@@ -219,19 +229,36 @@ class ReplicationSender:
 
     # ------------------------------------------------------------ shipping
 
-    def observe(self, record: LogRecord) -> None:
-        """WAL observer: flush the unacked suffix at txn boundaries.
+    @contextlib.contextmanager
+    def request_scope(self) -> Iterator[None]:
+        """One request's work on this thread: the commits and aborts
+        logged inside are shipped together by the :meth:`gate` call the
+        server makes next, not one by one as they are appended.  Plugged
+        into :attr:`~repro.net.server.PromiseServer.request_scope` where
+        :meth:`gate` is, and only there: a commit nothing gates
+        afterwards must ship at its own boundary."""
+        self._requests.depth = getattr(self._requests, "depth", 0) + 1
+        try:
+            yield
+        finally:
+            self._requests.depth -= 1
 
-        Intermediate records (BEGIN, PUT, DELETE) ride along with the
-        boundary record that closes their transaction — one ship per
-        commit, not one per record.
-        """
-        if record.record_type in _FLUSH_TYPES:
+    def observe(self, record: LogRecord) -> None:
+        """WAL observer: flush the unacked suffix at txn boundaries,
+        except a request's own — those its gate ships.  Intermediate
+        records (BEGIN, PUT, DELETE) ride along with the boundary record
+        that closes their transaction."""
+        kind = record.record_type
+        if kind in _REQUEST_TYPES and getattr(self._requests, "depth", 0):
+            return
+        if kind in _FLUSH_TYPES:
             self.flush()
 
     def flush(self) -> bool:
-        """Ship each follower the records it is missing, all followers
-        at the same time.
+        """Ship each follower the records it is missing: every lagging
+        follower's first message goes on its wire, then the acks are
+        awaited in turn, so the followers work at the same time and
+        nothing outlives the call.
 
         Returns True when at least one follower acknowledges holding the
         log's last LSN — the condition under which the primary may ack.
@@ -240,57 +267,36 @@ class ReplicationSender:
         :attr:`fenced` and stops this sender for good.
         """
         with self._lock:
-            if self.fenced is not None:
+            if self.fenced is not None or self.blocked:
                 return False
             target = self._wal.last_lsn
-            if self.blocked:
-                return False
+            self.metrics.inc("repl.flushes")
             # Every follower gets a record as the same line: render it
-            # once per flush, whichever leg reaches it first.
-            lines: dict[int, str] = {}
+            # once per flush, whichever link reaches it first.
+            rendered: dict[int, str] = {}
 
             def line_of(record: LogRecord) -> str:
-                line = lines.get(record.lsn)
+                line = rendered.get(record.lsn)
                 if line is None:
-                    line = lines[record.lsn] = record.to_json()
+                    line = rendered[record.lsn] = record.to_json()
                 return line
 
-            legs = []
+            begun = []
             for link in self._links:
                 todo = self._wal.since(link.acked_lsn)
                 if todo:
-                    legs.append(
-                        partial(self._ship_chunked, link, "ship", todo, line_of)
+                    chunks = _chunks(todo, line_of)
+                    begun.append(
+                        (link, chunks, self._begin(link, "ship", next(chunks)))
                     )
-            self._fan_out(legs)
+            for link, chunks, acked in begun:
+                ok = acked()
+                for lines in chunks:  # a backlog longer than one frame
+                    ok = ok and self._begin(link, "ship", lines)()
             self._update_lag()
             return self.fenced is None and any(
                 link.acked_lsn >= target for link in self._links
             )
-
-    def _fan_out(self, legs: list[Callable[[], object]]) -> None:
-        """Run ``legs`` at the same time; return when all have.
-
-        As the gateway's scatter legs: the calling thread takes one, the
-        sender's own small pool the others.  Called under the sender
-        lock, which the legs therefore must not take.
-        """
-        if not legs:
-            return
-        futures = []
-        if len(legs) > 1:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=_FANOUT_THREADS,
-                    thread_name_prefix=f"repl-{self.group}",
-                )
-            futures = [self._pool.submit(leg) for leg in legs[1:]]
-        try:
-            legs[0]()
-        finally:
-            wait(futures)
-        for future in futures:
-            future.result()
 
     def full_sync(self, link: _FollowerLink) -> bool:
         """Rebuild one follower's log from scratch (bootstrap / rejoin).
@@ -298,13 +304,17 @@ class ReplicationSender:
         A ``full_sync`` tells the receiver to discard its file — losing
         any suffix that diverged while it was a deposed primary — and
         re-ingest everything the current log holds, then adopt this
-        sender's epoch.
+        sender's epoch.  Only the first chunk carries the op: the reset
+        must happen exactly once, the rest append as ordinary ships.
         """
         with self._lock:
             link.acked_lsn = 0
-            return self._ship_chunked(
-                link, "full_sync", list(self._wal), LogRecord.to_json
-            )
+            op = "full_sync"
+            for lines in _chunks(list(self._wal), LogRecord.to_json):
+                if not self._begin(link, op, lines)():
+                    return False
+                op = "ship"
+            return True
 
     def full_sync_all(self) -> None:
         """Bootstrap every registered follower."""
@@ -312,37 +322,16 @@ class ReplicationSender:
             for link in self._links:
                 self.full_sync(link)
 
-    def _ship_chunked(
-        self,
-        link: _FollowerLink,
-        op: str,
-        records: list[LogRecord],
-        line_of: Callable[[LogRecord], str],
-    ) -> bool:
-        """Ship ``records`` in frame-sized chunks, acked one by one.
-
-        Only the first chunk carries a ``full_sync`` op (the receiver's
-        log reset must happen exactly once); the rest append as ordinary
-        ships.  An empty ``full_sync`` still sends one message — the
-        reset and the epoch adoption are the point, not the records.
-        """
-        if not records:
-            return op != "full_sync" or self._ship(link, op, [])
-        for start in range(0, len(records), SHIP_CHUNK_RECORDS):
-            chunk = records[start : start + SHIP_CHUNK_RECORDS]
-            chunk_op = op if start == 0 else "ship"
-            if not self._ship(link, chunk_op, [line_of(r) for r in chunk]):
-                return False
-        return True
-
-    def _ship(self, link: _FollowerLink, op: str, lines: list[str]) -> bool:
-        """One ship message: ``lines`` are WAL lines, sent as the file
-        would hold them.  Runs on a fan-out thread as well as on the
-        flushing one, so it touches only its own link, the registry
-        (which locks itself) and the one-way ``fenced`` latch."""
+    def _begin(
+        self, link: _FollowerLink, op: str, lines: list[str]
+    ) -> Callable[[], bool]:
+        """Put one ship message on ``link``'s wire: ``lines`` are WAL
+        lines, sent as the file would hold them.  The returned thunk
+        awaits the ack and moves the link's cursor; True when it did."""
         self.metrics.inc("repl.ships")
+        self._ship_sizes.observe(len(lines))
         message = Message(
-            message_id=f"repl:{self.group}:{self.epoch}:{next(self._ids)}",
+            message_id=f"{self._stream}:{next(self._ids)}",
             sender=self._name,
             recipient=REPL_ENDPOINT,
             action=ActionPayload(
@@ -356,25 +345,33 @@ class ReplicationSender:
             ),
         )
         try:
-            reply = link.transport.send(message)
-        except (TransportFailure, RequestTimeout, ProtocolError):
-            link.ship_failures += 1
-            return False
+            reply_of = link.transport.begin(message)
+        except ProtocolError:  # refused, lost or timed out
+            return partial(self._failed, link)
+        return partial(self._finish, link, reply_of, len(lines))
+
+    def _finish(
+        self, link: _FollowerLink, reply_of: Callable[[], Message], count: int
+    ) -> bool:
+        try:
+            reply = reply_of()
+        except ProtocolError:  # refused, lost or timed out
+            return self._failed(link)
         for fault in reply.faults:
             if fault.startswith(FENCED_FAULT_PREFIX):
                 self.fenced = fault[len(FENCED_FAULT_PREFIX):].strip()
                 self.metrics.inc("repl.fenced")
                 return False
         outcome = reply.action_outcome
-        if outcome is None or not outcome.success:
-            link.ship_failures += 1
-            return False
-        applied = outcome.value
+        applied = outcome.value if outcome is not None and outcome.success else None
         if isinstance(applied, dict) and "applied_lsn" in applied:
             link.acked_lsn = int(applied["applied_lsn"])  # type: ignore[arg-type]
-            self.metrics.inc("repl.records_shipped", len(lines))
+            self.metrics.inc("repl.records_shipped", count)
             return True
-        link.ship_failures += 1
+        return self._failed(link)
+
+    def _failed(self, link: _FollowerLink) -> bool:
+        self.metrics.inc(f"repl.ship_failures.{link.name}")
         return False
 
     # ---------------------------------------------------------------- gate
@@ -387,10 +384,12 @@ class ReplicationSender:
     def gate(self) -> str | None:
         """Why the primary must not ack right now (``None`` = go ahead).
 
-        Plugged into :attr:`repro.net.server.PromiseServer.gate`.  A
-        fenced sender never acks again; a lagging one gets one
-        immediate re-flush before the request is refused, so a single
-        dropped ship does not bounce a healthy client.  With no
+        Plugged into :attr:`repro.net.server.PromiseServer.gate`, which
+        asks before anything is answered and again once a request has
+        executed and journalled its reply — the flush made here is then
+        the request's one ship.  A fenced sender never acks again; a
+        lagging one gets that flush before the request is refused, so a
+        single dropped ship does not bounce a healthy client.  With no
         followers registered the gate is open — the group has
         *degraded to a single copy* (every follower promoted or gone),
         which is weaker but strictly no worse than an unreplicated
@@ -399,12 +398,8 @@ class ReplicationSender:
         if self.fenced is not None:
             return f"deposed primary ({self.fenced})"
         with self._lock:
-            if not self._links:
-                return None
             target = self._wal.last_lsn
-            if any(link.acked_lsn >= target for link in self._links):
-                return None
-            if self.flush():
+            if not self._links or self.synced_lsn() >= target or self.flush():
                 return None
             return (
                 f"replication lagging: no follower of {self.group} "
@@ -414,6 +409,7 @@ class ReplicationSender:
     def status(self) -> dict[str, object]:
         """Vitals for ping replies and the CLI."""
         with self._lock:
+            sizes = self._ship_sizes
             return {
                 "group": self.group,
                 "epoch": self.epoch,
@@ -423,6 +419,9 @@ class ReplicationSender:
                     link.name: link.acked_lsn for link in self._links
                 },
                 "lag": self._lags(),
+                "flushes": int(self.metrics.value("repl.flushes")),
+                "ships": self.ships,
+                "records_per_ship": sizes.total / max(1, sizes.count),
                 "fenced": self.fenced,
                 "blocked": self.blocked,
             }

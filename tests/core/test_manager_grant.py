@@ -231,11 +231,16 @@ class TestAtomicMultiPredicate:
         # satisfiability strategy — one request may span both.
         with pool_manager.store.begin() as txn:
             pool_manager.resources.create_pool(txn, "gadgets", 5)
+        scans = []
+        scan = pool_manager._tagged
+        pool_manager._tagged = lambda txn: scans.append(txn) or scan(txn)
         response = pool_manager.request_promise_for(
             [quantity_at_least("widgets", 10), quantity_at_least("gadgets", 2)],
             duration=10,
         )
         assert response.accepted
+        # Two strategies, one scan of the instance table between them.
+        assert len(scans) == 1
         promise = pool_manager.promise(response.promise_id)
         assert set(promise.meta["strategies"]) == {
             "resource_pool",

@@ -8,6 +8,8 @@ tests across the wire and exercise the socket-layer fault plans.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core.environment import Environment
@@ -94,6 +96,43 @@ class TestDeploymentOverTcp:
         assert transport.stats.delivered == 1
         assert transport.stats.bytes_on_wire > 0
         assert len(transport.wire_log) == 2  # request + reply
+
+
+class TestBegin:
+    """``begin`` is ``send`` cut in two: on the wire now, awaited later."""
+
+    def test_every_request_is_on_the_wire_before_any_reply_is_awaited(
+        self, served
+    ):
+        __, server, transport = served
+        probes = [
+            Message(f"m{n}", "a", "shop", promise_requests=()) for n in (1, 2)
+        ]
+        replies = [transport.begin(probe) for probe in probes]
+        deadline = time.monotonic() + 5.0
+        while server.stats.replies < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.stats.replies == 2  # answered; nobody has waited yet
+        assert [reply().correlation for reply in replies] == ["m1", "m2"]
+        assert transport.stats.sent == transport.stats.delivered == 2
+        assert len(transport.wire_log) == 4
+
+    def test_faults_surface_as_they_do_from_send(self, served):
+        __, server, transport = served
+        reply = transport.begin(Message("m1", "a", "nowhere"))
+        with pytest.raises(UnknownEndpoint):
+            reply()
+        transport.plan_request_drop(2)
+        with pytest.raises(TransportFailure):
+            transport.begin(Message("m2", "a", "shop"))
+        assert server.stats.requests == 1
+
+    def test_in_process_transport_has_the_same_shape(self):
+        deployment = Deployment(name="shop")
+        probe = Message("m1", "a", "shop", promise_requests=())
+        reply = deployment.transport.begin(probe)
+        assert reply().correlation == "m1"
+        assert deployment.transport.stats.delivered == 1
 
 
 class TestSocketFaultPlans:

@@ -35,11 +35,11 @@ class DirectTransport:
         self.down = False
         self.sent = 0
 
-    def send(self, message):
+    def begin(self, message):
         if self.down:
             raise TransportFailure("link down")
         self.sent += 1
-        return self.receiver.handle(message)
+        return lambda: self.receiver.handle(message)
 
     def close(self) -> None:
         pass
