@@ -629,7 +629,9 @@ def _serve_self_test(
     Then the server is killed, and life two restarts from the WAL
     (a temporary file when ``--wal`` was not given): recovery must come
     up healthy, the pre-crash stock must survive, and a client retrying
-    a pre-crash message must get the journaled reply byte-for-byte.
+    a pre-crash message must get its original reply back, re-rendered
+    from the manager's journal row (``manager.journal.replays``) rather
+    than executed again.
     """
     import tempfile
 
@@ -776,8 +778,10 @@ def _self_test_two_lives(
                 f"({'survived' if stock_survived else 'LOST'})",
                 file=out,
             )
-            # Retry a pre-crash message: the reply journal must replay
-            # the original envelope byte-for-byte, not re-execute.
+            # Retry a pre-crash message: the reply cache died with the
+            # first life, so the request re-enters the handler, hits the
+            # row journalled in the action's own transaction and renders
+            # the original envelope — a journal hit, not an execution.
             probe = Message(
                 message_id="self-test:probe",
                 sender="self-test",
@@ -788,7 +792,8 @@ def _self_test_two_lives(
             )
             replayed = transport.send(probe)
             journal_replayed = (
-                replayed == first and server.stats.duplicates_served == 1
+                replayed == first
+                and server.metrics.value("manager.journal.replays") == 1
             )
             print(
                 f"pre-crash message retried: journaled reply replayed: "
@@ -928,10 +933,13 @@ def _serve_cluster_failover_self_test(
     promise's home primary.  The detector must promote a follower
     within a few heartbeats, after which the same gateway — remapped
     and breaker-reset automatically — must grant again without manual
-    intervention; the dead primary rejoins as a follower and the
-    doctor audit must come back clean.
+    intervention, and a message first answered by the dead primary must
+    be answered again from the row it journalled (the same reply but for
+    the ``<epoch>`` header); the dead primary rejoins as a follower and
+    the doctor audit must come back clean.
     """
     import time
+    from dataclasses import replace
 
     from .protocol.retry import RetryPolicy
 
@@ -967,6 +975,15 @@ def _serve_cluster_failover_self_test(
                 endpoint, [P(f"quantity('{product}') >= 2")], 60
             )
             check("grant before failover", response.accepted)
+            probe = Message(
+                message_id="failover-self-test:probe",
+                sender="failover-self-test",
+                recipient=endpoint,
+                action=ActionPayload(
+                    "merchant", "stock_level", {"product": product}
+                ),
+            )
+            first = gateway.send(probe)
             stream = fleet.replication_status(victim)["stream"]
             check(
                 "followers caught up",
@@ -994,6 +1011,14 @@ def _serve_cluster_failover_self_test(
                 endpoint, [P(f"quantity('{product}') >= 1")], 60
             )
             check("grant after failover", retry.accepted)
+            replayed = gateway.send(probe)
+            promoted_metrics = fleet.shard(victim).server.metrics
+            check(
+                "pre-failover message re-rendered from the journal",
+                replace(replayed, epoch=first.epoch) == first
+                and replayed.epoch == fleet.epoch(victim)
+                and promoted_metrics.value("manager.journal.replays") == 1,
+            )
             released = True
             for pid in (response.promise_id, retry.promise_id):
                 if pid:

@@ -11,13 +11,14 @@ occasions shares:
   pools the shared :class:`~repro.cluster.partition.PartitionMap` places
   on it;
 * :func:`host_deployment`, the one statement of "a deployment behind a
-  :class:`~repro.net.server.PromiseServer`": durable reply journal,
-  admission control, one metrics registry for the whole process, the
-  store's mutex and durability barrier, and the endpoint handler with
-  its dispatch keys.  ``repro serve``, a fleet primary's boot and a
-  follower's promotion all call it, so a restarted, promoted or
-  standalone server cannot differ in how it dispatches or what it
-  journals.
+  :class:`~repro.net.server.PromiseServer`": admission control, one
+  metrics registry for the whole process, the store's mutex and
+  durability barrier, and the endpoint handler with its dispatch keys.
+  ``repro serve``, a fleet primary's boot and a follower's promotion all
+  call it, so a restarted, promoted or standalone server cannot differ
+  in how it dispatches.  The one durable reply journal is the
+  manager's, written inside each effect's transaction; the server adds
+  none.
 """
 
 from __future__ import annotations
@@ -59,11 +60,13 @@ def host_deployment(
     Without ``server`` a new one is built on ``host:port`` with
     ``workers`` dispatch threads; a promotion passes the follower's
     already-listening server instead, which keeps its address and worker
-    pool.  Either way the server ends up with the deployment's durable
-    reply journal (dedup cache warmed from it, so a client retrying
-    across a restart or a failover gets the original bytes), the
-    admission controller, the store's transaction mutex and durability
-    barrier, and the endpoint registered with its dispatch keys.
+    pool.  Either way the server ends up with the admission controller,
+    the store's transaction mutex and durability barrier, and the
+    endpoint registered with its dispatch keys; a client retrying across
+    a restart or a failover re-enters the handler, which renders the
+    original reply from the manager's journal row.  (A log an older
+    build wrote also holds whole envelopes; those are read into the
+    dedup cache, and nothing writes that table any more.)
 
     The server's registry becomes the deployment's too: WAL appends,
     group-commit batches and the manager's check widths land beside the
@@ -77,7 +80,7 @@ def host_deployment(
             metrics=admission.metrics if admission is not None else None,
             workers=workers,
         )
-    if deployment.store.durable:
+    if NET_REPLY_JOURNAL_TABLE in deployment.store.tables():
         server.attach_journal(
             ReplyJournal(deployment.store, table=NET_REPLY_JOURNAL_TABLE)
         )

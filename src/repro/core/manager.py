@@ -301,11 +301,10 @@ class PromiseManager:
         compensations: list[tuple[IsolationStrategy, object]] = []
         post_commit: list[Callable[[], None]] = []
         try:
-            if dedup_key is not None:
-                replayed = self.journal.get(txn, dedup_key)
-                if replayed is not None:
-                    txn.abort()
-                    return PromiseResponse.from_dict(replayed)  # type: ignore[arg-type]
+            replayed = self._journalled(txn, dedup_key)
+            if replayed is not None:
+                txn.abort()
+                return PromiseResponse.from_dict(replayed)  # type: ignore[arg-type]
             swept = self._sweep(txn, now, post_commit)
             for promise_id in request.releases:
                 self._release_in_txn(
@@ -483,7 +482,7 @@ class PromiseManager:
         now = self.clock.now
         post_commit: list[Callable[[], None]] = []
         with self._store.begin() as txn:
-            if dedup_key is not None and self.journal.get(txn, dedup_key) is not None:
+            if self._journalled(txn, dedup_key) is not None:
                 txn.abort()
                 return
             swept = self._sweep(txn, now, post_commit)
@@ -555,11 +554,10 @@ class PromiseManager:
         txn = self._store.begin()
         post_commit: list[Callable[[], None]] = []
         try:
-            if dedup_key is not None:
-                replayed = self.journal.get(txn, dedup_key)
-                if replayed is not None:
-                    txn.abort()
-                    return ExecuteOutcome.from_dict(replayed)  # type: ignore[arg-type]
+            replayed = self._journalled(txn, dedup_key)
+            if replayed is not None:
+                txn.abort()
+                return ExecuteOutcome.from_dict(replayed)  # type: ignore[arg-type]
             swept = self._sweep(txn, now, post_commit)
             self._validate_environment(txn, environment, now)
 
@@ -690,6 +688,22 @@ class PromiseManager:
         stored = txn.get_or_none(MANAGER_META_TABLE, CLOCK_KEY)
         if not isinstance(stored, Mapping) or stored.get("now") != now:
             txn.put(MANAGER_META_TABLE, CLOCK_KEY, {"now": now})
+
+    def _journalled(
+        self, txn: Transaction, dedup_key: str | None
+    ) -> object | None:
+        """What the journal holds for ``dedup_key`` — a redelivery — or None.
+
+        Counted (``manager.journal.replays``): after a restart or a
+        promotion this, not the server's reply cache, is what answers a
+        duplicate.
+        """
+        if dedup_key is None:
+            return None
+        replayed = self.journal.get(txn, dedup_key)
+        if replayed is not None and self.metrics is not None:
+            self.metrics.inc("manager.journal.replays")
+        return replayed
 
     def _journal_failure(
         self, dedup_key: str | None, outcome: ExecuteOutcome

@@ -37,7 +37,8 @@ from ..storage.wal import LogRecord, LogRecordType
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..storage.wal import WriteAheadLog
 
-#: Reply-journal bookkeeping key that is rewritten on every request.
+#: Reply-journal bookkeeping key older builds rewrote on every request;
+#: not a reply.  Nothing writes it now, a recovered log may still hold it.
 _JOURNAL_META_KEY = "__meta__"
 
 #: Promise states that end a grant's hold on its resources.

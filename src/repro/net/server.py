@@ -14,19 +14,21 @@ Three properties carry §6's semantics onto the wire:
   of racing it.  A client that retries after a lost reply therefore
   gets the original reply byte-for-byte and the handler runs at most
   once, no matter how the redelivery interleaves with the original.
+  The cache is all the server keeps: the one *durable* reply is the row
+  the promise manager journals inside the effect's own transaction, and
+  a duplicate that misses the cache (restart, promotion) re-enters the
+  handler, hits that row and renders the same envelope again.
 * **Fault containment** — unknown endpoints and handler crashes turn
   into ``transport:``-prefixed faults in an otherwise well-formed reply
   envelope, so one bad request never takes a connection (or the
   server) down.
-* **Closed gate, no reply** — a replicated primary's requests run
-  *execute → reply-journal row → ack gate → durability barrier*: handler
-  and journal row are one ship unit (:attr:`PromiseServer.request_scope`)
-  that the gate puts on a follower before anything is released.
-  Journalling ahead of the gate is sound because **no reply — fresh,
-  cached or warmed from the journal — leaves a primary whose gate is
-  closed**: :attr:`PromiseServer.gate` is asked before the dedup
-  lookups, so a row no follower holds (a crash, a partition, a deposed
-  primary's stale cache) is never served until one does.
+* **Closed gate, no reply** — a request runs *execute → ack gate →
+  durability barrier*: everything the handler logged is one ship unit
+  (:attr:`PromiseServer.request_scope`) that the gate puts on a follower
+  before anything is released.  **No reply — fresh or cached — leaves a
+  primary whose gate is closed**: :attr:`PromiseServer.gate` is asked
+  before the dedup lookups, so a deposed primary's stale cache is never
+  served.
 
 Dispatch runs in one of two modes.  With ``workers=0`` (the default)
 handlers run synchronously on the event loop, mirroring the paper's
@@ -83,20 +85,19 @@ KeyFunction = Callable[[Message], "frozenset[str] | set[str] | None"]
 #: can map them back onto the protocol's exception types.
 TRANSPORT_FAULT_PREFIX = "transport:"
 
-#: Store table for the server's durable reply-envelope journal.  Kept
-#: separate from the manager's journal table: this one maps message ids
-#: to whole encoded reply envelopes, so a restarted server can replay a
-#: reply byte-for-byte without re-dispatching the request.
+#: Legacy, read-only: the table older builds journalled whole reply
+#: envelopes in, by message id, in a transaction after the handler's.
+#: Nothing writes it any more; a log that holds one has its rows read
+#: into the dedup cache (:meth:`PromiseServer.attach_journal`).
 NET_REPLY_JOURNAL_TABLE = "net_reply_journal"
 
 #: Reserved recipient name for failure-detector liveness probes.  Pings
-#: bypass the reply cache, the journal and admission control: they are
-#: pure liveness signals, and polluting the durable journal with one row
-#: per heartbeat would drown real replies.
+#: bypass the reply cache and admission control: they are pure liveness
+#: signals, and one cache entry per heartbeat would drown real replies.
 PING_ENDPOINT = "_ping"
 
 #: Reserved recipient returning this server's metrics-registry snapshot.
-#: Like pings, scrapes bypass dedup, the journal and admission control:
+#: Like pings, scrapes bypass dedup and admission control:
 #: an operator must be able to see *into* an overloaded server, and a
 #: scrape reply is worthless a second time (no §6 state to redeliver).
 METRICS_ENDPOINT = "_metrics"
@@ -182,9 +183,8 @@ class PromiseServer:
         self._replies: ReplyCache[bytes] = ReplyCache(
             dedup_capacity, max_bytes=dedup_max_bytes
         )
-        self._journal = reply_journal
         if reply_journal is not None:
-            self._warm_replies(reply_journal)
+            self.attach_journal(reply_journal)
         self._inflight: dict[str, asyncio.Future[bytes]] = {}
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
@@ -200,16 +200,16 @@ class PromiseServer:
         self.epoch: int | None = None
         #: Replication write gate.  When set, it is consulted before a
         #: request is answered in any way — from the dedup cache as much
-        #: as by executing it — and again once it has executed and
-        #: journalled its reply; a non-``None`` reason (``"fenced by
+        #: as by executing it — and again once it has executed;
+        #: a non-``None`` reason (``"fenced by
         #: epoch 3"``, ``"no follower caught up"``) turns the reply into
         #: a retryable transport fault instead of an ack, so a primary
         #: that cannot replicate stops acknowledging writes clients
         #: would lose on failover.
         self.gate: Callable[[], str | None] | None = None
-        #: What a request's handler and reply-journal row run inside.  A
-        #: replication sender sets its own beside :attr:`gate`, so both
-        #: transactions leave in the one ship the gate then makes.
+        #: What a request's handler runs inside.  A replication sender
+        #: sets its own beside :attr:`gate`, so every transaction of the
+        #: request leaves in the one ship the gate then makes.
         self.request_scope: Callable[
             [], contextlib.AbstractContextManager[None]
         ] = contextlib.nullcontext
@@ -219,27 +219,17 @@ class PromiseServer:
 
     # ------------------------------------------------------------- wiring
 
-    def _warm_replies(self, journal: ReplyJournal) -> None:
-        """Reload journaled reply envelopes into the dedup cache.
+    def attach_journal(self, journal: ReplyJournal) -> None:
+        """Read a legacy envelope journal into the dedup cache.
 
-        After a restart, a client retrying a request it sent before the
-        crash hits the cache exactly as if the server had never died.
+        A log written by a build that journalled envelopes holds replies
+        whose ids were drawn from a counter; serving those from the
+        cache keeps a pre-upgrade message id answered with its original
+        bytes.  Read-only: nothing is ever recorded through ``journal``.
         """
         for message_id, payload in journal.entries_alone():
             if isinstance(payload, str):
                 self._replies.put(message_id, payload.encode("utf-8"))
-
-    def attach_journal(self, journal: ReplyJournal) -> None:
-        """Adopt a reply journal after construction (replica promotion).
-
-        A follower's server exists before the deployment it will one day
-        host; promotion boots that deployment from the shipped WAL and
-        hands its journal over here, warming the dedup cache with every
-        reply the *old* primary journaled — so clients retrying across
-        the failover get the original bytes, not a re-execution.
-        """
-        self._journal = journal
-        self._warm_replies(journal)
 
     def attach_admission(self, admission: "AdmissionController | None") -> None:
         """Install (or remove) the overload-shedding controller.
@@ -481,7 +471,7 @@ class PromiseServer:
             return None
 
         # Liveness probes and observability scrapes short-circuit the
-        # whole pipeline: no dedup, no journal row, no admission — they
+        # whole pipeline: no dedup, no admission — they
         # must keep answering precisely when the pipeline is in trouble.
         if message.recipient == PING_ENDPOINT:
             return self._pong(message)
@@ -534,10 +524,9 @@ class PromiseServer:
             )
 
         # No reply of any kind leaves a primary whose gate is closed:
-        # asked before the dedup lookups, because a cached or journalled
-        # reply is state too — the row may be one no follower holds yet
-        # (journalled, then the gate refused or the process died), or
-        # this node may be a deposed primary whose cache went stale.
+        # asked before the dedup lookups, because a cached reply is
+        # state too — this node may be a deposed primary whose cache
+        # went stale.
         if self.gate is not None:
             reason = self.gate()
             if reason is not None:
@@ -589,10 +578,12 @@ class PromiseServer:
             )
 
         # Admission control runs *after* dedup: a duplicate is served
-        # from cache for free and must never be shed (the client would
-        # retry a request the server already executed).  Shed replies
-        # are not cached either — the whole point of the 503 is that
-        # the same message id is welcome to try again later.
+        # from cache for free.  One that misses the cache (restart,
+        # promotion) is admitted like any request: shedding it is
+        # retryable and still at-most-once, the manager's journal row
+        # answers whenever it gets in.  Shed replies are not cached —
+        # the whole point of the 503 is that the same message id is
+        # welcome to try again later.
         if self._admission is not None:
             kind = classify(message)
             if not self._admission.admit(kind):
@@ -612,7 +603,7 @@ class PromiseServer:
             if self._executor is None:
                 reply_bytes, releasable = self._process(message, span)
             else:
-                # Parallel dispatch: the execute → journal → ack-gate →
+                # Parallel dispatch: the execute → ack-gate →
                 # durability pipeline runs on a worker thread, ordered
                 # by the request's resource keys.  All the `_inflight` /
                 # cache bookkeeping stays here on the event loop.
@@ -629,9 +620,20 @@ class PromiseServer:
                 self._replies.put(message_id, reply_bytes, pinned=True)
             future.set_result(reply_bytes)
             return reply_bytes
+        except BaseException:
+            # `_process` raised (an fsync error, a gate error, a simulated
+            # crash) and this connection drops.  A duplicate awaiting the
+            # execution is told to retry: nothing cached, never an empty
+            # frame.
+            future.set_result(
+                self._encode_fault(
+                    message,
+                    f"{TRANSPORT_FAULT_PREFIX}aborted: the original "
+                    "delivery of this request failed",
+                )
+            )
+            raise
         finally:
-            if not future.done():  # _process raised; unblock waiters
-                future.set_result(b"")
             del self._inflight[message_id]
             self._replies.unpin(message_id)
             self.metrics.gauge("server.inflight").add(-1)
@@ -639,9 +641,12 @@ class PromiseServer:
     def _process(
         self, message: Message, span: ActiveSpan | None
     ) -> tuple[bytes, bool]:
-        """Execute, journal, gate and harden one request (any thread).
+        """*Execute → ack gate → durability* for one request (any thread).
 
-        Returns ``(reply_bytes, releasable)``; ``releasable=False``
+        The handler's own transactions are all that is logged: the reply
+        is durable iff its effect committed, in the same COMMIT, and the
+        envelope is rendered from it.  Returns
+        ``(reply_bytes, releasable)``; ``releasable=False``
         marks a withheld ack (retryable fault, never cached).  Under
         parallel dispatch this runs on a keyed-executor worker: the
         handler's transaction holds :attr:`txn_mutex`, while the ack
@@ -659,19 +664,11 @@ class PromiseServer:
                     reply_bytes = self._execute(message, span)
             if span is not None:
                 span.annotate(executed=True)
-            if self._journal is not None:
-                # The journal row is itself a store transaction.
-                with self.txn_mutex:
-                    self._journal.record_alone(
-                        message.message_id, reply_bytes.decode("utf-8")
-                    )
         # Only now is it known whether a follower holds what the request
-        # logged: the gate ships the handler's commit and the journal
-        # row together.  If none does, the local commit may be on the
-        # losing side of a failover — withhold the ack (retryable fault,
-        # not cached) so no client observes state the replica group
-        # cannot promise to keep.  The journal row stays behind locally;
-        # the closed-gate rule keeps it unserved until it is shipped.
+        # logged: the gate ships it.  If none does, the local commit may
+        # be on the losing side of a failover — withhold the ack
+        # (retryable fault, not cached) so no client observes state the
+        # replica group cannot promise to keep.
         if self.gate is not None:
             reason = self._ack_gate(span)
             if reason is not None:
@@ -685,7 +682,7 @@ class PromiseServer:
                 return fault, False
         if self.durability is not None:
             # Ack barrier: the reply leaves only once every WAL record
-            # it depends on — commit and journal row — is hardened.
+            # it depends on is hardened.
             self.durability()
         return reply_bytes, True
 

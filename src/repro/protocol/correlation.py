@@ -103,7 +103,7 @@ class ReplyCache(Generic[ReplyT]):
 
     **Pinning** closes the one hole byte-bound eviction opens under
     pipelined load: a server that has *executed* a request but not yet
-    finished releasing its reply (durability wait, journaling, waking
+    finished releasing its reply (ack gate, durability wait, waking
     duplicate waiters) must be able to guarantee the entry outlives
     those steps no matter how much byte pressure concurrent requests
     apply.  A pinned entry is skipped by both eviction sweeps;

@@ -27,7 +27,7 @@ from ..core.errors import (
     UnknownPromise,
 )
 from ..core.manager import Action, PromiseManager
-from ..core.promise import IdGenerator, PromiseResponse
+from ..core.promise import PromiseResponse
 from ..faults.crashpoints import SimulatedCrash, crash_point
 from .errors import MalformedMessage
 from .messages import ActionOutcomePayload, ActionPayload, Message
@@ -51,7 +51,6 @@ class PromiseEndpoint:
         self.manager = manager
         self._resolve = resolve
         self.name = name or manager.name
-        self._message_ids = IdGenerator(f"{self.name}:msg")
         # Durable reply dedup only earns its keep when the store outlives
         # the process; in-memory deployments rely on the transport's
         # ReplyCache, and disabling that disables dedup entirely.
@@ -74,6 +73,14 @@ class PromiseEndpoint:
         promise part is rejected, the action is *not* attempted (the
         client asked to act under guarantees it did not get) and a fault
         reports the skip.
+
+        The reply is a function of the request and of what the manager
+        journalled for it — its message id is derived from the request's,
+        not drawn from a counter — so a redelivered request whose dedup
+        keys (``request_id``, ``<message_id>:action``,
+        ``release:<promise_id>``) are journalled renders the envelope it
+        was first answered with, in this process or the next: the
+        manager's in-transaction row is the only durable reply.
         """
         responses: list[PromiseResponse] = []
         faults: list[str] = []
@@ -110,7 +117,7 @@ class PromiseEndpoint:
 
         crash_point("endpoint.before-reply", self.manager.fault_scope)
         return message.reply(
-            message_id=self._message_ids.next_id(),
+            message_id=f"{self.name}:re:{message.message_id}",
             promise_responses=tuple(responses),
             action_outcome=outcome,
             faults=tuple(faults),

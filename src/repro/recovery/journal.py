@@ -15,7 +15,9 @@ is safe.
 Entries carry monotonically increasing sequence numbers; when the
 journal exceeds its capacity it evicts the oldest half in one sweep, so
 the amortised cost per record stays O(1) while a retry storm still finds
-every recent reply.
+every recent reply.  Sequence and count live in memory (one scan on
+first use, recounted by every eviction): a record is one row, and the
+``__meta__`` row older builds rewrote beside it is ignored when read.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ class ReplyJournal:
         self._store = store
         self._table = table
         self._capacity = capacity
+        self._next_seq = self._count = 0  # 0: scanned on first record
         store.create_table(table)
 
     @property
@@ -62,46 +65,38 @@ class ReplyJournal:
 
         Calling this in the same transaction as the effect it answers is
         what makes grant-and-reply (or action-and-reply) atomic across a
-        crash.  Re-recording an existing key overwrites it.
+        crash.  Re-recording an existing key overwrites it.  (An abort
+        leaves the count off until the next eviction recounts.)
         """
-        meta = txn.get_or_none(self._table, _META_KEY)
-        if not isinstance(meta, dict):
-            meta = {"next_seq": 1, "count": 0}
-        seq = int(meta["next_seq"])  # type: ignore[arg-type]
-        fresh = txn.get_or_none(self._table, key) is None
+        if not self._next_seq:
+            rows = self._rows(txn)
+            self._count = len(rows)
+            self._next_seq = 1 + max(
+                (int(entry.get("seq", 0)) for __, entry in rows), default=0
+            )
+        seq = self._next_seq
+        self._next_seq += 1
+        if txn.get_or_none(self._table, key) is None:
+            self._count += 1
         txn.put(self._table, key, {"seq": seq, "payload": payload})
-        count = int(meta["count"]) + (1 if fresh else 0)  # type: ignore[arg-type]
-        if count > self._capacity:
-            count -= self._evict(txn, seq)
-        txn.put(self._table, _META_KEY, {"next_seq": seq + 1, "count": count})
+        if self._count > self._capacity:
+            self._evict(txn, seq)
 
     def keys(self, txn: Transaction) -> list[str]:
         """All journaled dedup keys (recovery uses this to bump id pools)."""
-        return [key for key, __ in txn.scan(self._table) if key != _META_KEY]
+        return [key for key, __ in self._rows(txn)]
 
     def entries(self, txn: Transaction) -> list[tuple[str, object]]:
         """``(key, payload)`` pairs, oldest first (server cache warm-up)."""
-        rows = [
-            (key, entry)
-            for key, entry in txn.scan(self._table)
-            if key != _META_KEY and isinstance(entry, dict)
-        ]
-        rows.sort(key=lambda item: int(item[1].get("seq", 0)))  # type: ignore[union-attr]
-        return [(key, entry.get("payload")) for key, entry in rows]  # type: ignore[union-attr]
+        rows = self._rows(txn)
+        rows.sort(key=lambda item: int(item[1].get("seq", 0)))
+        return [(key, entry.get("payload")) for key, entry in rows]
 
     def count(self, txn: Transaction) -> int:
         """Number of journaled replies."""
-        meta = txn.get_or_none(self._table, _META_KEY)
-        if isinstance(meta, dict):
-            return int(meta.get("count", 0))  # type: ignore[arg-type]
-        return 0
+        return len(self._rows(txn))
 
     # ------------------------------------------------------- own-transaction
-
-    def get_alone(self, key: str) -> object | None:
-        """Like :meth:`get` in a transaction of its own."""
-        with self._store.begin() as txn:
-            return self.get(txn, key)
 
     def entries_alone(self) -> list[tuple[str, object]]:
         """Like :meth:`entries` in a transaction of its own."""
@@ -121,16 +116,21 @@ class ReplyJournal:
 
     # ------------------------------------------------------------ internals
 
-    def _evict(self, txn: Transaction, next_seq: int) -> int:
-        """Drop the oldest half of the journal; returns entries removed."""
-        horizon = next_seq - self._capacity // 2
-        victims = [
-            key
+    def _rows(self, txn: Transaction) -> list[tuple[str, dict]]:
+        """Every reply row; a legacy ``__meta__`` row is not one."""
+        return [
+            (key, entry)
             for key, entry in txn.scan(self._table)
-            if key != _META_KEY
-            and isinstance(entry, dict)
-            and int(entry.get("seq", 0)) < horizon  # type: ignore[arg-type]
+            if key != _META_KEY and isinstance(entry, dict)
+        ]
+
+    def _evict(self, txn: Transaction, next_seq: int) -> None:
+        """Drop the oldest half of the journal, recounting what stays."""
+        horizon = next_seq - self._capacity // 2
+        rows = self._rows(txn)
+        victims = [
+            key for key, entry in rows if int(entry.get("seq", 0)) < horizon
         ]
         for key in victims:
             txn.delete(self._table, key)
-        return len(victims)
+        self._count = len(rows) - len(victims)

@@ -127,9 +127,12 @@ def recover(
             except Exception:  # noqa: BLE001 - doctor reports malformed rows
                 continue
             newest_grant = max(newest_grant, promise.granted_at)
-        for key in manager.journal.keys(txn):
+        # Counted from the rows themselves: the journal keeps no count
+        # row, and a ``__meta__`` row an older build left is not a reply.
+        journal_keys = manager.journal.keys(txn)
+        for key in journal_keys:
             manager.observe_issued_id(key)
-        journal_entries = manager.journal.count(txn)
+        journal_entries = len(journal_keys)
 
     manager.clock.advance_to(max(stored_tick, newest_grant))
     doctor = Doctor(manager, registry=registry)

@@ -3,17 +3,18 @@
 The invariant this layer keeps, whatever is underneath it: **acked to
 the client ⇒ on at least one follower at that LSN, in LSN order, under
 one epoch** — and, so that it covers every reply there is, **no reply of
-any kind (fresh, cached, warmed from the journal) leaves a primary whose
+any kind (fresh or cached) leaves a primary whose
 gate is closed** (``tests/replication/test_shipping_invariants.py``
 tests both with nothing else running).
 
 The sender subscribes to the primary's
 :class:`~repro.storage.wal.WriteAheadLog`.  The ship unit is the
-*request*: a server runs a request's handler and its reply-journal row
-inside :meth:`ReplicationSender.request_scope`, where commits and aborts
-are left alone, and the :meth:`~ReplicationSender.gate` call that
-follows ships both transactions — and whatever other workers committed
-meanwhile — in one batch.  A boundary record logged *outside* a request
+*request*: a server runs a request's handler — whose transactions
+carry the reply row with the effect it answers — inside
+:meth:`ReplicationSender.request_scope`, where commits and aborts are
+left alone, and the :meth:`~ReplicationSender.gate` call that follows
+ships what it logged — and whatever other workers committed meanwhile —
+in one batch.  A boundary record logged *outside* a request
 (seeding, ``vacuum()``, a recovery sweep, a read transaction), and a
 CHECKPOINT or CREATE_TABLE anywhere, ships as it is appended.  Each
 follower gets the suffix past its link's cursor — read by bisection
@@ -386,7 +387,7 @@ class ReplicationSender:
 
         Plugged into :attr:`repro.net.server.PromiseServer.gate`, which
         asks before anything is answered and again once a request has
-        executed and journalled its reply — the flush made here is then
+        executed — the flush made here is then
         the request's one ship.  A fenced sender never acks again; a
         lagging one gets that flush before the request is refused, so a
         single dropped ship does not bounce a healthy client.  With no

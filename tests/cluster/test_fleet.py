@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import socket
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -126,8 +127,16 @@ class TestFleetLifecycle:
             # The promise survived, and the stale pooled connection is
             # discarded (or remapped) rather than reused.
             replayed = gateway.send(probe)
-            assert replayed == first
-            assert fleet.shard(home).server.stats.duplicates_served == 1
+            # Restart: the same reply.  Promotion: the same but for the
+            # <epoch> header, which names the primary that answered.
+            assert replace(replayed, epoch=first.epoch) == first
+            if replicated(fleet):
+                assert (first.epoch, replayed.epoch) == (0, 1)
+            # The reply cache died with the old process: the duplicate
+            # re-entered the handler and was answered from the row the
+            # manager journalled in the action's own transaction.
+            metrics = fleet.shard(home).server.metrics
+            assert metrics.value("manager.journal.replays") == 1
         assert fleet.live_promises()[home] == 1
         assert all(not findings for findings in fleet.audit().values())
 

@@ -121,6 +121,66 @@ class TestFaults:
         assert first == second  # byte-identical redelivery reply
         assert server.stats.duplicates_served == 1
 
+    def test_a_failed_original_tells_the_waiting_duplicate_to_retry(self):
+        """``_process`` raising (here: the durability barrier) drops the
+        original's connection; a duplicate that was awaiting it in flight
+        must get a retryable ``transport:`` fault — not an empty frame —
+        and nothing may be cached: the retry runs the handler again."""
+        server = PromiseServer(workers=2)
+        entered, proceed, runs = threading.Event(), threading.Event(), []
+
+        def slow(message: Message) -> Message:
+            runs.append(message.message_id)
+            entered.set()
+            assert proceed.wait(5.0)
+            return message.reply(message_id=f"slow:re:{message.message_id}")
+
+        def broken_barrier() -> None:
+            raise OSError("fsync failed")
+
+        server.register("slow", slow)
+        server.durability = broken_barrier
+        payload = encode(Message("m1", "a", "slow"))
+        outcomes: dict[str, object] = {}
+
+        def deliver(name: str, client: PipelinedClient) -> None:
+            try:
+                outcomes[name] = client.request(payload)
+            except TransportFailure as failure:
+                outcomes[name] = failure
+
+        def wait_for(condition) -> None:
+            deadline = time.monotonic() + 5.0
+            while not condition():
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+
+        with ThreadedServer(server) as address:
+            once = RetryPolicy.none()
+            with PipelinedClient(address, timeout=5.0, retry=once) as original, \
+                    PipelinedClient(address, timeout=5.0, retry=once) as duplicate:
+                first = threading.Thread(target=deliver, args=("original", original))
+                first.start()
+                assert entered.wait(5.0)
+                second = threading.Thread(target=deliver, args=("duplicate", duplicate))
+                second.start()
+                wait_for(lambda: server.stats.duplicates_served == 1)
+                proceed.set()
+                first.join(5.0)
+                second.join(5.0)
+
+                assert isinstance(outcomes["original"], TransportFailure)
+                answer = outcomes["duplicate"]
+                assert isinstance(answer, bytes) and answer, "empty frame"
+                fault, = decode(answer).faults
+                assert fault.startswith("transport:aborted")
+                assert decode(answer).correlation == "m1"
+
+                server.durability = None
+                retried = decode(duplicate.request(payload))
+                assert retried.message_id == "slow:re:m1" and not retried.faults
+                assert runs == ["m1", "m1"]  # the failure was not cached
+
     def test_connection_refused_is_transport_failure(self):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))

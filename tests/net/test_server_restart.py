@@ -1,22 +1,23 @@
 """Kill-and-restart of the networked promise manager (ISSUE acceptance).
 
-A :class:`PromiseServer` backed by a WAL-ed deployment and a durable
-reply journal is killed between a client's request and its retry.  The
-restarted server must recover to a doctor-clean state, serve the retried
-pre-crash message byte-for-byte from the journal, and keep granting —
-at-most-once semantics across process lives, over real TCP.
+A :class:`PromiseServer` in front of a WAL-ed deployment is killed
+between a client's request and its retry.  The restarted server must
+recover to a doctor-clean state, answer the retried pre-crash message
+byte-for-byte — re-rendered from the row the manager journalled in the
+grant's own transaction, the server keeps no journal — and keep
+granting: at-most-once semantics across process lives, over real TCP.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cluster import host_deployment
 from repro.core.parser import P
 from repro.core.promise import PromiseRequest
 from repro.net import NetworkTransport, PromiseServer, ThreadedServer
 from repro.net.server import NET_REPLY_JOURNAL_TABLE
 from repro.protocol.messages import Message
-from repro.recovery import ReplyJournal
 from repro.services.deployment import Deployment
 from repro.services.merchant import MerchantService
 
@@ -38,10 +39,7 @@ def build_shop(wal) -> Deployment:
 
 
 def build_server(shop: Deployment) -> PromiseServer:
-    journal = ReplyJournal(shop.store, table=NET_REPLY_JOURNAL_TABLE)
-    server = PromiseServer(reply_journal=journal)
-    server.register("shop", shop.endpoint.handle)
-    return server
+    return host_deployment(shop, "shop")
 
 
 def promise_message(message_id: str, request_id: str, amount: int = 5):
@@ -84,8 +82,17 @@ class TestServerRestart:
                 replay_wire = transport.wire_log[1]
         assert replay_wire == first_wire
         assert replay == first
-        assert server2.stats.duplicates_served == 1
+        # Served once: one promise, one unit escrowed, and the answer
+        # came from the manager's journal row — a cache miss in the new
+        # process, not a duplicate the server recognised.
+        assert server2.metrics.value("manager.journal.replays") == 1
+        assert server2.stats.duplicates_served == 0
         assert len(revived.manager.active_promises()) == 1
+        with revived.store.begin() as txn:
+            pool = revived.resources.pool(txn, "widgets")
+            assert (pool.available, pool.allocated) == (STOCK - 5, 5)
+        # ... and the server logged nothing of its own, in either life.
+        assert NET_REPLY_JOURNAL_TABLE not in revived.store.tables()
         revived.close()
 
     def test_restarted_server_keeps_granting(self, tmp_path):

@@ -159,6 +159,11 @@ class TestReplyJournal:
         revived = build_manager(wal)
         report = recover(revived)
         assert report.journal_entries == 2
+        # Counted from the reply rows: the journal keeps no count row.
+        with revived.store.begin() as txn:
+            assert sorted(key for key, __ in txn.scan("reply_journal")) == [
+                "req-1", "req-2",
+            ]
 
 
 class TestExpiryAcrossRestart:

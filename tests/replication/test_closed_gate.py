@@ -1,14 +1,17 @@
 """No reply of any kind leaves a primary whose gate is closed.
 
-A replicated primary journals a request's reply *before* the ack gate
-ships it, so that the handler's commit and the journal row leave in one
-batch.  That leaves windows in which a reply exists locally — in the
-journal, in the dedup cache — for state no follower holds: the process
-died between the journal COMMIT and the gate, the gate refused, the node
-was deposed.  Each scenario here opens one of those windows on a real
-fleet (one shard, two followers, sockets) and redelivers the request:
-the duplicate must be refused while the gate is closed and served,
-byte for byte, once a follower holds the row.
+A replicated primary executes a request *before* the ack gate ships
+what it logged.  The reply is durable iff the effect is — the manager
+journals it in the effect's own COMMIT, the server journals nothing —
+so no reply row can exist for a commit that does not; what is left are
+windows in which effect and reply exist locally, in the log or in the
+dedup cache, for state no follower holds: the process died between the
+COMMIT and the gate, the gate refused, the node was deposed.  Each
+scenario here opens one of those windows on a real fleet (one shard, two
+followers, sockets) and redelivers the request: the duplicate must be
+refused while the gate is closed, and answered with the one journalled
+grant — by the manager's row, not by granting again — once a follower
+holds it.
 """
 
 from __future__ import annotations
@@ -21,11 +24,9 @@ from repro.cluster import provision_products
 from repro.core.parser import P
 from repro.faults import crashpoints
 from repro.net import NetworkTransport
-from repro.net.server import NET_REPLY_JOURNAL_TABLE
 from repro.protocol.client import PromiseClient
 from repro.protocol.errors import ProtocolError, TransportFailure
 from repro.protocol.retry import RetryPolicy
-from repro.recovery import ReplyJournal
 from repro.replication import ReplicatedFleet
 
 pytestmark = pytest.mark.failover
@@ -77,7 +78,7 @@ def grant(tap: Tap):
 
 def at_the_post_execution_gate(primary, action) -> None:
     """Run ``action`` where the next request's second gate call would
-    be: its handler and its journal row committed, nothing shipped."""
+    be: its handler committed (reply row included), nothing shipped."""
     server, real, calls = primary.server, primary.server.gate, []
 
     def gate():
@@ -103,15 +104,21 @@ def accepted_ids(reply) -> list[str]:
     return [r.promise_id for r in reply.promise_responses if r.accepted]
 
 
-def journalled(fleet) -> dict[str, str]:
-    store = fleet.shard(0).deployment.store
-    return dict(
-        ReplyJournal(store, table=NET_REPLY_JOURNAL_TABLE).entries_alone()
-    )
+def journalled(fleet) -> dict[str, dict]:
+    """The manager's journal — the only one: request id -> response."""
+    return dict(fleet.shard(0).deployment.manager.journal.entries_alone())
+
+
+def request_id(tap: Tap) -> str:
+    return tap.last.promise_requests[0].request_id
+
+
+def replays(replica) -> int:
+    return int(replica.server.metrics.value("manager.journal.replays"))
 
 
 def crash_after_journalling(fleet, tap) -> int:
-    """Kill the primary between the journal COMMIT and the gate; returns
+    """Kill the primary between the grant's COMMIT and the gate; returns
     the LSN its log ends at (what no follower holds)."""
     primary = fleet.shard(0)
     at_the_post_execution_gate(primary, lambda: die(primary))
@@ -138,10 +145,10 @@ def test_restart_ships_the_journalled_row_before_replaying_it(fleet, wire):
     reborn = fleet.shard(0)
     # The boot's full sync ran before the listener opened.
     assert min(held(fleet)) >= lost
-    assert tap.last.message_id in journalled(fleet)
+    row = journalled(fleet)[request_id(tap)]
     reply = wire.send(tap.last)
-    assert len(accepted_ids(reply)) == 1
-    assert reborn.server.stats.duplicates_served == 1
+    assert accepted_ids(reply) == [row["promise_id"]]
+    assert replays(reborn) == 1
     assert held(fleet) == [reborn.deployment.store.wal.last_lsn] * 2
     assert fleet.live_promises() == {0: 1}
 
@@ -156,26 +163,25 @@ def test_restart_without_followers_refuses_the_replay_until_healed(fleet, wire):
 
     reborn = fleet.shard(0)
     assert max(held(fleet)) < lost
-    row = journalled(fleet)[tap.last.message_id]
+    row = journalled(fleet)[request_id(tap)]
     for _ in range(2):
         with pytest.raises(TransportFailure, match="fenced: replication lagging"):
             wire.send(tap.last)
-    assert reborn.server.stats.duplicates_served == 0
+    assert replays(reborn) == 0  # refused at the door, not in the handler
 
     for follower in followers:
         follower.server.gate = None
     reply = wire.send(tap.last)
-    assert wire.wire_log[-1] == row  # the journalled envelope, verbatim
-    assert len(accepted_ids(reply)) == 1
-    assert reborn.server.stats.duplicates_served == 1
+    assert accepted_ids(reply) == [row["promise_id"]]  # the journalled grant
+    assert replays(reborn) == 1
     assert held(fleet) == [reborn.deployment.store.wal.last_lsn] * 2
     assert fleet.live_promises() == {0: 1}
 
 
 def test_a_refused_request_leaves_a_row_that_is_not_served_unshipped(fleet, wire):
-    """The gate refuses after the journal row exists.  The row must stay
-    unserved while the partition lasts; the retry after it ends runs the
-    request again, which the manager's own journal makes the same grant."""
+    """The gate refuses after the grant and its reply row committed.  The
+    row must stay unserved while the partition lasts; the retry after it
+    ends re-enters the handler, which the row makes the same grant."""
     tap = Tap(wire)
     primary = fleet.shard(0)
     at_the_post_execution_gate(
@@ -183,17 +189,19 @@ def test_a_refused_request_leaves_a_row_that_is_not_served_unshipped(fleet, wire
     )
     with pytest.raises(TransportFailure, match="fenced"):
         grant(tap)
-    assert tap.last.message_id in journalled(fleet)
+    row = journalled(fleet)[request_id(tap)]
     assert max(held(fleet)) < primary.deployment.store.wal.last_lsn
     with pytest.raises(TransportFailure, match="fenced"):
         wire.send(tap.last)
-    assert primary.server.stats.duplicates_served == 0
+    assert replays(primary) == 0
+    assert primary.server.stats.duplicates_served == 0  # withheld: not cached
 
     primary.sender.blocked = False
     first = wire.send(tap.last)
     again = wire.send(tap.last)
-    assert len(accepted_ids(first)) == 1
-    assert accepted_ids(again) == accepted_ids(first)
+    assert accepted_ids(first) == [row["promise_id"]]
+    assert wire.wire_log[-1] == wire.wire_log[-3]  # again == first, in bytes
+    assert (replays(primary), primary.server.stats.duplicates_served) == (1, 1)
     assert held(fleet) == [primary.deployment.store.wal.last_lsn] * 2
     assert fleet.live_promises() == {0: 1}
 
@@ -213,8 +221,7 @@ def test_a_deposed_primary_refuses_duplicates_it_has_cached(fleet, wire):
     for message in (tap.last, replace(tap.last, epoch=0)):
         with pytest.raises(ProtocolError, match="fenced: deposed primary"):
             wire.send(message)
-    # The promoted follower holds the row (LSN order: it holds the
-    # commit, so it holds the journal row shipped with it).
+    # The promoted follower holds the row: it is part of the commit.
     with NetworkTransport(
         fleet.shard(0).address, timeout=2.0, retry=RetryPolicy.none()
     ) as successor:
