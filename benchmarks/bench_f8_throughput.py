@@ -5,11 +5,13 @@ loopback TCP hop and the same durable (fsync) write-ahead log:
 
 * **serial** — one blocking ``NetworkTransport`` request at a time into
   a single-threaded server: grant, then release, then the next pair.
-  This is the seed's hot path.
+  This is the seed's hot path; each commit is one WAL barrier (one
+  write, one fsync).
 * **pipelined** — a ``PipelinedClient`` keeps a window of requests in
   flight on one connection while the server dispatches them across
-  worker threads (disjoint product pools → disjoint keys) and the WAL
-  group-commits the batch under a single fsync.
+  worker threads (disjoint product pools → disjoint keys); requests
+  that finish while one WAL barrier is writing share the next, so one
+  fsync hardens a batch with no timer involved.
 
 The workload is grant+release *pairs* across 16 product pools so the
 active promise set stays bounded — throughput then measures the
@@ -43,7 +45,6 @@ from repro.protocol.soap import SoapCodec
 from repro.recovery import ReplyJournal
 from repro.services.deployment import Deployment
 from repro.services.merchant import MerchantService
-from repro.storage.group_commit import GroupCommitConfig
 
 from .common import print_table, run_once
 
@@ -60,14 +61,9 @@ PROMISE_ID = re.compile(rb'promise-response[^>]*\bpromise="([^"]+)"')
 PID_SLOT = b"__PROMISE_ID__"
 
 
-def build_shop(dirname: str, group_commit: GroupCommitConfig | None = None):
+def build_shop(dirname: str):
     """A merchant deployment over a durable (fsync) WAL."""
-    shop = Deployment(
-        name="shop",
-        wal_path=f"{dirname}/shop.wal",
-        fsync=True,
-        group_commit=group_commit,
-    )
+    shop = Deployment(name="shop", wal_path=f"{dirname}/shop.wal", fsync=True)
     shop.add_service(MerchantService())
     shop.use_pool_strategy(*POOLS)
     with shop.seed() as txn:
@@ -144,12 +140,7 @@ def run_pipelined(
     client-side work both paths share); releases are pre-encoded with a
     placeholder promise id spliced in once the grant reply names it.
     """
-    shop = build_shop(
-        dirname,
-        group_commit=GroupCommitConfig(
-            max_batch=64, max_hold=0.002, fsync=True
-        ),
-    )
+    shop = build_shop(dirname)
     metrics = MetricsRegistry()
     shop.store.wal.set_metrics(metrics)
     history = HistoryRecorder()

@@ -108,7 +108,6 @@ from .core.environment import Environment
 from .core.errors import PredicateSyntaxError
 from .core.parser import P
 from .net import NetworkTransport, ThreadedServer
-from .storage.group_commit import GroupCommitConfig
 from .net.server import METRICS_ENDPOINT, SPANS_ENDPOINT
 from .obs.metrics import snapshot_delta
 from .obs.trace import Span, SpanRecorder, render_trace, spans_from_jsonl
@@ -179,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write-ahead log file; state survives restarts "
                             "and an existing log is recovered on startup")
     serve.add_argument("--fsync", action="store_true",
-                       help="fsync the WAL after every record (durable "
-                            "against power loss, slower)")
+                       help="fsync the WAL at every barrier — once a "
+                            "request (durable against power loss, slower)")
     serve.add_argument("--checkpoint-every", type=int, default=None,
                        metavar="N",
                        help="compact the WAL after every N records")
@@ -213,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="directory for per-shard write-ahead logs "
                               "(shard-N.wal); state survives restarts")
     cluster.add_argument("--fsync", action="store_true",
-                         help="fsync each shard's WAL after every record")
+                         help="fsync each shard's WAL at every barrier "
+                              "(once a request)")
     cluster.add_argument("--replicas", type=int, default=0, metavar="N",
                          help="hot followers per shard (default 0: "
                               "unreplicated); each shard becomes a "
@@ -378,31 +378,6 @@ def _add_pipeline_flags(subparser: argparse.ArgumentParser) -> None:
              "serial on the event loop); requests on disjoint resources "
              "execute concurrently, same-resource requests stay FIFO",
     )
-    subparser.add_argument(
-        "--group-commit", action="store_true",
-        help="batch WAL fsyncs (group commit): concurrent transactions "
-             "share one fsync and every ack waits for durability",
-    )
-    subparser.add_argument(
-        "--batch-max", type=int, default=64, metavar="N",
-        help="group commit: max records hardened per fsync batch "
-             "(default 64)",
-    )
-    subparser.add_argument(
-        "--batch-hold-ms", type=float, default=2.0, metavar="MS",
-        help="group commit: max time the flusher holds an open batch "
-             "waiting for more records (default 2.0)",
-    )
-
-
-def _group_commit_from_flags(
-    enabled: bool, batch_max: int, batch_hold_ms: float
-) -> "GroupCommitConfig | None":
-    if not enabled:
-        return None
-    return GroupCommitConfig(
-        max_batch=batch_max, max_hold=batch_hold_ms / 1000.0
-    )
 
 
 def _admission_from_flags(
@@ -515,7 +490,6 @@ def _build_served_deployment(
     wal_path: str | None = None,
     fsync: bool = False,
     checkpoint_every: int | None = None,
-    group_commit: "GroupCommitConfig | None" = None,
     out=sys.stdout,
 ) -> Deployment:
     """The deployment `serve` hosts: a merchant over a widgets pool.
@@ -530,7 +504,6 @@ def _build_served_deployment(
         wal_path=wal_path,
         fsync=fsync,
         auto_checkpoint_every=checkpoint_every,
-        group_commit=group_commit,
     )
     deployment.add_service(MerchantService())
     deployment.use_pool_strategy("widgets")
@@ -556,7 +529,6 @@ def run_serve(
     rate_limit: float | None = None,
     breaker_threshold: int | None = None,
     workers: int = 0,
-    group_commit: "GroupCommitConfig | None" = None,
     out=sys.stdout,
 ) -> int:
     """Host the deployment over TCP; returns a process exit code."""
@@ -569,12 +541,11 @@ def run_serve(
             fsync=fsync, checkpoint_every=checkpoint_every,
             max_queue=max_queue, rate_limit=rate_limit,
             breaker_threshold=breaker_threshold,
-            workers=workers, group_commit=group_commit, out=out,
+            workers=workers, out=out,
         )
 
     deployment = _build_served_deployment(
-        endpoint, stock, wal, fsync, checkpoint_every,
-        group_commit=group_commit, out=out,
+        endpoint, stock, wal, fsync, checkpoint_every, out=out
     )
     admission = _admission_from_flags(max_queue, rate_limit)
     server = host_deployment(
@@ -617,7 +588,6 @@ def _serve_self_test(
     fsync: bool = False,
     checkpoint_every: int | None = None,
     workers: int = 0,
-    group_commit: "GroupCommitConfig | None" = None,
     max_queue: int | None = None,
     rate_limit: float | None = None,
     breaker_threshold: int | None = None,
@@ -647,7 +617,7 @@ def _serve_self_test(
             fsync=fsync, checkpoint_every=checkpoint_every,
             max_queue=max_queue, rate_limit=rate_limit,
             breaker_threshold=breaker_threshold,
-            workers=workers, group_commit=group_commit, out=out,
+            workers=workers, out=out,
         )
     finally:
         if cleanup is not None:
@@ -668,7 +638,6 @@ def _self_test_two_lives(
     rate_limit: float | None = None,
     breaker_threshold: int | None = None,
     workers: int = 0,
-    group_commit: "GroupCommitConfig | None" = None,
     out=sys.stdout,
 ) -> int:
     def breaker() -> CircuitBreaker | None:
@@ -679,8 +648,7 @@ def _self_test_two_lives(
         )
 
     deployment = _build_served_deployment(
-        endpoint, stock, wal, fsync, checkpoint_every,
-        group_commit=group_commit, out=out,
+        endpoint, stock, wal, fsync, checkpoint_every, out=out
     )
     server = host_deployment(
         deployment, endpoint, host=host, port=port,
@@ -753,8 +721,7 @@ def _self_test_two_lives(
     deployment.close()
     print(f"killed server; restarting from {wal}", file=out)
     deployment = _build_served_deployment(
-        endpoint, stock, wal, fsync, checkpoint_every,
-        group_commit=group_commit, out=out,
+        endpoint, stock, wal, fsync, checkpoint_every, out=out
     )
     report = deployment.recovery_report
     recovered_ok = report is not None and report.healthy
@@ -824,7 +791,6 @@ def run_serve_cluster(
     replicas: int = 0,
     heartbeat_interval: float = 0.2,
     workers: int = 0,
-    group_commit: "GroupCommitConfig | None" = None,
     out=sys.stdout,
 ) -> int:
     """Host a sharded fleet over TCP; returns a process exit code."""
@@ -856,7 +822,6 @@ def run_serve_cluster(
             base_port=base_port,
             admission=admission,
             workers=workers,
-            group_commit=group_commit,
         )
 
     if self_test:
@@ -1646,9 +1611,6 @@ def main(argv: Sequence[str] | None = None, out=sys.stdout) -> int:
             max_queue=args.max_queue, rate_limit=args.rate_limit,
             breaker_threshold=args.breaker_threshold,
             workers=args.workers,
-            group_commit=_group_commit_from_flags(
-                args.group_commit, args.batch_max, args.batch_hold_ms
-            ),
             out=out,
         )
     if args.command == "serve-cluster":
@@ -1661,9 +1623,6 @@ def main(argv: Sequence[str] | None = None, out=sys.stdout) -> int:
             replicas=args.replicas,
             heartbeat_interval=args.heartbeat_interval,
             workers=args.workers,
-            group_commit=_group_commit_from_flags(
-                args.group_commit, args.batch_max, args.batch_hold_ms
-            ),
             out=out,
         )
     if args.command == "call":

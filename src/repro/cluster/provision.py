@@ -61,7 +61,8 @@ def host_deployment(
     ``workers`` dispatch threads; a promotion passes the follower's
     already-listening server instead, which keeps its address and worker
     pool.  Either way the server ends up with the admission controller,
-    the store's transaction mutex and durability barrier, and the
+    the store's transaction mutex, request scope and durability barrier,
+    and the
     endpoint registered with its dispatch keys; a client retrying across
     a restart or a failover re-enters the handler, which renders the
     original reply from the manager's journal row.  (A log an older
@@ -69,7 +70,7 @@ def host_deployment(
     dedup cache, and nothing writes that table any more.)
 
     The server's registry becomes the deployment's too: WAL appends,
-    group-commit batches and the manager's check widths land beside the
+    barrier batches and the manager's check widths land beside the
     request counters, so one ``_metrics`` scrape (``repro top``) covers
     the whole process.
     """

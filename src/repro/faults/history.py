@@ -19,10 +19,11 @@ concurrent hot path must not have traded away:
   twice).
 
 Crash semantics ride the WAL's own: observers hear appends when they
-happen, but an un-fsynced group-commit tail dies with the process.
-Re-attaching after a restart prunes recorded events above the recovered
-LSN — exactly the transactions whose acks were withheld by the
-durability barrier — so batch-boundary recovery is checked, not fudged.
+happen, but lines no barrier had hardened yet — a request's commits
+before its durability call — die with the process.  Re-attaching after
+a restart prunes recorded events above the recovered LSN — exactly the
+transactions whose acks the barrier had not released — so
+batch-boundary recovery is checked, not fudged.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ with the set of *resource keys* it touches; the executor guarantees:
   ``release(stock)`` observes them applied in that order.
 * **Disjoint-key concurrency** — jobs whose key sets do not intersect
   may run on different worker threads at the same time, which is what
-  lets their commit records share one group-commit fsync.
+  lets their commit records share one WAL barrier (write + fsync).
 * **Global barrier for unknown footprints** — a job submitted with
   ``keys=None`` (the dispatcher could not determine what it touches:
   an application action, a release of an unknown promise) is ordered

@@ -36,7 +36,7 @@ single promise manager ordering all checks.  With ``workers>0`` the
 server dispatches through a :class:`~repro.net.executor.KeyedExecutor`:
 requests touching disjoint resource keys execute concurrently on worker
 threads (transactions serialised by the store's mutex, durability waits
-overlapped outside it so many commits share one group-commit fsync),
+overlapped outside it so concurrent commits share one barrier),
 while requests sharing a key — or whose footprint the key function
 cannot determine — keep strict FIFO order.  Dedup, in-flight coalescing
 and admission control behave identically in both modes: all of that
@@ -55,7 +55,7 @@ import threading
 import time
 
 from dataclasses import replace as dc_replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..faults.crashpoints import SimulatedCrash
 from ..obs.metrics import MetricsRegistry, StatsView
@@ -73,6 +73,9 @@ from .framing import (
     encode_frame,
     read_frame_async,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..storage.store import Store
 
 #: Per-endpoint key function for parallel dispatch: maps a decoded
 #: request to the set of resource keys it touches, or ``None`` when the
@@ -176,9 +179,9 @@ class PromiseServer:
         #: with the store's own mutex so other store users (gateways,
         #: recovery sweeps) share the same exclusion.
         self.txn_mutex: threading.RLock = threading.RLock()
-        #: Durability barrier invoked after a handler commits and before
-        #: its reply is released — ``store.wait_durable`` under group
-        #: commit, ``None`` when every append already fsyncs.
+        #: Durability barrier invoked after the ack gate and before a
+        #: reply is released — ``store.wait_durable`` once
+        #: :meth:`attach_store` ran.
         self.durability: Callable[[], None] | None = None
         self._replies: ReplyCache[bytes] = ReplyCache(
             dedup_capacity, max_bytes=dedup_max_bytes
@@ -207,9 +210,11 @@ class PromiseServer:
         #: that cannot replicate stops acknowledging writes clients
         #: would lose on failover.
         self.gate: Callable[[], str | None] | None = None
-        #: What a request's handler runs inside.  A replication sender
-        #: sets its own beside :attr:`gate`, so every transaction of the
-        #: request leaves in the one ship the gate then makes.
+        #: What a request's handler runs inside: the store log's
+        #: request scope once :meth:`attach_store` ran, so the request's
+        #: commits wait for :attr:`durability` (one barrier) and a
+        #: replication sender leaves them to the one ship :attr:`gate`
+        #: makes.
         self.request_scope: Callable[
             [], contextlib.AbstractContextManager[None]
         ] = contextlib.nullcontext
@@ -240,20 +245,17 @@ class PromiseServer:
         """
         self._admission = admission
 
-    def attach_store(self, store: object) -> None:
-        """Adopt a store's transaction mutex and durability barrier.
+    def attach_store(self, store: "Store") -> None:
+        """Adopt a store's transaction mutex, request scope and barrier.
 
-        Parallel dispatch serialises handler transactions on
-        ``store.mutex`` and withholds each ack until ``store.wait_durable``
-        returns, so concurrent commits amortise into group-commit
-        batches.  Harmless (and a no-op in effect) for serial servers.
+        Handler transactions serialise on ``store.mutex``; they run in
+        the store log's request scope, so their commits are hardened
+        by the one ``store.wait_durable`` each request ends with,
+        outside the mutex — concurrent requests' commits share it.
         """
-        mutex = getattr(store, "mutex", None)
-        if mutex is not None:
-            self.txn_mutex = mutex
-        wait = getattr(store, "wait_durable", None)
-        if callable(wait):
-            self.durability = wait
+        self.txn_mutex = store.mutex
+        self.request_scope = store.wal.request_scope
+        self.durability = store.wait_durable
 
     def register(
         self,
@@ -647,12 +649,11 @@ class PromiseServer:
         is durable iff its effect committed, in the same COMMIT, and the
         envelope is rendered from it.  Returns
         ``(reply_bytes, releasable)``; ``releasable=False``
-        marks a withheld ack (retryable fault, never cached).  Under
-        parallel dispatch this runs on a keyed-executor worker: the
-        handler's transaction holds :attr:`txn_mutex`, while the ack
-        gate's ship and the durability wait deliberately happen
-        *outside* it so concurrent commits share one ship and one
-        group-commit fsync.
+        marks a withheld ack (retryable fault, never cached).  Only the
+        handler holds :attr:`txn_mutex`; the ack gate's ship and the
+        durability barrier run *outside* it, with any number of workers
+        — under parallel dispatch concurrent requests then share one
+        ship and one write + fsync.
         """
         with self.request_scope():
             if self._admission is not None:

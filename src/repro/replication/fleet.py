@@ -66,7 +66,6 @@ from ..cluster.partition import PartitionMap
 from ..cluster.provision import AdmissionFactory, Provisioner, host_deployment
 from ..faults.history import HistoryRecorder
 from ..services.deployment import Deployment
-from ..storage.group_commit import GroupCommitConfig
 from ..tools.doctor import Doctor, Finding
 from .routing import ReplicaRouting
 from .shipping import REPL_ENDPOINT, ReplicationReceiver, ReplicationSender
@@ -138,7 +137,6 @@ class ReplicatedFleet:
         admission: AdmissionFactory | None = None,
         base_port: int | None = None,
         workers: int = 0,
-        group_commit: "GroupCommitConfig | None" = None,
         history: "HistoryRecorder | None" = None,
     ) -> None:
         if replicas < 0:
@@ -167,10 +165,8 @@ class ReplicatedFleet:
         self._base_port = base_port
         #: Parallel-dispatch worker count of every server — followers
         #: included, so a promoted follower dispatches the way its
-        #: predecessor did — and the group-commit tuning of every
-        #: primary's WAL.
+        #: predecessor did.
         self._workers = workers
-        self._group_commit = group_commit
         #: Optional isolation auditor: each acting primary's WAL is
         #: attached as it takes office (re-attaching after a restart
         #: prunes the lost tail), so the recorded history follows the
@@ -662,7 +658,6 @@ class ReplicatedFleet:
             wal_path=wal_path,
             fsync=self._fsync,
             auto_checkpoint_every=self._auto_checkpoint_every,
-            group_commit=self._group_commit,
         )
         if self._provision is not None:
             self._provision(deployment, index, self.ring)
@@ -694,7 +689,6 @@ class ReplicatedFleet:
             sender.full_sync_all()
             wal.subscribe(sender.observe)
             server.gate = sender.gate
-            server.request_scope = sender.request_scope
         if self._history is not None:
             self._history.attach(index, wal)
         server.epoch = epoch

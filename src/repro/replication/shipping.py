@@ -10,23 +10,27 @@ tests both with nothing else running).
 The sender subscribes to the primary's
 :class:`~repro.storage.wal.WriteAheadLog`.  The ship unit is the
 *request*: a server runs a request's handler — whose transactions
-carry the reply row with the effect it answers — inside
-:meth:`ReplicationSender.request_scope`, where commits and aborts are
-left alone, and the :meth:`~ReplicationSender.gate` call that follows
-ships what it logged — and whatever other workers committed meanwhile —
-in one batch.  A boundary record logged *outside* a request
-(seeding, ``vacuum()``, a recovery sweep, a read transaction), and a
-CHECKPOINT or CREATE_TABLE anywhere, ships as it is appended.  Each
-follower gets the suffix past its link's cursor — read by bisection
-(:meth:`~repro.storage.wal.WriteAheadLog.since`), never by scanning the
-log — as a ``_repl`` message over the ordinary framed transport, every
-lagging follower's message on its wire before any ack is awaited.  The
-payload is a batch of WAL lines (newline-joined :meth:`LogRecord.to_json`
-output, the log's own file format) which the receiver writes *verbatim*
-into its own file (:meth:`~repro.storage.wal.WriteAheadLog.ingest_lines`:
-one write, one barrier per batch) before it acks the LSN it then holds,
-so the follower's file is the primary's byte for byte — promotion boots
-a deployment straight off it through the normal recovery path.
+carry the reply row with the effect it answers — inside the log's
+:meth:`~repro.storage.wal.WriteAheadLog.request_scope`, where
+:meth:`~ReplicationSender.observe` leaves commits and aborts alone, and
+the :meth:`~ReplicationSender.gate` call that follows ships what it
+logged — and whatever other workers committed meanwhile — in one batch,
+before the request's durability barrier.  A boundary record logged
+*outside* a request (seeding, ``vacuum()``, a recovery sweep, a read
+transaction), and a CHECKPOINT or CREATE_TABLE anywhere, ships as it is
+appended — after the log's barrier has put it on the primary's disk.
+Each follower gets the suffix past its link's cursor — read by
+bisection (:meth:`~repro.storage.wal.WriteAheadLog.since`), never by
+scanning the log — as a ``_repl`` message over the ordinary framed
+transport, every lagging follower's message on its wire before any ack
+is awaited.  The payload is a batch of WAL lines (newline-joined
+:meth:`LogRecord.to_json` output, the log's own file format) which the
+receiver writes *verbatim* into its own file
+(:meth:`~repro.storage.wal.WriteAheadLog.ingest_lines`: one barrier —
+one write and one fsync — per batch) before it acks the LSN it then
+holds, so the follower's file is the primary's byte for byte —
+promotion boots a deployment straight off it through the normal
+recovery path.
 
 Three properties carry the failover guarantees:
 
@@ -46,7 +50,6 @@ Three properties carry the failover guarantees:
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import threading
 import uuid
@@ -58,7 +61,12 @@ from ..protocol.errors import ProtocolError
 from ..protocol.messages import ActionOutcomePayload, ActionPayload, Message
 from ..protocol.retry import RetryPolicy
 from ..storage.errors import RecoveryError
-from ..storage.wal import LogRecord, LogRecordType, WriteAheadLog
+from ..storage.wal import (
+    REQUEST_BOUNDARIES,
+    LogRecord,
+    LogRecordType,
+    WriteAheadLog,
+)
 
 #: Endpoint name the receiver's handler is registered under on every
 #: follower server.  Deliberately underscore-prefixed like ``_ping``:
@@ -70,12 +78,9 @@ REPL_ENDPOINT = "_repl"
 #: delivered and understood, the *sender* is what's wrong.
 FENCED_FAULT_PREFIX = "repl-fenced:"
 
-#: Record types a request scope leaves to the request's gate.
-_REQUEST_TYPES = frozenset({LogRecordType.COMMIT, LogRecordType.ABORT})
-
 #: Record types that close a unit of work; outside a request, appends of
 #: these flush the ship buffer synchronously.
-_FLUSH_TYPES = _REQUEST_TYPES | {
+_FLUSH_TYPES = REQUEST_BOUNDARIES | {
     LogRecordType.CHECKPOINT,
     LogRecordType.CREATE_TABLE,
 }
@@ -116,8 +121,8 @@ class _FollowerLink:
 class ReplicationSender:
     """Ship one primary's WAL to its followers, one batch per request.
 
-    Subscribe :meth:`observe` to the primary's WAL and put
-    :meth:`request_scope` and :meth:`gate` on its server.  Each link's
+    Subscribe :meth:`observe` to the primary's WAL and put :meth:`gate`
+    on its server (whose request scope is the WAL's).  Each link's
     unacked suffix is read from the log's in-memory records (which a
     checkpoint truncates to a snapshot the receiver applies as a
     whole-file replace), so a follower unreachable for any length of
@@ -150,8 +155,6 @@ class ReplicationSender:
         #: would be answered from the cache of the stream it replaces.
         self._ids = itertools.count(1)
         self._stream = f"repl:{group}:{epoch}:{uuid.uuid4().hex[:8]}"
-        #: Per thread: how many request scopes it is inside.
-        self._requests = threading.local()
         #: Simulated network partition from every follower: flushes fail
         #: without touching a socket.  The chaos nemesis flips this.
         self.blocked = False
@@ -230,27 +233,15 @@ class ReplicationSender:
 
     # ------------------------------------------------------------ shipping
 
-    @contextlib.contextmanager
-    def request_scope(self) -> Iterator[None]:
-        """One request's work on this thread: the commits and aborts
-        logged inside are shipped together by the :meth:`gate` call the
-        server makes next, not one by one as they are appended.  Plugged
-        into :attr:`~repro.net.server.PromiseServer.request_scope` where
-        :meth:`gate` is, and only there: a commit nothing gates
-        afterwards must ship at its own boundary."""
-        self._requests.depth = getattr(self._requests, "depth", 0) + 1
-        try:
-            yield
-        finally:
-            self._requests.depth -= 1
-
     def observe(self, record: LogRecord) -> None:
         """WAL observer: flush the unacked suffix at txn boundaries,
-        except a request's own — those its gate ships.  Intermediate
-        records (BEGIN, PUT, DELETE) ride along with the boundary record
-        that closes their transaction."""
+        except those the log says belong to a request
+        (:meth:`~repro.storage.wal.WriteAheadLog.in_request`) — the
+        request's gate ships them.  Intermediate records (BEGIN, PUT,
+        DELETE) ride along with the boundary record that closes their
+        transaction."""
         kind = record.record_type
-        if kind in _REQUEST_TYPES and getattr(self._requests, "depth", 0):
+        if kind in REQUEST_BOUNDARIES and self._wal.in_request():
             return
         if kind in _FLUSH_TYPES:
             self.flush()

@@ -67,7 +67,9 @@ class Deployment:
         # shared registry (``wal.appends`` / ``wal.commits`` /
         # ``wal.checkpoints``), gives the promise manager somewhere to
         # report check width and the live-promise count, and routes
-        # recovery audits through it.
+        # recovery audits through it.  ``group_commit`` is accepted and
+        # ignored (the WAL has one write path), for callers not yet moved
+        # off it.
         self.name = name
         self.clock = clock or LogicalClock()
         self.metrics = metrics
@@ -76,7 +78,6 @@ class Deployment:
             fsync=fsync,
             auto_checkpoint_every=auto_checkpoint_every,
             fault_scope=fault_scope,
-            group_commit=group_commit,
         )
         if metrics is not None:
             self.store.wal.set_metrics(metrics)

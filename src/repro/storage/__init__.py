@@ -8,6 +8,7 @@ behind the paper prototype's Resource Manager (Greenfield et al., Section 8).
 from .errors import (
     DeadlockDetected,
     DuplicateKey,
+    DurabilityError,
     KeyNotFound,
     LockTimeout,
     RecoveryError,
@@ -17,7 +18,6 @@ from .errors import (
     TransactionError,
     TransactionStateError,
 )
-from .group_commit import GroupCommitConfig, GroupCommitter
 from .locks import LockManager, LockMode, LockStatus
 from .store import Store
 from .transactions import Savepoint, Transaction, TransactionStatus
@@ -26,8 +26,7 @@ from .wal import LogRecord, LogRecordType, WriteAheadLog
 __all__ = [
     "DeadlockDetected",
     "DuplicateKey",
-    "GroupCommitConfig",
-    "GroupCommitter",
+    "DurabilityError",
     "KeyNotFound",
     "LockManager",
     "LockMode",

@@ -71,3 +71,11 @@ class DuplicateKey(StorageError):
 
 class RecoveryError(StorageError):
     """The write-ahead log could not be replayed into a consistent state."""
+
+
+class DurabilityError(StorageError):
+    """A write or fsync of the write-ahead log failed.
+
+    Nothing the failed barrier covered may be acknowledged, and the log
+    stays failed: every later barrier raises this too.
+    """

@@ -1,218 +1,21 @@
-"""Group commit: one fsync makes a whole batch of transactions durable.
+"""The retired group-commit tuning, kept importable and inert.
 
-The serial WAL discipline — flush (and optionally fsync) every record as
-it is appended — charges each committing transaction the full price of a
-disk barrier.  Under concurrent load that price dominates: eight
-transactions committing within a millisecond of each other pay for eight
-fsyncs when one would have made all of them durable.
-
-Group commit decouples *appending* from *hardening*.  Appenders write
-their records into a shared in-memory buffer and return immediately; a
-single flusher thread drains the buffer, writes it to the log file in
-one call, issues one ``fsync``, and then releases every transaction
-whose commit record made it into that batch.  Two knobs bound the added
-latency:
-
-* ``max_batch`` — the flusher never waits for more than this many
-  records before hardening what it has;
-* ``max_hold`` — nor longer than this many seconds after the first
-  unhardened record arrived, so a lone transaction on an idle system is
-  not parked waiting for company.
-
-Crash semantics: records the flusher has not hardened yet can be lost.
-That is safe *because* acknowledgement waits for hardening — a commit
-record lost with its batch belongs to a transaction whose client never
-saw an ack (see :meth:`GroupCommitLog.wait_durable`), and WAL replay
-folds only committed transactions, so a lost batch suffix rolls the
-store back to exactly the acknowledged prefix.  DESIGN.md's
-"Concurrency & group commit" section walks through the batch-boundary
-recovery argument.
+The WAL has one write path (:mod:`repro.storage.wal`): the committing
+thread hardens its own batch, so there is no flusher to tune.  This
+dataclass survives only because ``benchmarks/perf`` still builds one and
+passes it to ``Store`` / ``Deployment``, which accept and ignore it, and
+reads its fields for its report.  Nothing in ``src/`` constructs it.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-import time
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Callable
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True)
 class GroupCommitConfig:
-    """Tuning for the batch flusher.
-
-    ``max_batch`` caps how many records accumulate before a flush is
-    forced; ``max_hold`` caps how long (seconds) the first record of a
-    batch may wait for companions.  ``fsync`` controls whether hardening
-    means an fsync barrier (power-loss durability) or just a flush to
-    the OS (process-crash durability) — matching the WAL's own
-    ``fsync`` flag.
-    """
+    """Accepted and ignored: the fields a benchmark report still reads."""
 
     max_batch: int = 64
     max_hold: float = 0.002
     fsync: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        if self.max_hold < 0:
-            raise ValueError("max_hold cannot be negative")
-
-
-class GroupCommitter:
-    """The shared buffer + flusher thread behind a group-commit WAL.
-
-    The owning :class:`~repro.storage.wal.WriteAheadLog` calls
-    :meth:`enqueue` with each serialised record line (under its own
-    mutex, so lines arrive in LSN order) and :meth:`wait_durable` when a
-    caller needs a durability barrier.  The flusher drains the buffer,
-    writes and hardens it in one go, then publishes the highest LSN it
-    hardened and wakes every waiter at or below it.
-    """
-
-    def __init__(
-        self,
-        config: GroupCommitConfig,
-        handle_of: Callable[[], IO[str] | None],
-        metrics: "MetricsRegistry | None" = None,
-    ) -> None:
-        self.config = config
-        #: The WAL's *current* file handle, fetched per flush — a
-        #: checkpoint swaps the file out from under us, so the committer
-        #: must never cache it.
-        self._handle_of = handle_of
-        self._metrics = metrics
-        self._lock = threading.Lock()
-        self._has_work = threading.Condition(self._lock)
-        self._durable = threading.Condition(self._lock)
-        self._pending: list[tuple[int, str]] = []
-        self._durable_lsn = 0
-        self._closed = False
-        self._first_enqueued_at: float | None = None
-        self._thread = threading.Thread(
-            target=self._run, name="wal-group-commit", daemon=True
-        )
-        self._thread.start()
-
-    # ---------------------------------------------------------------- API
-
-    @property
-    def durable_lsn(self) -> int:
-        """Highest LSN hardened so far."""
-        with self._lock:
-            return self._durable_lsn
-
-    def enqueue(self, lsn: int, line: str) -> None:
-        """Buffer one serialised record for the next batch."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("group committer is closed")
-            if not self._pending:
-                self._first_enqueued_at = time.monotonic()
-            self._pending.append((lsn, line))
-            # Wake the flusher either way: a full batch flushes at once,
-            # a partial one starts its hold-timer from the first record
-            # rather than the next poll tick.
-            self._has_work.notify_all()
-
-    def wait_durable(self, lsn: int, timeout: float = 30.0) -> None:
-        """Block until every record at or below ``lsn`` is hardened.
-
-        This is the ack gate of group commit: a server must not release
-        a reply whose commit record is still sitting in the buffer.
-        Raises ``TimeoutError`` if the flusher cannot harden within
-        ``timeout`` seconds (a wedged disk; far beyond any configured
-        hold time).
-        """
-        deadline = time.monotonic() + timeout
-        with self._lock:
-            while self._durable_lsn < lsn:
-                if self._closed:
-                    # close() hardens everything first; if the LSN still
-                    # is not durable the caller raced a teardown.
-                    raise RuntimeError(
-                        "group committer closed before "
-                        f"LSN {lsn} became durable"
-                    )
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        f"LSN {lsn} not durable after {timeout:.1f}s "
-                        f"(durable up to {self._durable_lsn})"
-                    )
-                self._has_work.notify_all()
-                self._durable.wait(min(remaining, 0.05))
-
-    def flush_now(self) -> None:
-        """Synchronously harden everything buffered so far."""
-        with self._lock:
-            target = self._pending[-1][0] if self._pending else 0
-        if target:
-            self.wait_durable(target)
-
-    def close(self) -> None:
-        """Harden the remaining buffer and stop the flusher (idempotent)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._has_work.notify_all()
-        self._thread.join(timeout=10)
-
-    # ------------------------------------------------------------ flusher
-
-    def _run(self) -> None:
-        while True:
-            with self._lock:
-                while not self._pending and not self._closed:
-                    self._has_work.wait(0.05)
-                if self._closed and not self._pending:
-                    self._durable.notify_all()
-                    return
-                # Hold for companions unless the batch is already full,
-                # the hold timer expired, or we are draining on close.
-                if (
-                    not self._closed
-                    and len(self._pending) < self.config.max_batch
-                ):
-                    first_at = self._first_enqueued_at or time.monotonic()
-                    hold_left = self.config.max_hold - (
-                        time.monotonic() - first_at
-                    )
-                    if hold_left > 0:
-                        self._has_work.wait(hold_left)
-                batch = self._pending
-                self._pending = []
-                self._first_enqueued_at = None
-            if batch:
-                self._flush_batch(batch)
-
-    def _flush_batch(self, batch: list[tuple[int, str]]) -> None:
-        highest = batch[-1][0]
-        handle = self._handle_of()
-        if handle is not None:
-            try:
-                handle.write("".join(line for __, line in batch))
-                handle.flush()
-                if self.config.fsync:
-                    os.fsync(handle.fileno())
-            except (OSError, ValueError):
-                # The handle died under us (close/checkpoint race or a
-                # genuinely failed disk).  Waiters must not hang forever
-                # on an unhardenable batch; surface via metrics and
-                # release them — the in-memory log still has the
-                # records, exactly like an in-memory WAL.
-                if self._metrics is not None:
-                    self._metrics.inc("wal.batch.flush_errors")
-        if self._metrics is not None:
-            self._metrics.inc("wal.batch.flushes")
-            self._metrics.inc("wal.batch.records", len(batch))
-            self._metrics.observe("wal.batch.size", float(len(batch)))
-        with self._lock:
-            self._durable_lsn = max(self._durable_lsn, highest)
-            self._durable.notify_all()

@@ -61,23 +61,20 @@ class Store:
         fault_scope: str | None = None,
         group_commit: GroupCommitConfig | None = None,
     ) -> None:
+        # ``group_commit`` is accepted and ignored: the log has one
+        # write path.  Kept for callers not yet moved off it.
         if auto_checkpoint_every is not None and auto_checkpoint_every < 1:
             raise ValueError("auto_checkpoint_every must be positive")
         self._tables: dict[str, dict[str, object]] = {}
         self._locks = LockManager()
         self._fault_scope = fault_scope
-        self._wal = WriteAheadLog(
-            wal_path,
-            fsync=fsync,
-            fault_scope=fault_scope,
-            group_commit=group_commit,
-        )
+        self._wal = WriteAheadLog(wal_path, fsync=fsync, fault_scope=fault_scope)
         #: Serialises whole transactions across threads.  The in-memory
         #: structures (tables, undo logs, the lock table) are not
-        #: internally synchronised; a parallel dispatcher runs each
-        #: handler's transaction while holding this, then overlaps the
-        #: *durability wait* (see :meth:`wait_durable`) outside it —
-        #: which is where group commit earns its batches.
+        #: internally synchronised; a server runs each handler's
+        #: transactions while holding this, then calls
+        #: :meth:`wait_durable` outside it — which is where concurrent
+        #: requests' commits share one barrier.
         self.mutex = threading.RLock()
         self._auto_checkpoint_every = auto_checkpoint_every
         # Continue txn numbering past anything the log already mentions,
@@ -96,8 +93,8 @@ class Store:
     def create_table(self, name: str) -> None:
         """Create ``name`` if absent (idempotent, WAL-logged)."""
         if name not in self._tables:
-            self._tables[name] = {}
             self._wal.append(LogRecordType.CREATE_TABLE, table=name)
+            self._tables[name] = {}
 
     def drop_table(self, name: str) -> None:
         """Remove ``name`` and all its rows."""
@@ -120,10 +117,10 @@ class Store:
     # ----------------------------------------------------- transaction API
 
     def begin(self) -> Transaction:
-        """Start a new transaction."""
+        """Start a new transaction (refused once the log has failed)."""
         txn = Transaction(self, next(self._txn_ids))
-        self._active[txn.txn_id] = txn
         self._wal.append(LogRecordType.BEGIN, txn_id=txn.txn_id)
+        self._active[txn.txn_id] = txn
         crash_point("store.after-begin", self._fault_scope)
         return txn
 
@@ -158,11 +155,12 @@ class Store:
         self._wal.checkpoint(snapshot)
 
     def wait_durable(self, lsn: int | None = None) -> None:
-        """Durability barrier over the WAL (no-op outside group commit).
+        """Durability barrier over the WAL: everything logged so far (or
+        up to ``lsn``) is hardened when it returns.
 
-        Callers that must not acknowledge work before it is hardened —
-        the networked server releasing a reply — invoke this *after*
-        leaving :attr:`mutex`, so many transactions ride one fsync.
+        A commit outside a request is hardened before it returns; a
+        server ends each request with this *after* leaving
+        :attr:`mutex`, so concurrent requests ride one write and fsync.
         """
         self._wal.wait_durable(lsn)
 

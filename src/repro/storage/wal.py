@@ -6,23 +6,43 @@ deliberately simple — physical REDO images keyed by (table, key) — because
 the substrate only needs to honour the ACID contract the prototype relies on
 (paper, §8), not compete with a production engine.
 
-Durability discipline:
+The invariant, whatever writes the file (``tests/storage/
+test_one_write_path.py`` tests it apart from the code): **acked ⇒
+hardened; the file is a byte prefix of the log; nothing is written after
+a crash.**  The mechanism is one write path:
 
-* appends go through one persistent file handle and are flushed per
-  record; ``fsync=True`` additionally fsyncs each append, trading
-  throughput for power-loss durability;
-* a *torn tail* — the final line cut short by a crash mid-append — is
+* :meth:`WriteAheadLog.append` renders each record's line into a pending
+  buffer and writes nothing.  One routine, the *barrier*, writes the
+  file: the first thread that needs durability writes, flushes and
+  (``fsync=True``) fsyncs everything pending in one call; threads that
+  arrive meanwhile wait for it, then find their LSN covered or lead the
+  next batch.  Batches form only while a barrier is in progress — no
+  flusher thread, no timer, a lone commit never waits for company.
+* Outside a request (:meth:`WriteAheadLog.request_scope`) every COMMIT,
+  ABORT and CREATE_TABLE is a barrier, so an in-process commit returns
+  hardened.  Inside one, hardening waits for the request's
+  :meth:`WriteAheadLog.wait_durable`, which a server calls after its ack
+  gate: one barrier per request.
+* A write or fsync that fails latches the log: the barrier raises
+  :class:`~repro.storage.errors.DurabilityError` to every waiter,
+  ``durable_lsn`` does not move, every later barrier raises too, and no
+  new transaction starts (nor is a line buffered that nothing drains).
+* Once the owning scope has simulated-crashed the disk is frozen: no
+  barrier writes anything, pending lines included.
+* A *torn tail* — the final line cut short by a crash mid-append — is
   logged, dropped, and truncated away rather than making the log
   unopenable; corruption anywhere *before* the tail still raises, since
-  dropping committed history would be silent data loss;
-* :meth:`checkpoint` writes the snapshot to a temporary file and
-  atomically ``os.replace``\\ s it over the log, so a crash at any point
-  leaves either the full old log or the complete checkpoint — never an
-  empty or half-written file.
+  dropping committed history would be silent data loss.
+* :meth:`WriteAheadLog.checkpoint` hardens what is pending into the old
+  file, writes the snapshot to a temporary file and atomically
+  ``os.replace``\\ s it over the log, so a crash at any point leaves
+  either the full old log or the complete checkpoint — never an empty or
+  half-written file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import logging
@@ -35,8 +55,7 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterator
 
 from ..faults.crashpoints import SimulatedCrash, crash_point, crashed, should_crash
-from .errors import RecoveryError
-from .group_commit import GroupCommitConfig, GroupCommitter
+from .errors import DurabilityError, RecoveryError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.metrics import MetricsRegistry
@@ -56,6 +75,15 @@ class LogRecordType(enum.Enum):
     COMMIT = "commit"
     ABORT = "abort"
     CHECKPOINT = "checkpoint"
+
+
+#: Boundaries a request leaves to its own barrier (and a replication
+#: sender to its gate); outside a request each is one.  CREATE_TABLE is
+#: a barrier anywhere, and a CHECKPOINT hardens itself.
+REQUEST_BOUNDARIES = frozenset({LogRecordType.COMMIT, LogRecordType.ABORT})
+
+#: Records a failed log refuses: new work, not the rest of a transaction.
+_NEW_WORK = frozenset({LogRecordType.BEGIN, LogRecordType.CREATE_TABLE})
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,7 +145,6 @@ class WriteAheadLog:
         *,
         fsync: bool = False,
         fault_scope: str | None = None,
-        group_commit: GroupCommitConfig | None = None,
     ) -> None:
         self._records: list[LogRecord] = []
         self._next_lsn = 1
@@ -135,6 +162,21 @@ class WriteAheadLog:
         #: Replication taps: called with each record the local process
         #: successfully logged (appends and checkpoints, never ingests).
         self._observers: list[Callable[[LogRecord], None]] = []
+        #: Per thread: how many request scopes it is inside.
+        self._requests = threading.local()
+        #: The barrier's state, guarded by its own lock (taken after the
+        #: log mutex, never before it): lines not yet written, the LSN of
+        #: the last of them, the LSN the file is hardened to, whether a
+        #: barrier is writing, and the latched failure.  Only a request's
+        #: barrier (:meth:`wait_durable`) runs without the log mutex, so
+        #: observers hear records in LSN order (DESIGN "One write path").
+        self._barrier = threading.Condition(threading.Lock())
+        self._pending: list[str] = []
+        self._buffered_lsn = 0
+        self._durable_lsn = 0
+        self._writing = False
+        self._failure: OSError | None = None
+        self._metrics: "MetricsRegistry | None" = None
         #: Human-readable notes recovery surfaces (torn tail drops etc.).
         self.recovery_notes: list[str] = []
         if self._path is not None:
@@ -149,14 +191,7 @@ class WriteAheadLog:
             if self._path.exists():
                 self._load()
             self._handle = self._path.open("a", encoding="utf-8")
-        #: Group-commit mode: appends buffer their serialised lines with
-        #: the committer and :meth:`wait_durable` is the (batched)
-        #: durability barrier, instead of flush/fsync per append.
-        self._committer: GroupCommitter | None = None
-        if group_commit is not None and self._path is not None:
-            self._committer = GroupCommitter(
-                group_commit, handle_of=lambda: self._handle
-            )
+            self._buffered_lsn = self._durable_lsn = self.last_lsn
 
     def __len__(self) -> int:
         return len(self._records)
@@ -191,49 +226,62 @@ class WriteAheadLog:
         )
 
     @property
-    def group_commit(self) -> GroupCommitConfig | None:
-        """The group-commit configuration, when batching is active."""
-        return self._committer.config if self._committer is not None else None
-
-    @property
     def durable_lsn(self) -> int:
-        """Highest LSN known hardened.
-
-        Without group commit every append hardens synchronously, so the
-        whole log is durable; with it, the committer's high-water mark.
-        """
-        if self._committer is None:
+        """Highest LSN hardened in the file (every LSN for an in-memory
+        log, which has nothing to harden)."""
+        if self._path is None:
             return self.last_lsn
-        return self._committer.durable_lsn
+        return self._durable_lsn
 
-    def wait_durable(self, lsn: int | None = None, timeout: float = 30.0) -> None:
-        """Durability barrier: block until ``lsn`` (default: everything
-        appended so far) is hardened.  A no-op outside group-commit mode
-        — the per-append flush/fsync already ran."""
-        if self._committer is None:
-            return
+    @contextlib.contextmanager
+    def request_scope(self) -> Iterator[None]:
+        """One request's work on this thread: the COMMITs and ABORTs
+        logged inside are not barriers — the request's
+        :meth:`wait_durable` hardens them together, and a replication
+        sender leaves them to the request's gate (:meth:`in_request`).
+        Installed as :attr:`~repro.net.server.PromiseServer.request_scope`
+        by :meth:`~repro.net.server.PromiseServer.attach_store`, beside
+        the durability call that ends it."""
+        depth = getattr(self._requests, "depth", 0)
+        self._requests.depth = depth + 1
+        try:
+            yield
+        finally:
+            self._requests.depth = depth
+
+    def in_request(self) -> bool:
+        """True inside :meth:`request_scope` on the calling thread."""
+        return getattr(self._requests, "depth", 0) > 0
+
+    def wait_durable(self, lsn: int | None = None) -> None:
+        """The ack barrier: return once ``lsn`` (default: everything
+        logged so far) is hardened.
+
+        Raises :class:`DurabilityError` when the log failed, and
+        :class:`SimulatedCrash` when its scope crashed first — a dead
+        process acknowledges nothing.
+        """
         target = self.last_lsn if lsn is None else lsn
-        if target <= 0:
-            return
-        self._committer.wait_durable(target, timeout=timeout)
+        self._harden(target)
+        if self.durable_lsn < target and crashed(self._fault_scope):
+            raise SimulatedCrash("wal.frozen")
 
     def set_metrics(self, registry: "MetricsRegistry | None") -> None:
         """Route ``wal.batch.*`` counters into ``registry``."""
-        if self._committer is not None:
-            self._committer._metrics = registry
+        self._metrics = registry
 
     def close(self) -> None:
-        """Close the backing file handle (idempotent).
+        """Harden what is pending, then close the file (idempotent).
 
-        In group-commit mode the buffered batch is hardened first, so a
-        clean shutdown never loses acknowledged work."""
-        if self._committer is not None:
-            self._committer.close()
-        self._close_handle()
+        A failed log closes without writing: it is latched."""
+        with self._mutex:
+            try:
+                if self._failure is None:
+                    self._harden(self.last_lsn)
+            finally:
+                self._close_handle()
 
     def _close_handle(self) -> None:
-        """Close only the file handle (checkpoint swaps need this while
-        keeping the group committer alive)."""
         if self._handle is not None:
             self._handle.close()
             self._handle = None
@@ -243,11 +291,12 @@ class WriteAheadLog:
 
         This is the hook WAL shipping hangs off: a replication sender
         subscribes and forwards each record to the shard's followers.
-        Observers run synchronously after the local write so a record is
-        never shipped before it exists on the primary's own disk; they
-        are *not* called for :meth:`ingest`\\ ed records (a follower does
-        not re-ship what its primary sent it) nor once the owning scope
-        has simulated-crashed (a dead process ships nothing).
+        Observers run synchronously after the record's barrier, so a
+        boundary outside a request is never shipped before it is on the
+        primary's own disk; they are *not* called for :meth:`ingest`\\ ed
+        records (a follower does not re-ship what its primary sent it)
+        nor once the owning scope has simulated-crashed (a dead process
+        ships nothing).
         """
         self._observers.append(observer)
 
@@ -272,14 +321,13 @@ class WriteAheadLog:
         key: str | None = None,
         value: object | None = None,
     ) -> LogRecord:
-        """Append a record, assigning the next LSN, and persist if filed.
-
-        With group commit active the serialised line is handed to the
-        batch committer instead of being written (and fsynced) inline;
-        durability then arrives at the next batch flush, and callers
-        needing a barrier use :meth:`wait_durable`.
-        """
+        """Append a record, assigning the next LSN; its line is pending
+        until a barrier writes it — at once, for a boundary record
+        outside a request.  A failed log raises :class:`DurabilityError`
+        for a BEGIN or CREATE_TABLE, before anything changes."""
         with self._mutex:
+            if record_type in _NEW_WORK:
+                self._raise_if_failed()
             record = LogRecord(
                 lsn=self._next_lsn,
                 record_type=record_type,
@@ -294,21 +342,85 @@ class WriteAheadLog:
             if self._handle is not None and not crashed(self._fault_scope):
                 line = record.to_json() + "\n"
                 if should_crash("wal.torn-append", self._fault_scope):
-                    # Power loss mid-append: half the record reaches disk.
-                    if self._committer is not None:
-                        self._committer.flush_now()
-                    self._handle.write(line[: max(1, len(line) // 2)])
-                    self._handle.flush()
+                    # Power loss mid-append: what is pending reaches the
+                    # disk, then half of this record.
+                    self._buffer(record.lsn, line[: max(1, len(line) // 2)])
+                    self._harden(record.lsn, dying=True)
                     raise SimulatedCrash("wal.torn-append")
-                if self._committer is not None:
-                    self._committer.enqueue(record.lsn, line)
-                else:
-                    self._handle.write(line)
-                    self._handle.flush()
-                    if self._fsync:
-                        os.fsync(self._handle.fileno())
+                self._buffer(record.lsn, line)
+            if record_type is LogRecordType.CREATE_TABLE or (
+                record_type in REQUEST_BOUNDARIES and not self.in_request()
+            ):
+                self._harden(record.lsn)
             self._notify(record)
             return record
+
+    def _buffer(self, lsn: int, line: str) -> None:
+        """Queue a line for the next barrier (log mutex held; not once failed)."""
+        with self._barrier:
+            if self._failure is None:
+                self._pending.append(line)
+                self._buffered_lsn = lsn
+
+    def _raise_if_failed(self) -> None:
+        if self._failure is not None:
+            raise DurabilityError(
+                f"{self._path}: log write failed: {self._failure}"
+            ) from self._failure
+
+    def _harden(self, lsn: int, *, dying: bool = False) -> None:
+        """The barrier, and the one routine that writes the log file.
+
+        Returns once the file holds everything up to ``lsn``: the first
+        caller to find it unwritten takes *all* pending lines, releases
+        the lock and writes, flushes and (``fsync=True``) fsyncs them in
+        one call; callers arriving meanwhile wait, then find their LSN
+        covered or lead the next batch.  A failed write latches the log
+        and raises to every caller, now and later.  Does nothing for a
+        closed or in-memory log, nor once the scope has crashed (the
+        torn append passes ``dying`` to write its last gasp); returns
+        early, too, when what covers ``lsn`` was never buffered (logged
+        while closed or crashed).
+        """
+        with self._barrier:
+            while self._durable_lsn < lsn:
+                self._raise_if_failed()
+                if self._handle is None or (
+                    crashed(self._fault_scope) and not dying
+                ):
+                    return
+                if self._writing:
+                    self._barrier.wait()
+                    continue
+                if not self._pending:
+                    return  # ``lsn`` was logged while nothing was buffered
+                lines, self._pending = self._pending, []
+                top, handle = self._buffered_lsn, self._handle
+                self._writing = True
+                self._barrier.release()
+                failure: OSError | None = None
+                try:
+                    handle.write("".join(lines))
+                    handle.flush()
+                    if self._fsync:
+                        os.fsync(handle.fileno())
+                except OSError as exc:  # latched: raised at the loop's top
+                    failure = exc
+                finally:
+                    self._barrier.acquire()
+                    self._writing = False
+                    self._barrier.notify_all()
+                if failure is None:
+                    self._durable_lsn = top
+                else:
+                    self._failure = failure
+                if self._metrics is not None:
+                    if failure is None:
+                        self._metrics.inc("wal.batch.flushes")
+                        self._metrics.inc("wal.batch.records", len(lines))
+                        self._metrics.observe("wal.batch.size", float(len(lines)))
+                    else:
+                        self._metrics.inc("wal.batch.flush_errors")
 
     def since(self, lsn: int) -> list[LogRecord]:
         """Records with an LSN above ``lsn``, oldest first.
@@ -347,10 +459,10 @@ class WriteAheadLog:
         the LSN the primary assigned.  Records at or below
         :attr:`last_lsn` were already applied (the sender re-ships its
         backlog after a transient failure) and are skipped, making
-        delivery idempotent.  The batch costs one write, one flush and
-        (``fsync=True``) one barrier; a CHECKPOINT inside it hardens
-        what precedes it and then truncates the file exactly as a local
-        checkpoint would.  Returns how many records advanced the log.
+        delivery idempotent.  The batch is one barrier, before the
+        receiver acks it; a CHECKPOINT inside it hardens what precedes
+        it and then swaps the file exactly as a local checkpoint would.
+        Returns how many records advanced the log.
         """
         entries = [
             (LogRecord.from_json(line), line)
@@ -362,42 +474,20 @@ class WriteAheadLog:
 
     def _ingest_locked(self, entries: list[tuple[LogRecord, str]]) -> int:
         applied = 0
-        unwritten: list[str] = []
         for record, line in entries:
             if record.lsn <= self.last_lsn:
                 continue
             if record.record_type is LogRecordType.CHECKPOINT:
-                self._harden(unwritten)
-                unwritten = []
-                if self._path is not None and not crashed(self._fault_scope):
-                    tmp = self._tmp_path()
-                    with tmp.open("w", encoding="utf-8") as handle:
-                        handle.write(line + "\n")
-                        handle.flush()
-                        if self._fsync:
-                            os.fsync(handle.fileno())
-                    self._close_handle()
-                    os.replace(tmp, self._path)
-                    self._handle = self._path.open("a", encoding="utf-8")
-                self._records = [record]
-                self._since_checkpoint = 0
+                self._swap_in(record, line + "\n")
             else:
                 self._records.append(record)
                 self._since_checkpoint += 1
-                unwritten.append(line)
+                if self._handle is not None and not crashed(self._fault_scope):
+                    self._buffer(record.lsn, line + "\n")
             self._next_lsn = record.lsn + 1
             applied += 1
-        self._harden(unwritten)
+        self._harden(self.last_lsn)
         return applied
-
-    def _harden(self, lines: list[str]) -> None:
-        """One write, one flush, one barrier for ``lines``."""
-        if not lines or self._handle is None or crashed(self._fault_scope):
-            return
-        self._handle.write("\n".join(lines) + "\n")
-        self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
 
     def checkpoint(self, snapshot: dict[str, dict[str, object]]) -> LogRecord:
         """Write a CHECKPOINT carrying a full store snapshot and truncate.
@@ -408,26 +498,27 @@ class WriteAheadLog:
         intact, never a destroyed one.
         """
         with self._mutex:
-            return self._checkpoint_locked(snapshot)
+            record = LogRecord(
+                lsn=self._next_lsn,
+                record_type=LogRecordType.CHECKPOINT,
+                value=snapshot,
+            )
+            self._swap_in(record, record.to_json() + "\n")
+            self._next_lsn += 1
+            self._notify(record)
+            return record
 
-    def _checkpoint_locked(
-        self, snapshot: dict[str, dict[str, object]]
-    ) -> LogRecord:
-        if self._committer is not None:
-            # Harden the buffered batch into the *old* file first: its
-            # waiters' LSNs predate the checkpoint and must not be left
-            # pointing at lines that never reached any disk.
-            self._committer.flush_now()
-        record = LogRecord(
-            lsn=self._next_lsn,
-            record_type=LogRecordType.CHECKPOINT,
-            value=snapshot,
-        )
-        self._next_lsn += 1
+    def _swap_in(self, record: LogRecord, line: str) -> None:
+        """Make ``record`` the whole log, in memory and on disk.
+
+        What is pending is hardened into the *old* file first: its
+        waiters' LSNs predate the checkpoint and must not be left
+        pointing at lines that never reached any disk."""
+        self._harden(record.lsn - 1)
         if self._path is not None and not crashed(self._fault_scope):
             tmp = self._tmp_path()
             with tmp.open("w", encoding="utf-8") as handle:
-                handle.write(record.to_json() + "\n")
+                handle.write(line)
                 handle.flush()
                 if self._fsync:
                     os.fsync(handle.fileno())
@@ -441,17 +532,17 @@ class WriteAheadLog:
                 # the directory block reaches disk can resurrect the old
                 # log (or the temp name) after the checkpoint was
                 # acknowledged.  Fsyncing the parent directory pins the
-                # rename, matching the fsync discipline of appends.
+                # rename.
                 dir_fd = os.open(self._path.parent, os.O_RDONLY)
                 try:
                     os.fsync(dir_fd)
                 finally:
                     os.close(dir_fd)
             self._handle = self._path.open("a", encoding="utf-8")
+            with self._barrier:
+                self._buffered_lsn = self._durable_lsn = record.lsn
         self._records = [record]
         self._since_checkpoint = 0
-        self._notify(record)
-        return record
 
     def replay(self) -> dict[str, dict[str, object]]:
         """Fold the log into table->key->value state of committed work.

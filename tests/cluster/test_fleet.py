@@ -144,8 +144,10 @@ class TestFleetLifecycle:
 class TestShardCrashMidScatter:
     def test_crash_after_grant_is_compensated(self, fleet):
         """The victim grants its sub-promise, commits, then 'dies' before
-        replying.  Redeliver-then-release must find the journaled grant
-        and release it — no orphan, no over-grant."""
+        its barrier and its reply.  A dead shard acks nothing — not even
+        the compensation's redelivery — so the compensation waits; once
+        the shard is back, redeliver-then-release settles whatever its
+        log kept — no orphan, no over-grant."""
         a, b = cross_pair(fleet.ring)
         victim = fleet.ring.shard_of(b)
         install("manager.after-grant-before-reply", scope=f"shard-{victim}")
@@ -158,6 +160,11 @@ class TestShardCrashMidScatter:
                 30,
             )
             assert not response.accepted
+            assert gateway.pending_compensations == 1
+            fleet.kill(victim)
+            clear()
+            fleet.restart(victim)
+            gateway.flush_pending()
             assert gateway.pending_compensations == 0
         assert_no_orphans(fleet)
 

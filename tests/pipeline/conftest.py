@@ -1,9 +1,9 @@
 """Shared builders for the pipelined hot-path suite.
 
-Everything here wires the full concurrent stack the issue describes: a
-WAL-backed deployment in group-commit mode, a :class:`PromiseServer`
-with parallel keyed dispatch, and message builders matching the shop
-idiom the rest of the test tree uses.
+Everything here wires the full concurrent stack: a WAL-backed
+deployment, a :class:`PromiseServer` with parallel keyed dispatch whose
+requests each end in one WAL barrier, and message builders matching the
+shop idiom the rest of the test tree uses.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.protocol.messages import Message
 from repro.recovery import ReplyJournal
 from repro.services.deployment import Deployment
 from repro.services.merchant import MerchantService
-from repro.storage.group_commit import GroupCommitConfig
 
 PRODUCTS = 8
 STOCK = 100
@@ -30,15 +29,8 @@ def build_shop(
     tmp_path,
     products: int = PRODUCTS,
     stock: int = STOCK,
-    group_commit: GroupCommitConfig | None = GroupCommitConfig(
-        max_batch=32, max_hold=0.002, fsync=False
-    ),
 ) -> Deployment:
-    shop = Deployment(
-        name="shop",
-        wal_path=str(tmp_path / "shop.wal"),
-        group_commit=group_commit,
-    )
+    shop = Deployment(name="shop", wal_path=str(tmp_path / "shop.wal"))
     shop.add_service(MerchantService())
     shop.use_pool_strategy(*pools(products))
     with shop.seed() as txn:

@@ -1,10 +1,12 @@
-"""Group commit: batching, the ack gate, and batch-boundary recovery.
+"""Group commit on the one write path: batching, the ack gate, and
+batch-boundary recovery.
 
-The WAL-level half of the pipelined hot path.  The claims under test:
-one flush hardens a whole batch (``wal.batch.*`` proves the
-amortisation), ``wait_durable`` is the only thing a caller may trust
-(records not waited on can die with the process), and a crash that
-eats an un-hardened commit record rolls the store back to exactly the
+The claims under test: one barrier hardens everything pending (the
+``wal.batch.*`` counters prove the amortisation), batches form while a
+barrier is writing — no flusher, no timer — ``wait_durable`` is the
+only thing a request may trust (its commits are not barriers, so
+records not waited on can die with the process), and a crash that eats
+an un-hardened commit record rolls the store back to exactly the
 acknowledged prefix — whole transactions, never torn ones.
 """
 
@@ -12,11 +14,11 @@ from __future__ import annotations
 
 import shutil
 import threading
+import time
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.storage.group_commit import GroupCommitConfig, GroupCommitter
 from repro.storage.wal import LogRecordType, WriteAheadLog
 
 pytestmark = pytest.mark.pipeline
@@ -35,90 +37,87 @@ def grant_txn(wal: WriteAheadLog, txn_id: int, pool: str, allocated: int) -> int
     return wal.append(LogRecordType.COMMIT, txn_id=txn_id).lsn
 
 
-def test_config_rejects_nonsense():
-    with pytest.raises(ValueError):
-        GroupCommitConfig(max_batch=0)
-    with pytest.raises(ValueError):
-        GroupCommitConfig(max_hold=-1.0)
-
-
-def test_a_backlog_drains_in_few_flushes(tmp_path):
-    # Gate the committer's view of the file handle: while the first
-    # flush is parked on the gate, sixty records pile into the buffer —
-    # deterministically forcing the batch the hold-timer only makes
-    # probable.
+def test_a_backlog_drains_in_few_flushes(tmp_path, monkeypatch):
+    # Park the first barrier inside its fsync: while it is writing,
+    # sixty records pile into the buffer, and the next barrier takes
+    # them all at once — the batch a concurrent load forms by itself.
     metrics = MetricsRegistry()
-    handle = open(tmp_path / "batch.log", "a", encoding="utf-8")
-    gate = threading.Event()
+    wal = WriteAheadLog(tmp_path / "batch.wal", fsync=True)
+    wal.set_metrics(metrics)
+    entered, gate = threading.Event(), threading.Event()
 
-    def handle_of():
-        assert gate.wait(timeout=5)
-        return handle
+    def parked_fsync(fd: int) -> None:
+        if not gate.is_set():
+            entered.set()
+            assert gate.wait(timeout=5)
 
-    committer = GroupCommitter(
-        GroupCommitConfig(max_batch=64, max_hold=0.005, fsync=False),
-        handle_of=handle_of,
-        metrics=metrics,
-    )
-    for lsn in range(1, 61):
-        committer.enqueue(lsn, f'{{"lsn": {lsn}}}\n')
+    monkeypatch.setattr("repro.storage.wal.os.fsync", parked_fsync)
+    with wal.request_scope():
+        grant_txn(wal, 1, "widgets", 1)
+    first = threading.Thread(target=wal.wait_durable)
+    first.start()
+    assert entered.wait(timeout=5)
+    with wal.request_scope():
+        for txn in range(2, 22):
+            grant_txn(wal, txn, "widgets", 1)
+    second = threading.Thread(target=wal.wait_durable)
+    second.start()
     gate.set()
-    committer.wait_durable(60, timeout=5.0)
-    assert metrics.value("wal.batch.records") == 60
-    # One gated flush plus one (maybe two) for the backlog — nowhere
-    # near one barrier per record.
-    assert 1 <= metrics.value("wal.batch.flushes") <= 4
-    committer.close()
-    handle.close()
-    assert len((tmp_path / "batch.log").read_text().splitlines()) == 60
+    first.join(timeout=5)
+    second.join(timeout=5)
+    assert wal.durable_lsn == wal.last_lsn == 63
+    assert metrics.value("wal.batch.records") == 63
+    assert metrics.value("wal.batch.flushes") == 2
+    wal.close()
+    assert len((tmp_path / "batch.wal").read_text().splitlines()) == 63
 
 
 def test_wal_routes_batch_metrics_and_hardens_everything(tmp_path):
     metrics = MetricsRegistry()
-    wal = WriteAheadLog(
-        tmp_path / "batched.wal",
-        group_commit=GroupCommitConfig(max_batch=64, max_hold=0.05, fsync=False),
-    )
+    wal = WriteAheadLog(tmp_path / "batched.wal")
     wal.set_metrics(metrics)
-    for txn in range(1, 21):
-        grant_txn(wal, txn, "widgets", 1)
+    with wal.request_scope():
+        for txn in range(1, 21):
+            grant_txn(wal, txn, "widgets", 1)
     wal.wait_durable()
     assert wal.durable_lsn == wal.last_lsn
     assert metrics.value("wal.batch.records") == 60
-    assert metrics.value("wal.batch.flushes") >= 1
+    assert metrics.value("wal.batch.flushes") == 1
     wal.close()
     assert len((tmp_path / "batched.wal").read_text().splitlines()) == 60
 
 
 def test_wait_durable_is_the_ack_gate(tmp_path):
-    # A hold time far beyond the test's patience: the waiter's demand
-    # must force the flush rather than wait out the hold.
-    wal = WriteAheadLog(
-        tmp_path / "held.wal",
-        group_commit=GroupCommitConfig(max_batch=1024, max_hold=60.0, fsync=False),
-    )
-    lsn = grant_txn(wal, 1, "widgets", 1)
-    wal.wait_durable(lsn, timeout=5.0)
+    # Inside a request a commit is not a barrier: the request's own
+    # wait is what puts it on disk.
+    wal = WriteAheadLog(tmp_path / "held.wal")
+    with wal.request_scope():
+        lsn = grant_txn(wal, 1, "widgets", 1)
+    assert wal.durable_lsn < lsn
+    assert (tmp_path / "held.wal").read_text() == ""
+    wal.wait_durable(lsn)
     assert wal.durable_lsn >= lsn
     assert (tmp_path / "held.wal").read_text().count('"commit"') == 1
     wal.close()
 
 
-def test_concurrent_committers_amortise_their_barriers(tmp_path):
+def test_concurrent_committers_amortise_their_barriers(tmp_path, monkeypatch):
     metrics = MetricsRegistry()
-    wal = WriteAheadLog(
-        tmp_path / "shared.wal",
-        group_commit=GroupCommitConfig(max_batch=64, max_hold=0.02, fsync=False),
-    )
+    wal = WriteAheadLog(tmp_path / "shared.wal", fsync=True)
     wal.set_metrics(metrics)
+    monkeypatch.setattr(
+        "repro.storage.wal.os.fsync", lambda fd: time.sleep(0.005)
+    )
+    mutex = threading.Lock()  # what a store's mutex is to its handlers
     barrier = threading.Barrier(8)
     failures: list[BaseException] = []
 
     def commit_and_wait(txn: int):
         try:
             barrier.wait(timeout=5)
-            lsn = grant_txn(wal, txn, "widgets", 1)
-            wal.wait_durable(lsn, timeout=5.0)
+            with wal.request_scope(), mutex:
+                lsn = grant_txn(wal, txn, "widgets", 1)
+            wal.wait_durable(lsn)
         except BaseException as exc:  # noqa: BLE001 - surfaced below
             failures.append(exc)
 
@@ -132,19 +131,17 @@ def test_concurrent_committers_amortise_their_barriers(tmp_path):
         thread.join(timeout=10)
     assert failures == []
     assert wal.durable_lsn == wal.last_lsn
-    # 24 records hardened in strictly fewer flushes than records.
-    assert 1 <= metrics.value("wal.batch.flushes") < 24
+    # Eight commits hardened in fewer barriers than commits.
+    assert metrics.value("wal.batch.records") == 24
+    assert 1 <= metrics.value("wal.batch.flushes") < 8
     wal.close()
 
 
 def test_crash_loses_only_the_unacknowledged_commit(tmp_path):
-    """Batch-boundary recovery: a commit record still in the buffer dies
-    with the process, and replay rolls the whole transaction back."""
+    """Batch-boundary recovery: a commit record still pending dies with
+    the process, and replay rolls the whole transaction back."""
     live = tmp_path / "live.wal"
-    wal = WriteAheadLog(
-        live,
-        group_commit=GroupCommitConfig(max_batch=1024, max_hold=60.0, fsync=False),
-    )
+    wal = WriteAheadLog(live)
     grant_txn(wal, 1, "widgets", 1)
     wal.append(LogRecordType.BEGIN, txn_id=2)
     wal.append(
@@ -156,9 +153,10 @@ def test_crash_loses_only_the_unacknowledged_commit(tmp_path):
     )
     wal.wait_durable()  # everything so far is on disk
     hardened = wal.durable_lsn
-    # The commit record is enqueued but never waited on: no ack exists
-    # for transaction 2, and the one-minute hold keeps it in memory.
-    commit_lsn = wal.append(LogRecordType.COMMIT, txn_id=2).lsn
+    # The commit record belongs to a request that never reached its
+    # barrier: no ack exists for transaction 2, and nothing wrote it.
+    with wal.request_scope():
+        commit_lsn = wal.append(LogRecordType.COMMIT, txn_id=2).lsn
     assert wal.durable_lsn == hardened < commit_lsn
 
     # "Crash": copy the file exactly as the disk holds it, mid-run.
@@ -177,27 +175,10 @@ def test_crash_loses_only_the_unacknowledged_commit(tmp_path):
 
 def test_clean_close_hardens_the_buffer(tmp_path):
     path = tmp_path / "closed.wal"
-    wal = WriteAheadLog(
-        path,
-        group_commit=GroupCommitConfig(max_batch=1024, max_hold=60.0, fsync=False),
-    )
-    grant_txn(wal, 1, "widgets", 1)
-    wal.close()  # no wait_durable: close itself must flush the batch
+    wal = WriteAheadLog(path)
+    with wal.request_scope():
+        grant_txn(wal, 1, "widgets", 1)
+    wal.close()  # no wait_durable: close itself must write the batch
     reopened = WriteAheadLog(path)
     assert reopened.replay()["pools"]["widgets"]["allocated"] == 1
     reopened.close()
-
-
-def test_committer_rejects_work_after_close(tmp_path):
-    handle = open(tmp_path / "raw.log", "a", encoding="utf-8")
-    committer = GroupCommitter(
-        GroupCommitConfig(max_batch=4, max_hold=0.001, fsync=False),
-        handle_of=lambda: handle,
-    )
-    committer.enqueue(1, "line\n")
-    committer.close()
-    assert committer.durable_lsn == 1
-    with pytest.raises(RuntimeError):
-        committer.enqueue(2, "late\n")
-    committer.close()  # idempotent
-    handle.close()

@@ -119,9 +119,18 @@ def replays(replica) -> int:
 
 def crash_after_journalling(fleet, tap) -> int:
     """Kill the primary between the grant's COMMIT and the gate; returns
-    the LSN its log ends at (what no follower holds)."""
+    the LSN its log ends at (what no follower holds).
+
+    A request's own barrier comes after its gate, so the COMMIT reaches
+    the file first only through someone else's barrier — another
+    worker's request, a vacuum — which the hardening here stands in for.
+    Without it the crash freezes the disk and the grant is simply lost.
+    """
     primary = fleet.shard(0)
-    at_the_post_execution_gate(primary, lambda: die(primary))
+    store = primary.deployment.store
+    at_the_post_execution_gate(
+        primary, lambda: (store.wait_durable(), die(primary))
+    )
     with pytest.raises(TransportFailure):
         grant(tap)
     lost = primary.deployment.store.wal.last_lsn

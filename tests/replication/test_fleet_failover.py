@@ -27,7 +27,6 @@ from repro.protocol.errors import (
 )
 from repro.protocol.retry import RetryPolicy
 from repro.replication import HeartbeatDetector, ReplicatedFleet
-from repro.storage.group_commit import GroupCommitConfig
 
 pytestmark = pytest.mark.failover
 
@@ -174,23 +173,24 @@ def test_failover_promotes_the_most_caught_up_follower(tmp_path):
 
 
 def test_dispatch_and_commit_tuning_survive_failover(tmp_path):
-    """``workers`` reaches every server, followers included, and
-    ``group_commit`` every acting primary's WAL — so a promoted follower
-    dispatches and hardens the way the primary it replaces did."""
-    tuning = GroupCommitConfig(max_batch=16, max_hold=0.001)
+    """``workers`` reaches every server, followers included, and every
+    acting primary's server commits through its own store — request
+    scope and barrier — so a promoted follower dispatches and hardens
+    the way the primary it replaces did."""
     fleet = ReplicatedFleet(
         2,
         replicas=1,
         provision=provision_products(PRODUCTS, STOCK),
         wal_dir=str(tmp_path),
         workers=3,
-        group_commit=tuning,
     )
 
     def as_configured() -> None:
         for index in range(len(fleet)):
             group = fleet.group(index)
-            assert group.primary.deployment.store.wal.group_commit == tuning
+            server, store = group.primary.server, group.primary.deployment.store
+            assert server.request_scope == store.wal.request_scope
+            assert server.durability == store.wait_durable
             for replica in [group.primary] + group.followers:
                 assert replica.server.workers == 3
 

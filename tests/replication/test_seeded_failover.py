@@ -6,8 +6,8 @@ seed-chosen primary kills, promotions, and rejoins — and must end with
 every client-visible grant accounted for, redundancy restored, and the
 offline history checker finding nothing.  These are the failover seeds
 the ISSUE-10 acceptance bar names (7/11/23), plus seed 7 again on the
-pipelined hot path (keyed dispatch workers and group commit on every
-primary, promoted ones included); they are multi-seed and socket-heavy,
+pipelined hot path (keyed dispatch workers on every primary, promoted
+ones included, sharing barriers); they are multi-seed and socket-heavy,
 hence ``slow`` — the fast lane skips them.
 """
 
@@ -27,12 +27,11 @@ from repro.protocol.errors import (
 from repro.protocol.retry import RetryPolicy
 from repro.replication import ReplicatedFleet
 from repro.sim import RandomStream
-from repro.storage.group_commit import GroupCommitConfig
 
 pytestmark = [pytest.mark.failover, pytest.mark.slow]
 
 SERIAL: dict = {}
-PIPELINED = {"workers": 4, "group_commit": GroupCommitConfig()}
+PIPELINED = {"workers": 4}
 STORMS = ((7, SERIAL), (11, SERIAL), (23, SERIAL), (7, PIPELINED))
 PRODUCTS = 4
 STOCK = 10

@@ -341,8 +341,9 @@ def test_checkpoint_in_the_middle_of_a_batch(tmp_path, wal):
         patch.setattr("repro.storage.wal.os.fsync", fsyncs.append)
         assert log.ingest_lines(batch) == 7
     # What precedes the checkpoint is hardened into the old file, then
-    # the swap's temp file, then the rest: three barriers, seven records.
-    assert len(fsyncs) == 3
+    # the swap's temp file and the directory holding the rename (as a
+    # local checkpoint does), then the rest: seven records, four fsyncs.
+    assert len(fsyncs) == 4
     assert [r.lsn for r in log] == [r.lsn for r in wal] == [4, 5, 6, 7]
     assert log.replay() == wal.replay()
     log.close()

@@ -36,7 +36,6 @@ from repro.protocol.errors import RequestTimeout, TransportFailure
 from repro.protocol.retry import RetryPolicy
 from repro.replication import ReplicatedFleet
 from repro.replication.shipping import ReplicationReceiver, ReplicationSender
-from repro.storage.group_commit import GroupCommitConfig
 from repro.storage.wal import LogRecordType, WriteAheadLog
 
 pytestmark = pytest.mark.failover
@@ -155,7 +154,7 @@ def _run_script(group: Group, ops) -> None:
             # What a server does: the request's transactions inside the
             # scope (nothing shipped yet), then the gate below.
             ships = sender.ships
-            with sender.request_scope():
+            with wal.request_scope():
                 for _ in range(op[1]):
                     group.commit()
             assert sender.ships == ships
@@ -348,7 +347,7 @@ def test_concurrent_ships_never_share_a_message_id(home):
 def test_a_request_scope_ships_once_at_the_gate(home):
     group = Group(home)
     sender = group.sender
-    with sender.request_scope():
+    with group.wal.request_scope():
         group.commit()  # the handler's transaction
         group.commit()  # the reply-journal row
         assert sender.ships == 0
@@ -365,14 +364,14 @@ def test_a_request_scope_ships_once_at_the_gate(home):
     # do a checkpoint and a table creation wherever they are logged.
     group.commit()
     assert sender.ships == 4
-    with sender.request_scope():
+    with group.wal.request_scope():
         group.wal.checkpoint(group.wal.replay())
         assert sender.ships == 6
         group.wal.append(LogRecordType.CREATE_TABLE, table="u")
         assert sender.ships == 8
     # The scope is the thread's own: another thread's commit meanwhile
     # is nobody's request and ships at its boundary.
-    with sender.request_scope():
+    with group.wal.request_scope():
         other = threading.Thread(target=group.commit)
         other.start()
         other.join(5.0)
@@ -457,13 +456,11 @@ def test_work_nobody_gates_is_on_the_followers_when_the_call_returns(home):
 
 @pytest.mark.slow
 def test_parallel_dispatch_batches_ships_and_stays_clean(home):
-    """Workers, group commit, two followers, eight clients: the gate's
-    flush runs outside the log and store mutexes and carries whatever
-    the other workers committed meanwhile."""
+    """Workers, two followers, eight clients: the gate's flush runs
+    outside the log and store mutexes and carries whatever the other
+    workers committed meanwhile."""
     history = HistoryRecorder()
-    fleet = _fleet(
-        home, 2, workers=4, group_commit=GroupCommitConfig(), history=history
-    )
+    fleet = _fleet(home, 2, workers=4, history=history)
     requests = [0] * 8
     errors: list[BaseException] = []
     with fleet:

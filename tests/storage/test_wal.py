@@ -153,6 +153,7 @@ class TestPersistence:
         path = tmp_path / "wal.jsonl"
         wal = WriteAheadLog(path)
         wal.append(LogRecordType.BEGIN, txn_id=1)
+        wal.close()  # a BEGIN is no barrier: it reaches the file here
         reloaded = WriteAheadLog(path)
         record = reloaded.append(LogRecordType.COMMIT, txn_id=1)
         assert record.lsn == 2

@@ -175,8 +175,11 @@ class TestPersistentHandle:
         path = tmp_path / "flush.wal"
         wal = WriteAheadLog(path)
         wal.append(LogRecordType.BEGIN, txn_id=1)
-        # Visible to a second reader immediately, without close().
-        assert len(WriteAheadLog(path)) == 1
+        # Pending until a barrier: a COMMIT outside a request is one.
+        assert len(WriteAheadLog(path)) == 0
+        wal.append(LogRecordType.COMMIT, txn_id=1)
+        # Both visible to a second reader at once, without close().
+        assert len(WriteAheadLog(path)) == 2
         wal.close()
 
     def test_fsync_policy_accepted(self, tmp_path):
