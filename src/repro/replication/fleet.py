@@ -98,6 +98,16 @@ class Replica:
         """True while this process's listener is up."""
         return self.runner.running
 
+    @property
+    def durable(self) -> bool:
+        """False once this process's log latched on a failed write or
+        fsync: it acknowledges nothing more, so it is as good as dead."""
+        if self.receiver is not None and not self.receiver.promoted:
+            return not self.receiver.wal.failed
+        if self.deployment is not None:
+            return not self.deployment.store.wal.failed
+        return True
+
     def applied_lsn(self) -> int:
         if self.receiver is not None and not self.receiver.promoted:
             return self.receiver.applied_lsn
@@ -233,13 +243,16 @@ class ReplicatedFleet:
         :meth:`failover`) promotes one.
         """
         with self._lock:
-            primary = self._groups[index].primary
-            if primary.alive:
-                primary.runner.stop()
-            if primary.deployment is not None:
-                primary.deployment.close()
-            if primary.sender is not None:
-                primary.sender.close()
+            self._stop_primary(self._groups[index].primary)
+
+    @staticmethod
+    def _stop_primary(primary: Replica) -> None:
+        if primary.alive:
+            primary.runner.stop()
+        if primary.deployment is not None:
+            primary.deployment.close()
+        if primary.sender is not None:
+            primary.sender.close()
 
     def restart(self, index: int) -> tuple[str, int]:
         """Heal the group; returns the address now serving the shard.
@@ -315,19 +328,27 @@ class ReplicatedFleet:
     def failover(self, index: int) -> int:
         """Promote the most-caught-up follower; returns the new epoch.
 
-        Safe to call redundantly: if the primary is alive and not
-        partitioned (detector race, manual call) this is a no-op
-        returning the current epoch.  Raises if no follower remains.
+        Safe to call redundantly: if the primary is alive, durable and
+        not partitioned (detector race, manual call) this is a no-op
+        returning the current epoch.  A primary whose log latched on a
+        failed fsync is stopped, as :meth:`kill` would, before its
+        follower is promoted.  Raises if no follower remains.
         """
         with self._lock:
             group = self._groups[index]
             old = group.primary
-            if old.alive and self._partitioned.get(index) is not old:
+            if (
+                old.alive
+                and old.durable
+                and self._partitioned.get(index) is not old
+            ):
                 return group.epoch
             if not group.followers:
                 raise RuntimeError(
                     f"group {index}: primary down and no follower to promote"
                 )
+            if not old.durable:
+                self._stop_primary(old)
             best = max(group.followers, key=lambda r: r.applied_lsn())
             new_epoch = group.epoch + 1
 
@@ -747,6 +768,7 @@ class ReplicatedFleet:
                 if receiver is not None
                 else replica.server.epoch,
                 "applied_lsn": replica.applied_lsn(),
+                "durable": replica.durable,
             }
 
         return info
@@ -771,7 +793,8 @@ class HeartbeatDetector:
     simulated partition counts as a miss even though the TCP path to the
     primary still works: the fleet knows the primary can't replicate, so
     its acks are worthless and waiting for a timeout would only stretch
-    the outage.
+    the outage.  So does a pong reporting ``durable: False``: a primary
+    whose log latched on a failed fsync answers pings but no request.
     """
 
     def __init__(
@@ -869,6 +892,10 @@ class HeartbeatDetector:
             address, timeout=max(0.25, self.interval), retry=RetryPolicy.none()
         ) as transport:
             try:
-                return not transport.send(message).faults
+                reply = transport.send(message)
             except ProtocolError:  # includes TransportFailure, RequestTimeout
                 return False
+        if reply.faults:
+            return False
+        info = reply.action_outcome.value if reply.action_outcome else None
+        return not (isinstance(info, dict) and info.get("durable") is False)

@@ -75,8 +75,8 @@ class MerchantService(ApplicationService):
             return ActionResult.failed(
                 f"order {order_id!r} is {order['status']!r}"  # type: ignore[index]
             )
-        order["paid"] = True  # type: ignore[index]
-        ctx.txn.put(ORDERS_TABLE, order_id, order)
+        updated = {**order, "paid": True}  # type: ignore[dict-item]
+        ctx.txn.put(ORDERS_TABLE, order_id, updated)
         return ActionResult.ok(order_id)
 
     def op_complete_order(self, ctx: ActionContext, order_id: str) -> ActionResult:
@@ -95,8 +95,8 @@ class MerchantService(ApplicationService):
             return ActionResult.failed(
                 f"order {order_id!r} is {order['status']!r}"  # type: ignore[index]
             )
-        order["status"] = "completed"  # type: ignore[index]
-        ctx.txn.put(ORDERS_TABLE, order_id, order)
+        updated = {**order, "status": "completed"}  # type: ignore[dict-item]
+        ctx.txn.put(ORDERS_TABLE, order_id, updated)
         return ActionResult.ok(order_id)
 
     def op_cancel_order(self, ctx: ActionContext, order_id: str) -> ActionResult:
@@ -108,8 +108,8 @@ class MerchantService(ApplicationService):
             return ActionResult.failed(
                 f"order {order_id!r} is {order['status']!r}"  # type: ignore[index]
             )
-        order["status"] = "cancelled"  # type: ignore[index]
-        ctx.txn.put(ORDERS_TABLE, order_id, order)
+        updated = {**order, "status": "cancelled"}  # type: ignore[dict-item]
+        ctx.txn.put(ORDERS_TABLE, order_id, updated)
         return ActionResult.ok(order_id)
 
     def op_sell(

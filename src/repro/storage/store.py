@@ -18,7 +18,6 @@ against lives in the locking baseline, not here.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import threading
 from pathlib import Path
@@ -32,6 +31,7 @@ from .errors import (
     TransactionAborted,
     TransactionStateError,
 )
+from .frozen import freeze
 from .group_commit import GroupCommitConfig
 from .locks import LockManager, LockMode
 from .transactions import Transaction, TransactionStatus, UndoEntry
@@ -48,8 +48,10 @@ def _table_sentinel(table: str) -> tuple[str, str]:
 class Store:
     """Named tables of records with ACID transactions.
 
-    Values are deep-copied across the API boundary so callers can never
-    alias the store's internal state.
+    Values are immutable: a row is frozen once, when it is written
+    (:func:`~repro.storage.frozen.freeze`), and every read, scan,
+    snapshot and checkpoint hands out the stored object itself.  A
+    caller that wants a different row builds a new value and puts it.
     """
 
     def __init__(
@@ -84,7 +86,8 @@ class Store:
         self.recovered = False
         if len(self._wal):
             self._tables = {
-                table: dict(rows) for table, rows in self._wal.replay().items()
+                table: {key: freeze(value) for key, value in rows.items()}
+                for table, rows in self._wal.replay().items()
             }
             self.recovered = True
 
@@ -149,10 +152,7 @@ class Store:
             raise TransactionStateError(
                 "cannot checkpoint with active transactions"
             )
-        snapshot = {
-            table: copy.deepcopy(rows) for table, rows in self._tables.items()
-        }
-        self._wal.checkpoint(snapshot)
+        self._wal.checkpoint(self._copy_tables())
 
     def wait_durable(self, lsn: int | None = None) -> None:
         """Durability barrier over the WAL: everything logged so far (or
@@ -189,12 +189,18 @@ class Store:
         return self._locks
 
     def snapshot(self) -> dict[str, dict[str, object]]:
-        """Deep copy of all committed state (no transaction needed)."""
+        """All committed state, table by table (no transaction needed).
+
+        The table mappings are the caller's own; the rows in them are
+        the stored, immutable values."""
         if self._active:
             raise TransactionStateError(
                 "snapshot requires quiescence; abort active transactions first"
             )
-        return {table: copy.deepcopy(rows) for table, rows in self._tables.items()}
+        return self._copy_tables()
+
+    def _copy_tables(self) -> dict[str, dict[str, object]]:
+        return {table: dict(rows) for table, rows in self._tables.items()}
 
     # --------------------------------------------- internals used by Transaction
 
@@ -221,18 +227,16 @@ class Store:
     def _get_or_none(self, txn: Transaction, table: str, key: str) -> object | None:
         rows = self._require_table(table)
         self._lock(txn, (table, key), LockMode.SHARED)
-        if key not in rows:
-            return None
-        return copy.deepcopy(rows[key])
+        return rows.get(key)
 
     def _put(self, txn: Transaction, table: str, key: str, value: object) -> None:
+        stored = freeze(value)
         rows = self._require_table(table)
         if key not in rows:
             self._lock(txn, _table_sentinel(table), LockMode.EXCLUSIVE)
         self._lock(txn, (table, key), LockMode.EXCLUSIVE)
         old = rows.get(key, _MISSING)
         txn.undo_log.append(UndoEntry(table, key, old))
-        stored = copy.deepcopy(value)
         rows[key] = stored
         self._wal.append(
             LogRecordType.PUT, txn_id=txn.txn_id, table=table, key=key, value=stored
@@ -270,7 +274,7 @@ class Store:
         results: list[tuple[str, object]] = []
         for key in sorted(rows):
             self._lock(txn, (table, key), LockMode.SHARED)
-            value = copy.deepcopy(rows[key])
+            value = rows[key]
             if predicate is None or predicate(key, value):
                 results.append((key, value))
         return iter(results)

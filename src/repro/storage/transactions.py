@@ -79,7 +79,10 @@ class Transaction:
     # ------------------------------------------------------------ data API
 
     def get(self, table: str, key: str) -> object:
-        """Read ``key`` from ``table`` under a shared lock."""
+        """Read ``key`` from ``table`` under a shared lock.
+
+        The value is the stored row itself, which is immutable: to change
+        it, build a new value and :meth:`put` it."""
         self._require_active()
         return self._store._get(self, table, key)
 
@@ -110,7 +113,9 @@ class Transaction:
     def update(
         self, table: str, key: str, updater: Callable[[object], object]
     ) -> object:
-        """Read-modify-write ``key`` atomically; returns the new value."""
+        """Read-modify-write ``key`` atomically; returns the new value.
+
+        ``updater`` gets the immutable current row and returns a new one."""
         self._require_active()
         current = self._store._get(self, table, key)
         new_value = updater(current)

@@ -233,6 +233,12 @@ class WriteAheadLog:
             return self.last_lsn
         return self._durable_lsn
 
+    @property
+    def failed(self) -> bool:
+        """True once a write or fsync failed: the log is latched and
+        acknowledges nothing more until the process restarts."""
+        return self._failure is not None
+
     @contextlib.contextmanager
     def request_scope(self) -> Iterator[None]:
         """One request's work on this thread: the COMMITs and ABORTs

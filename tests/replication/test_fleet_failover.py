@@ -10,6 +10,8 @@ as the failover-suite job.
 
 from __future__ import annotations
 
+import errno
+import os
 import threading
 import time
 from dataclasses import replace
@@ -301,6 +303,74 @@ def test_heartbeat_detector_promotes_without_an_operator(fleet):
     response = grant(client, product)
     assert response.accepted
     client.release("shop", response.promise_id)
+
+
+def test_a_latched_primary_is_failed_over_by_the_heartbeat(
+    tmp_path, monkeypatch
+):
+    """A failed fsync latches the primary's log: it still answers pings,
+    but its pong says ``durable: False``, so the detector counts it as
+    missed and promotes the follower as for a kill.  The request whose
+    barrier failed was never acked; redelivered to the new primary it is
+    executed at most once."""
+    history = HistoryRecorder()
+    fleet = ReplicatedFleet(
+        1,
+        replicas=1,
+        provision=provision_products(PRODUCTS, STOCK),
+        wal_dir=str(tmp_path),
+        fsync=True,
+        history=history,
+    )
+    interval, miss_threshold = 0.2, 2
+    with fleet:
+        gateway = fleet.gateway(timeout=2.0, retry=RetryPolicy.none())
+        tap = Tap(gateway)
+        client = PromiseClient("latch-test", tap, retry=RetryPolicy.none())
+        primary = fleet.group(0).primary
+        doomed = os.stat(primary.wal_path).st_ino
+        real_fsync = os.fsync
+        latched_at: list[float] = []
+
+        def fsync(fd: int) -> None:
+            if os.fstat(fd).st_ino == doomed:
+                latched_at.append(time.monotonic())
+                raise OSError(errno.EIO, "injected fsync failure")
+            real_fsync(fd)
+
+        detector = HeartbeatDetector(
+            fleet, interval=interval, miss_threshold=miss_threshold
+        )
+        with detector:
+            monkeypatch.setattr(os, "fsync", fsync)
+            with pytest.raises(CLIENT_ERRORS):
+                grant(client, "product-0")
+            assert primary.deployment.store.wal.failed
+            assert fleet.await_failover(0, beyond_epoch=0, timeout=10.0)
+            promoted_at = time.monotonic()
+        monkeypatch.undo()
+
+        assert promoted_at - latched_at[0] <= interval * (miss_threshold + 1)
+        assert detector.failovers == 1 and fleet.failovers == 1
+        assert fleet.group(0).primary is not primary and not primary.alive
+        assert all(not findings for findings in fleet.audit().values())
+
+        # Redelivered (same message id) the unacked grant holds one
+        # promise at most: replayed if the follower had it, else run once.
+        reply = gateway.send(replace(tap.last, deadline=None))
+        granted = [r.promise_id for r in reply.promise_responses if r.accepted]
+        assert len(granted) == 1
+        reply = gateway.send(replace(tap.last, deadline=None))
+        assert [
+            r.promise_id for r in reply.promise_responses if r.accepted
+        ] == granted
+        assert fleet.live_promises() == {0: 1}
+        client.release("shop", granted[0])
+        assert fleet.live_promises() == {0: 0}
+        assert all(not findings for findings in fleet.audit().values())
+        gateway.close()
+    history.detach_all()
+    assert history.check() == []
 
 
 def test_detector_leaves_a_healthy_fleet_alone(fleet):

@@ -86,7 +86,7 @@ class TestBasicOperations:
             filtered = list(txn.scan("t", lambda k, v: k != "b"))
             assert [k for k, __ in filtered] == ["a", "c"]
 
-    def test_values_are_copied_across_boundary(self, store):
+    def test_stored_values_are_immutable(self, store):
         value = {"nested": [1, 2]}
         with store.begin() as txn:
             txn.put("t", "k", value)
@@ -94,9 +94,13 @@ class TestBasicOperations:
         with store.begin() as txn:
             read = txn.get("t", "k")
             assert read == {"nested": [1, 2]}
-            read["nested"].append(99)
+            with pytest.raises(TypeError):
+                read["nested"].append(99)
+            with pytest.raises(TypeError):
+                read["extra"] = 1
+            txn.put("t", "k", {**read, "nested": [*read["nested"], 99]})
         with store.begin() as txn:
-            assert txn.get("t", "k") == {"nested": [1, 2]}
+            assert txn.get("t", "k") == {"nested": [1, 2, 99]}
 
 
 class TestAtomicity:

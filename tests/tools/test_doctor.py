@@ -66,8 +66,7 @@ class TestEscrowBalance:
         manager, __ = healthy
         with manager.store.begin() as txn:
             payload = txn.get("pools", "widgets")
-            payload["allocated"] = 3  # truth is 10
-            txn.put("pools", "widgets", payload)
+            txn.put("pools", "widgets", {**payload, "allocated": 3})  # truth is 10
         findings = Doctor(manager).check()
         escrow = [f for f in findings if f.check == "escrow-balance"]
         assert escrow and "allocated=3" in escrow[0].detail
@@ -125,8 +124,7 @@ class TestSatisfiability:
         # Corrupt the pool behind the manager's back.
         with manager.store.begin() as txn:
             payload = txn.get("pools", "gadgets")
-            payload["available"] = 10
-            txn.put("pools", "gadgets", payload)
+            txn.put("pools", "gadgets", {**payload, "available": 10})
         findings = Doctor(manager).check()
         assert any(f.check == "satisfiability" for f in findings)
 
