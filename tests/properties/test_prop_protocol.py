@@ -6,19 +6,32 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.environment import Environment
 from repro.core.promise import PromiseRequest, PromiseResponse, PromiseResult
+from repro.obs.trace import TraceContext
 from repro.protocol.messages import ActionOutcomePayload, ActionPayload, Message
 from repro.protocol.soap import SoapCodec
 
 from .test_prop_predicates import predicates
 
-# XML 1.0 forbids control characters; keep identifiers/texts printable.
+# XML 1.0 forbids most control characters, but not the three whitespace
+# ones: texts mix printable ASCII with those and every character the
+# codec escapes, drawn often enough that each shows up.
 safe_text = st.text(
-    alphabet=st.characters(
-        min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters=""
+    alphabet=st.one_of(
+        st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+        st.sampled_from("\t\n\r&<>\"'"),
     ),
     max_size=20,
 )
 names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=12)
+
+
+@st.composite
+def traces(draw):
+    return TraceContext(
+        trace_id=draw(names),
+        span_id=draw(names),
+        parent_span_id=draw(st.none() | safe_text),
+    )
 
 
 def json_values(depth=2):
@@ -80,11 +93,16 @@ def messages(draw):
         message_id=draw(names),
         sender=draw(names),
         recipient=draw(names),
-        correlation=draw(names),
+        correlation=draw(safe_text),
         promise_requests=tuple(draw(st.lists(promise_requests(), max_size=2))),
         promise_responses=tuple(draw(st.lists(promise_responses(), max_size=2))),
         environment=draw(st.none() | environments()),
         faults=tuple(draw(st.lists(safe_text, max_size=2))),
+        deadline=draw(
+            st.none() | st.floats(allow_nan=False, allow_infinity=False)
+        ),
+        epoch=draw(st.none() | st.integers(min_value=-1, max_value=2**40)),
+        trace=draw(st.none() | traces()),
         action=(
             ActionPayload(
                 service=draw(names),
@@ -115,6 +133,8 @@ def test_soap_roundtrip_any_message(message):
 
     Caveats encoded here on purpose: XML cannot distinguish an absent
     text node from an empty one, so empty faults/reasons normalise to "".
+    Texts carry ``\\t \\n \\r`` and every escaped character, in element
+    text and in attributes, so every escape of the codec is exercised.
     """
     codec = SoapCodec()
     decoded = codec.decode(codec.encode(message))
@@ -130,5 +150,8 @@ def test_soap_roundtrip_any_message(message):
         assert decoded.environment.promise_ids == message.environment.promise_ids
         assert decoded.environment.releases() == message.environment.releases()
     assert list(decoded.faults) == list(message.faults)
+    assert decoded.deadline == message.deadline
+    assert decoded.epoch == message.epoch
+    assert decoded.trace == message.trace
     assert decoded.action == message.action
     assert decoded.action_outcome == message.action_outcome

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import socket
+import time
+
 import pytest
 
 from repro.core.environment import Environment
 from repro.core.parser import P
 from repro.core.promise import PromiseRequest, PromiseResponse, PromiseResult
+from repro.net.framing import encode_frame
+from repro.net.server import PromiseServer, ThreadedServer
 from repro.protocol.errors import MalformedMessage
 from repro.protocol.messages import ActionOutcomePayload, ActionPayload, Message
 from repro.protocol.soap import SoapCodec
@@ -154,6 +159,24 @@ class TestFaults:
         assert decoded.faults == message.faults
 
 
+class TestCarriageReturn:
+    """XML 1.0 §2.11 has the parser turn a raw ``\\r`` (or ``\\r\\n``) in
+    element text into ``\\n``; the codec writes it as ``&#13;``."""
+
+    def test_carriage_return_in_text_survives_the_wire(self, codec):
+        message = Message(
+            "m1",
+            "a",
+            "b",
+            faults=("x\r\ny\rz",),
+            action=ActionPayload("s", "op", {"note": "line\r\nnext\r"}),
+        )
+        encoded = codec.encode(message)
+        assert "\r" not in encoded
+        assert "x&#13;\ny&#13;z" in encoded
+        assert roundtrip(codec, message) == message
+
+
 class TestDeadlineElement:
     def test_deadline_roundtrip(self, codec):
         message = Message("m1", "alice", "shop", deadline=1.25)
@@ -199,6 +222,56 @@ class TestCombinedMessages:
         assert len(decoded.promise_responses) == 1
 
 
+def envelope(header: str = "", body: str = "", routing: bool = True) -> str:
+    """A hand-written envelope around raw header and body XML."""
+    route = (
+        '<routing message-id="m1" sender="a" recipient="echo" correlation="" />'
+        if routing
+        else ""
+    )
+    return (
+        '<Envelope xmlns="http://schemas.xmlsoap.org/soap/envelope/">'
+        f"<Header>{route}{header}</Header><Body>{body}</Body></Envelope>"
+    )
+
+
+def action(params: str) -> str:
+    return f'<action service="s" operation="op"><params>{params}</params></action>'
+
+
+GRANT = "<predicate>quantity('w') &gt;= 1</predicate>"
+
+#: Every path on which ``decode`` refuses an envelope with MalformedMessage.
+MALFORMED = {
+    "invalid-xml": "this is not xml <at all",
+    "missing-header": (
+        '<Envelope xmlns="http://schemas.xmlsoap.org/soap/envelope/">'
+        "<Body/></Envelope>"
+    ),
+    "missing-body": (
+        '<Envelope xmlns="http://schemas.xmlsoap.org/soap/envelope/">'
+        '<Header><routing message-id="m1" /></Header></Envelope>'
+    ),
+    "missing-routing": envelope(routing=False),
+    "bad-deadline": envelope('<deadline remaining="soon" />'),
+    "bad-epoch": envelope('<epoch value="next" />'),
+    "trace-without-span-id": envelope('<trace trace-id="t1" />'),
+    "param-without-value": envelope(body=action('<param name="k" />')),
+    "dict-item-without-value": envelope(
+        body=action('<param name="k"><value type="dict"><item key="x" /></value></param>')
+    ),
+    "unknown-value-type": envelope(
+        body=action('<param name="k"><value type="complex">1j</value></param>')
+    ),
+    "non-integer-request-duration": envelope(
+        f'<promise-request id="r1" client="c" duration="soon">{GRANT}</promise-request>'
+    ),
+    "unknown-response-result": envelope(
+        '<promise-response result="maybe" duration="0" correlation="r1" reason="" />'
+    ),
+}
+
+
 class TestMalformedInput:
     def test_invalid_xml(self, codec):
         with pytest.raises(MalformedMessage):
@@ -217,6 +290,61 @@ class TestMalformedInput:
                 '<Envelope xmlns="http://schemas.xmlsoap.org/soap/envelope/">'
                 "<Header/><Body/></Envelope>"
             )
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_decode_refuses(self, codec, case):
+        with pytest.raises(MalformedMessage):
+            codec.decode(MALFORMED[case])
+
+    def test_the_well_formed_twin_decodes(self, codec):
+        """The table's cases fail for the reason named, not another."""
+        message = codec.decode(envelope(
+            '<deadline remaining="1.5" /><epoch value="2" />'
+            '<trace trace-id="t1" span-id="s1" />'
+            f'<promise-request id="r1" client="c" duration="5">{GRANT}</promise-request>'
+            '<promise-response result="rejected" duration="0" correlation="r1" reason="" />',
+            action('<param name="k"><value type="dict"><item key="x">'
+                   '<value type="int">1</value></item></value></param>'),
+        ))
+        assert (message.deadline, message.epoch) == (1.5, 2)
+        assert message.trace.span_id == "s1"
+        assert message.promise_requests[0].duration == 5
+        assert message.action.params == {"k": {"x": 1}}
+
+    def test_first_element_wins_where_one_is_expected(self, codec):
+        message = codec.decode(envelope(
+            '<routing message-id="m2" /><epoch value="1" /><epoch value="2" />'
+            '<environment><promise id="p1" release="true" /></environment>'
+            "<environment />",
+            action('<param name="k"><value type="int">1</value>'
+                   '<value type="int">2</value></param>')
+            + '<action service="t" operation="other"><params /></action>',
+        ))
+        assert message.message_id == "m1"
+        assert message.epoch == 1
+        assert message.environment.promise_ids == ("p1",)
+        assert message.action.service == "s"
+        assert message.action.params == {"k": 1}
+
+    def test_server_drops_a_malformed_frame(self):
+        """An undecodable envelope counts ``server.malformed`` and closes
+        the connection with no reply — there is no id to correlate one."""
+        server = PromiseServer()
+        server.register("echo", lambda m: m.reply(message_id=f"re:{m.message_id}"))
+        with ThreadedServer(server) as address:
+            for number, case in enumerate(sorted(MALFORMED), start=1):
+                with socket.create_connection(address, timeout=5.0) as sock:
+                    sock.sendall(encode_frame(MALFORMED[case].encode("utf-8")))
+                    try:
+                        data = sock.recv(1)
+                    except OSError:
+                        data = b""
+                    assert data == b"", case
+                deadline = time.monotonic() + 5.0
+                while server.metrics.value("server.malformed") < number:
+                    assert time.monotonic() < deadline, case
+                    time.sleep(0.01)
+            assert server.metrics.value("server.replies") == 0
 
     def test_unencodable_param_rejected(self, codec):
         action = ActionPayload("s", "op", {"bad": object()})
