@@ -374,9 +374,10 @@ def _add_pipeline_flags(subparser: argparse.ArgumentParser) -> None:
     """Hot-path concurrency flags shared by ``serve`` and ``serve-cluster``."""
     subparser.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="parallel-dispatch worker threads per server (default 0: "
-             "serial on the event loop); requests on disjoint resources "
-             "execute concurrently, same-resource requests stay FIFO",
+        help="dispatch worker threads per server (default 0: each "
+             "request runs inline on the event loop); requests on "
+             "disjoint resources execute concurrently, same-resource "
+             "requests stay FIFO",
     )
 
 

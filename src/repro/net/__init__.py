@@ -16,7 +16,8 @@ processes:
   id-correlated replies, and one ``request`` path carrying deadline,
   circuit breaker and :class:`~repro.protocol.retry.RetryPolicy`;
 * :mod:`repro.net.executor` — :class:`KeyedExecutor`, the per-key FIFO
-  pool behind the server's parallel dispatch;
+  executor every server request is dispatched through (inline with no
+  workers, a pool otherwise);
 * :mod:`repro.net.transport` — :class:`NetworkTransport`, a drop-in
   replacement for the in-process transport, fault plans included.
 """

@@ -1,6 +1,6 @@
 """Keyed executor: per-key FIFO, cross-key concurrency.
 
-The parallel dispatch heart of the pipelined server.  Work is submitted
+What the server dispatches every request through.  Work is submitted
 with the set of *resource keys* it touches; the executor guarantees:
 
 * **Same-key FIFO** — two jobs sharing any key run in submission order,
@@ -16,10 +16,17 @@ with the set of *resource keys* it touches; the executor guarantees:
   after it.  Unknown never races anything; correctness degrades to the
   serial order, not to luck.
 
-The implementation chains :class:`concurrent.futures.Future` tails per
-key.  Each submission captures the tails of its keys (or of all live
-keys plus the barrier tail, for ``None``), registers a countdown over
-them, and only enters the thread pool when every predecessor resolved.
+With ``workers=0`` the executor is *inline*: :meth:`submit` runs the job
+on the calling thread and returns a future already resolved.  For one
+submitting thread — the server's event loop — every job finishes before
+the next is submitted, so the three rules hold by construction and
+nothing is ordered or counted.
+
+With workers, the implementation chains
+:class:`concurrent.futures.Future` tails per key.  Each submission
+captures the tails of its keys (or of all live keys plus the barrier
+tail, for ``None``), registers a countdown over them, and only enters
+the thread pool when every predecessor resolved.
 Predecessor results and exceptions are irrelevant to ordering — a failed
 job releases its successors exactly like a finished one.
 """
@@ -41,7 +48,7 @@ DEFAULT_WORKERS = 8
 
 
 class KeyedExecutor:
-    """Run callables on a pool with per-key FIFO ordering guarantees."""
+    """Run callables with per-key FIFO ordering: on a pool, or inline."""
 
     def __init__(
         self,
@@ -49,11 +56,14 @@ class KeyedExecutor:
         metrics: MetricsRegistry | None = None,
         name: str = "keyed-executor",
     ) -> None:
-        if workers < 1:
-            raise ValueError("need at least one worker")
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
         self.workers = workers
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix=name
+        #: ``None`` makes the executor inline (``workers=0``).
+        self._pool = (
+            ThreadPoolExecutor(max_workers=workers, thread_name_prefix=name)
+            if workers
+            else None
         )
         self._lock = threading.Lock()
         #: key -> the Future of the last job submitted touching that key.
@@ -73,8 +83,17 @@ class KeyedExecutor:
 
         Returns a Future resolving with ``fn``'s result (or exception).
         ``keys=None`` declares an unknown footprint: a global barrier.
+        Inline, ``fn`` has run by the time the Future is returned.
         """
         done: Future[T] = Future()
+        if self._pool is None:
+            if self._closed:
+                raise RuntimeError("executor is closed")
+            try:
+                done.set_result(fn())
+            except BaseException as exc:  # noqa: BLE001 - relayed to waiter
+                done.set_exception(exc)
+            return done
         with self._lock:
             if self._closed:
                 raise RuntimeError("executor is closed")
@@ -155,7 +174,8 @@ class KeyedExecutor:
             self._closed = True
         if wait:
             self.drain()
-        self._pool.shutdown(wait=wait)
+        if self._pool is not None:
+            self._pool.shutdown(wait=wait)
 
     def __enter__(self) -> "KeyedExecutor":
         return self

@@ -30,17 +30,19 @@ Three properties carry §6's semantics onto the wire:
   before the dedup lookups, so a deposed primary's stale cache is never
   served.
 
-Dispatch runs in one of two modes.  With ``workers=0`` (the default)
-handlers run synchronously on the event loop, mirroring the paper's
-single promise manager ordering all checks.  With ``workers>0`` the
-server dispatches through a :class:`~repro.net.executor.KeyedExecutor`:
-requests touching disjoint resource keys execute concurrently on worker
-threads (transactions serialised by the store's mutex, durability waits
-overlapped outside it so concurrent commits share one barrier),
-while requests sharing a key — or whose footprint the key function
-cannot determine — keep strict FIFO order.  Dedup, in-flight coalescing
-and admission control behave identically in both modes: all of that
-bookkeeping stays on the event loop.
+Dispatch has one path: each frame gets its own task, and each request
+is submitted to a :class:`~repro.net.executor.KeyedExecutor` with the
+resource keys it touches.  ``workers`` only sizes that executor.  With
+``workers=0`` (the default) it is inline: the handler runs on the event
+loop before ``submit`` returns, so requests execute one at a time in
+arrival order, mirroring the paper's single promise manager ordering
+all checks.  With ``workers>0`` requests touching disjoint resource
+keys execute concurrently on worker threads (transactions serialised
+by the store's mutex, durability waits overlapped outside it so
+concurrent commits share one barrier), while requests sharing a key —
+or whose footprint the key function cannot determine — keep strict
+FIFO order.  Dedup, in-flight coalescing and admission control stay on
+the event loop either way.
 
 :class:`ThreadedServer` runs the event loop on a daemon thread so
 blocking clients, benchmarks and the CLI can host a server in-process.
@@ -159,8 +161,8 @@ class PromiseServer:
         self._codec = codec or SoapCodec()
         self._max_frame_size = max_frame_size
         self._admission = admission
-        #: Worker-thread count for parallel dispatch; 0 keeps the legacy
-        #: serial-on-the-loop path.
+        #: Worker-thread count of the dispatch executor; 0 runs every
+        #: handler inline on the event loop.
         self._workers = workers
         self._executor: KeyedExecutor | None = None
         #: Metrics registry every ``server.*`` counter lives in; shared
@@ -266,8 +268,8 @@ class PromiseServer:
         """Expose ``handler`` under the endpoint name ``endpoint``.
 
         ``keys`` (optional) maps each decoded request to the resource
-        keys it touches, enabling disjoint-key concurrency under
-        parallel dispatch; endpoints without one are dispatched as
+        keys it touches, enabling disjoint-key concurrency when the
+        server has workers; endpoints without one are dispatched as
         global barriers (serial order preserved).
         """
         self._handlers[endpoint] = handler
@@ -278,7 +280,7 @@ class PromiseServer:
 
     @property
     def workers(self) -> int:
-        """Configured parallel-dispatch worker count (0 = serial)."""
+        """Configured dispatch worker count (0 = inline on the loop)."""
         return self._workers
 
     def _keys_for(self, message: Message) -> frozenset[str] | None:
@@ -313,7 +315,7 @@ class PromiseServer:
         """Bind the listener and return the bound address."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        if self._workers > 0 and self._executor is None:
+        if self._executor is None:
             self._executor = KeyedExecutor(
                 self._workers, metrics=self.metrics, name="dispatch"
             )
@@ -341,14 +343,10 @@ class PromiseServer:
         await asyncio.gather(*self._connections, return_exceptions=True)
         self._server = None
         if self._executor is not None:
-            # Drain on a worker-agnostic thread so in-flight jobs that
-            # need the event loop (none do today, but cheap insurance)
-            # cannot deadlock against us blocking it.
-            executor = self._executor
+            # Waits, on the loop, for jobs still on a worker: none of
+            # them needs the loop (`_process` never touches it).
+            self._executor.close()
             self._executor = None
-            await asyncio.get_running_loop().run_in_executor(
-                None, executor.close
-            )
 
     # --------------------------------------------------------- connections
 
@@ -378,40 +376,16 @@ class PromiseServer:
     async def _read_loop(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        if self._executor is None:
-            await self._read_loop_serial(reader, writer)
-        else:
-            await self._read_loop_pipelined(reader, writer)
+        """The connection's read loop: one task per frame.
 
-    async def _read_loop_serial(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            payload = await read_frame_async(reader, self._max_frame_size)
-            if payload is None:
-                return
-            self.metrics.inc("server.bytes_in", len(payload))
-            self.metrics.inc("server.requests")
-            reply = await self._dispatch(payload)
-            if reply is None:
-                return  # undecodable request: drop the connection
-            frame = encode_frame(reply, self._max_frame_size)
-            self.metrics.inc("server.bytes_out", len(reply))
-            self.metrics.inc("server.replies")
-            writer.write(frame)
-            await writer.drain()
-
-    async def _read_loop_pipelined(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Parallel-dispatch read loop: one task per frame.
-
-        The loop never awaits a dispatch inline, so a pipelining client
-        gets all its outstanding requests into the keyed executor at
-        once; replies go back in completion order and are correlated by
-        message id on the client side.  Outstanding tasks are awaited on
-        clean EOF (the client deserves every reply it paid for) and
-        cancelled when the connection task itself is cancelled.
+        The loop never awaits a dispatch, so a pipelining client gets
+        all its outstanding requests into the keyed executor at once
+        (the inline one runs them in arrival order, as tasks start in
+        creation order); replies go back in completion order and are
+        correlated by message id on the client side.  Outstanding tasks
+        are awaited on clean EOF (the client deserves every reply it
+        paid for) and cancelled when the connection task itself is
+        cancelled.
         """
         tasks: set[asyncio.Task] = set()
         try:
@@ -435,12 +409,12 @@ class PromiseServer:
     async def _serve_one(
         self, payload: bytes, writer: asyncio.StreamWriter
     ) -> None:
-        """Dispatch one pipelined frame and write its reply frame."""
+        """Dispatch one frame and write its reply frame."""
         try:
             reply = await self._dispatch(payload)
         except SimulatedCrash:
             # The simulated process death: stop replying on this
-            # connection, exactly as the serial loop's unwind does.
+            # connection.
             writer.close()
             return
         except Exception:  # noqa: BLE001 - never kill the read loop
@@ -602,19 +576,16 @@ class PromiseServer:
         self._inflight[message_id] = future
         self.metrics.gauge("server.inflight").add(1)
         try:
-            if self._executor is None:
-                reply_bytes, releasable = self._process(message, span)
-            else:
-                # Parallel dispatch: the execute → ack-gate →
-                # durability pipeline runs on a worker thread, ordered
-                # by the request's resource keys.  All the `_inflight` /
-                # cache bookkeeping stays here on the event loop.
-                keys = self._keys_for(message)
-                reply_bytes, releasable = await asyncio.wrap_future(
-                    self._executor.submit(
-                        keys, lambda: self._process(message, span)
-                    )
-                )
+            # The execute → ack-gate → durability pipeline, ordered by
+            # the request's resource keys: inline with no workers, else
+            # on a worker thread.  All the `_inflight` / cache
+            # bookkeeping stays here on the event loop.
+            job = self._executor.submit(
+                self._keys_for(message), lambda: self._process(message, span)
+            )
+            if not job.done():  # an inline job costs no trip round the loop
+                await asyncio.wrap_future(job)
+            reply_bytes, releasable = job.result()
             if releasable:
                 # Pinned until the finally below: byte-bound eviction
                 # must never drop a reply whose request is still in
@@ -822,8 +793,9 @@ class ThreadedServer:
             transport = NetworkTransport((host, port))
             ...
 
-    Handlers still execute on the event-loop thread; the §6 reply cache
-    and the single-threaded loop together keep execution at-most-once.
+    With ``workers=0`` handlers execute on the event-loop thread; either
+    way the §6 reply cache and the in-flight table, both kept on the
+    loop, keep execution at-most-once.
     """
 
     def __init__(self, server: PromiseServer) -> None:

@@ -6,12 +6,14 @@ reconnect) is tested against it in ``tests/pipeline/test_pipelined_client.py``.
 
 from __future__ import annotations
 
+import asyncio
 import socket
 import threading
 import time
 
 import pytest
 
+from repro.faults.crashpoints import SimulatedCrash
 from repro.net.framing import HEADER, FrameTooLarge
 from repro.net.pipeline import PipelinedClient
 from repro.net.server import PromiseServer, ThreadedServer
@@ -112,6 +114,41 @@ class TestFaults:
         # The connection (and server) survive for the next request.
         ok = decode(client.request(encode(Message("m2", "a", "echo"))))
         assert ok.correlation == "m2"
+
+    def test_a_simulated_crash_drops_only_its_connection(self):
+        """A crash probe firing inside an inline (``workers=0``) request
+        leaves that connection unanswered without escaping to the event
+        loop, and the server goes on serving new connections."""
+        server = echo_server()
+
+        def crash(message: Message) -> Message:
+            raise SimulatedCrash("test.crash")
+
+        server.register("crash", crash)
+        escaped: list[dict] = []
+
+        async def record_escapes() -> None:
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: escaped.append(context)
+            )
+
+        runner = ThreadedServer(server)
+        address = runner.start()
+        try:
+            asyncio.run_coroutine_threadsafe(
+                record_escapes(), runner._loop
+            ).result(timeout=5)
+            with PipelinedClient(
+                address, timeout=5.0, retry=RetryPolicy.none()
+            ) as client:
+                with pytest.raises(TransportFailure):
+                    client.request(encode(Message("m1", "a", "crash")))
+            with PipelinedClient(address, timeout=5.0) as client:
+                ok = decode(client.request(encode(Message("m2", "a", "echo"))))
+                assert ok.correlation == "m2"
+        finally:
+            runner.stop()
+        assert escaped == []
 
     def test_duplicate_request_served_from_cache(self, running_echo):
         server, client = running_echo

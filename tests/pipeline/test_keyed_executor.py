@@ -4,20 +4,87 @@ Parallel dispatch is only safe because of three promises: same-key FIFO,
 disjoint-key concurrency, and a global barrier for unknown footprints.
 Each is proven here directly — by rendezvous (two jobs that can only
 both finish if they overlap) and by overlap counters (jobs that must
-never overlap), not by timing luck.
+never overlap), not by timing luck.  The layer's invariant is stated
+once, apart from the mechanism, and checked for the inline executor
+(``workers=0``) and for pools alike: *two jobs whose footprints
+conflict — a shared key, or either one unknown — run in submission
+order, the first finished before the second starts.*
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.executor import KeyedExecutor
 from repro.obs.metrics import MetricsRegistry
 
 pytestmark = pytest.mark.pipeline
+
+#: A job's footprint: some of three keys, or ``None`` (unknown).
+FOOTPRINTS = st.one_of(
+    st.none(), st.frozensets(st.sampled_from("abc"), min_size=1, max_size=2)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    workers=st.sampled_from([0, 1, 3]),
+    footprints=st.lists(FOOTPRINTS, min_size=2, max_size=10),
+)
+def test_conflicting_jobs_run_in_submission_order(workers, footprints):
+    ticks = itertools.count()
+    lock = threading.Lock()
+    spans: dict[int, tuple[int, int]] = {}
+
+    def job(index: int):
+        def run() -> None:
+            with lock:
+                started = next(ticks)
+            time.sleep(0.001)  # room for a wrongly scheduled job to overlap
+            with lock:
+                spans[index] = (started, next(ticks))
+        return run
+
+    with KeyedExecutor(workers=workers) as executor:
+        futures = [
+            executor.submit(keys, job(index))
+            for index, keys in enumerate(footprints)
+        ]
+        for future in futures:
+            future.result(timeout=5)
+    for first, second in itertools.combinations(range(len(footprints)), 2):
+        a, b = footprints[first], footprints[second]
+        if a is None or b is None or a & b:
+            assert spans[first][1] < spans[second][0], (first, second)
+
+
+def test_inline_executor_runs_each_job_before_submit_returns():
+    metrics = MetricsRegistry()
+    caller = threading.get_ident()
+
+    def boom():
+        raise RuntimeError("handler crashed")
+
+    with KeyedExecutor(workers=0, metrics=metrics) as executor:
+        ran = executor.submit({"stock"}, threading.get_ident)
+        assert ran.done() and ran.result() == caller
+        failed = executor.submit(None, boom)
+        assert failed.done()
+        with pytest.raises(RuntimeError):
+            failed.result()
+    # Nothing is queued, ordered or counted: a barrier is free inline.
+    assert metrics.value("executor.submitted") == 0
+    assert metrics.value("executor.barriers") == 0
+    with pytest.raises(RuntimeError):
+        executor.submit({"stock"}, lambda: None)
+    with pytest.raises(ValueError):
+        KeyedExecutor(workers=-1)
 
 
 def test_same_key_runs_in_submission_order():

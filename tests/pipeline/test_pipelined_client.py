@@ -170,6 +170,33 @@ def test_replies_overtake_a_stalled_request():
     assert rig.executed == ["fast-1", "slow-1"]
 
 
+def test_an_inline_server_runs_a_window_in_arrival_order_on_its_loop():
+    # workers=0 is the same dispatch path with an inline executor: a
+    # window of disjoint requests still executes one at a time, in
+    # arrival order, on the event loop's thread.
+    executed: list[tuple[str, str]] = []
+
+    def handle(message):
+        executed.append((message.message_id, threading.current_thread().name))
+        return message.reply(f"echo:{message.message_id}")
+
+    server = PromiseServer()
+    server.register(
+        "echo", handle, keys=lambda message: frozenset({message.message_id})
+    )
+    ids = [f"m-{n}" for n in range(16)]
+    with ThreadedServer(server) as address:
+        with PipelinedClient(address, timeout=10.0) as client:
+            replies = client.request_many(
+                [
+                    encode(Message(message_id=i, sender="cli", recipient="echo"))
+                    for i in ids
+                ]
+            )
+    assert [extract_correlation(reply) for reply in replies] == ids
+    assert executed == [(i, "promise-server") for i in ids]
+
+
 def test_window_full_stalls_submit():
     rig = EchoRig()
     with ThreadedServer(rig.server) as address:
