@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "request (durable against power loss, slower)")
     serve.add_argument("--checkpoint-every", type=int, default=None,
                        metavar="N",
-                       help="compact the WAL after every N records")
+                       help="compact the WAL after every N records "
+                            "(one per committed transaction)")
     serve.add_argument("--self-test", action="store_true",
                        help="serve on loopback, run a client round trip "
                             "(grant, action, redelivery), then kill the "

@@ -36,9 +36,9 @@ from typing import Iterator
 #: crash-matrix test iterates this list, so adding an instrumentation
 #: site here automatically adds it to the recovery matrix.
 CRASH_POINTS: tuple[str, ...] = (
-    "store.after-begin",            # BEGIN logged, no changes yet
-    "store.after-put",              # a PUT record logged, txn in flight
-    "store.before-commit",          # all changes logged, COMMIT not yet
+    "store.after-begin",            # txn begun, no changes yet
+    "store.after-put",              # a row written in memory, txn in flight
+    "store.before-commit",          # all changes made, COMMIT not logged
     "store.after-commit",           # COMMIT logged, in-memory finish pending
     "wal.torn-append",              # power loss mid-append: half a record
     "wal.mid-checkpoint",           # snapshot written, os.replace pending

@@ -33,7 +33,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from ..storage.wal import LogRecord, LogRecordType
+from ..storage.wal import LogRecord, LogRecordType, committed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..storage.wal import WriteAheadLog
@@ -141,7 +141,9 @@ class HistoryRecorder:
 
     @property
     def events_recorded(self) -> int:
-        """Raw committed-or-pending records captured (vacuity guard)."""
+        """Raw records captured, CHECKPOINTs aside: one per committed
+        transaction, plus CREATE_TABLEs, in a log this build wrote; an
+        older build's log adds its per-write records (vacuity guard)."""
         with self._lock:
             return sum(len(records) for records in self._records.values())
 
@@ -168,7 +170,6 @@ class _Fold:
         self.records = records
         self.events = events
         self.anomalies = anomalies
-        self._pending: dict[int, list[LogRecord]] = {}
         #: promise id -> (status, escrow, escrow-is-authoritative) of the
         #: last committed image.  Escrow read from the pool strategy's
         #: meta is authoritative for the allocation cross-check; escrow
@@ -180,41 +181,31 @@ class _Fold:
         self._replies: dict[str, str] = {}
 
     def run(self) -> None:
-        for record in self.records:
-            if record.record_type is LogRecordType.BEGIN:
-                if record.txn_id is not None:
-                    self._pending[record.txn_id] = []
-            elif record.record_type in (LogRecordType.PUT, LogRecordType.DELETE):
-                if record.txn_id in self._pending:
-                    self._pending[record.txn_id].append(record)
-            elif record.record_type is LogRecordType.ABORT:
-                self._pending.pop(record.txn_id, None)
-            elif record.record_type is LogRecordType.COMMIT:
-                changes = self._pending.pop(record.txn_id, None)
-                if changes:
-                    self._commit(record, changes)
+        for record, ops in committed(self.records):
+            if ops:
+                self._commit(record, ops)
 
     # ----------------------------------------------------------- folding
 
-    def _commit(self, commit: LogRecord, changes: list[LogRecord]) -> None:
+    def _commit(self, commit: LogRecord, ops: list[list]) -> None:
         touched_pools: set[str] = set()
-        for change in changes:
-            if change.table == "pools":
-                self._apply_pool(commit, change)
-                if change.key is not None:
-                    touched_pools.add(change.key)
-            elif change.table == "promise_table":
-                self._apply_promise(commit, change)
-            elif change.table == "reply_journal":
-                self._apply_reply(commit, change)
+        for table, key, *value in ops:
+            if table == "pools":
+                self._apply_pool(commit, key, value)
+                touched_pools.add(key)
+            elif table == "promise_table":
+                self._apply_promise(commit, key, value)
+            elif table == "reply_journal":
+                self._apply_reply(commit, key, value)
         self._check_escrow(commit, touched_pools)
 
-    def _apply_pool(self, commit: LogRecord, change: LogRecord) -> None:
-        pool_id = change.key or ""
-        if change.record_type is LogRecordType.DELETE:
+    # ``image`` is an op's after-image: ``[value]``, or ``[]`` if deleted.
+
+    def _apply_pool(self, commit: LogRecord, pool_id: str, image: list) -> None:
+        if not image:
             self._pools.pop(pool_id, None)
             return
-        value = change.value if isinstance(change.value, dict) else {}
+        value = image[0] if isinstance(image[0], dict) else {}
         available = int(value.get("available", 0))
         allocated = int(value.get("allocated", 0))
         if available < 0:
@@ -231,12 +222,11 @@ class _Fold:
             )
         self._pools[pool_id] = (available, allocated)
 
-    def _apply_promise(self, commit: LogRecord, change: LogRecord) -> None:
-        promise_id = change.key or ""
-        if change.record_type is LogRecordType.DELETE:
+    def _apply_promise(self, commit: LogRecord, promise_id: str, image: list) -> None:
+        if not image:
             self._promises.pop(promise_id, None)
             return
-        value = change.value if isinstance(change.value, dict) else {}
+        value = image[0] if isinstance(image[0], dict) else {}
         status = str(value.get("status", ""))
         escrow, authoritative = self._escrow_of(value)
         previous = self._promises.get(promise_id)
@@ -280,14 +270,13 @@ class _Fold:
             )
         )
 
-    def _apply_reply(self, commit: LogRecord, change: LogRecord) -> None:
-        key = change.key or ""
+    def _apply_reply(self, commit: LogRecord, key: str, image: list) -> None:
         if key == _JOURNAL_META_KEY:
             return
-        if change.record_type is LogRecordType.DELETE:
+        if not image:
             self._replies.pop(key, None)  # journal trim: forget, not flag
             return
-        value = change.value if isinstance(change.value, dict) else {}
+        value = image[0] if isinstance(image[0], dict) else {}
         payload = json.dumps(value.get("payload"), sort_keys=True)
         previous = self._replies.get(key)
         if previous is not None and previous != payload:

@@ -12,13 +12,13 @@ The sender subscribes to the primary's
 *request*: a server runs a request's handler — whose transactions
 carry the reply row with the effect it answers — inside the log's
 :meth:`~repro.storage.wal.WriteAheadLog.request_scope`, where
-:meth:`~ReplicationSender.observe` leaves commits and aborts alone, and
+:meth:`~ReplicationSender.observe` leaves commits alone, and
 the :meth:`~ReplicationSender.gate` call that follows ships what it
 logged — and whatever other workers committed meanwhile — in one batch,
-before the request's durability barrier.  A boundary record logged
-*outside* a request (seeding, ``vacuum()``, a recovery sweep, a read
-transaction), and a CHECKPOINT or CREATE_TABLE anywhere, ships as it is
-appended — after the log's barrier has put it on the primary's disk.
+before the request's durability barrier.  A COMMIT logged *outside* a
+request (seeding, ``vacuum()``, a recovery sweep), and a CHECKPOINT or
+CREATE_TABLE anywhere, ships as it is appended — after the log's
+barrier has put it on the primary's disk.
 Each follower gets the suffix past its link's cursor — read by
 bisection (:meth:`~repro.storage.wal.WriteAheadLog.since`), never by
 scanning the log — as a ``_repl`` message over the ordinary framed
@@ -61,12 +61,7 @@ from ..protocol.errors import ProtocolError
 from ..protocol.messages import ActionOutcomePayload, ActionPayload, Message
 from ..protocol.retry import RetryPolicy
 from ..storage.errors import RecoveryError
-from ..storage.wal import (
-    REQUEST_BOUNDARIES,
-    LogRecord,
-    LogRecordType,
-    WriteAheadLog,
-)
+from ..storage.wal import LogRecord, LogRecordType, WriteAheadLog
 
 #: Endpoint name the receiver's handler is registered under on every
 #: follower server.  Deliberately underscore-prefixed like ``_ping``:
@@ -77,13 +72,6 @@ REPL_ENDPOINT = "_repl"
 #: application-level fault (no ``transport:`` prefix): the message was
 #: delivered and understood, the *sender* is what's wrong.
 FENCED_FAULT_PREFIX = "repl-fenced:"
-
-#: Record types that close a unit of work; outside a request, appends of
-#: these flush the ship buffer synchronously.
-_FLUSH_TYPES = REQUEST_BOUNDARIES | {
-    LogRecordType.CHECKPOINT,
-    LogRecordType.CREATE_TABLE,
-}
 
 #: Records per ship message.  A long-unreachable (or freshly rejoined)
 #: follower may be missing the log's entire tail; shipping that in one
@@ -234,17 +222,15 @@ class ReplicationSender:
     # ------------------------------------------------------------ shipping
 
     def observe(self, record: LogRecord) -> None:
-        """WAL observer: flush the unacked suffix at txn boundaries,
-        except those the log says belong to a request
-        (:meth:`~repro.storage.wal.WriteAheadLog.in_request`) — the
-        request's gate ships them.  Intermediate records (BEGIN, PUT,
-        DELETE) ride along with the boundary record that closes their
-        transaction."""
-        kind = record.record_type
-        if kind in REQUEST_BOUNDARIES and self._wal.in_request():
+        """WAL observer: every record the log writes — a transaction's
+        COMMIT line, a CREATE_TABLE, a CHECKPOINT — closes a unit of
+        work, so flush the unacked suffix, except for a COMMIT the log
+        says belongs to a request
+        (:meth:`~repro.storage.wal.WriteAheadLog.in_request`): the
+        request's gate ships that."""
+        if record.record_type is LogRecordType.COMMIT and self._wal.in_request():
             return
-        if kind in _FLUSH_TYPES:
-            self.flush()
+        self.flush()
 
     def flush(self) -> bool:
         """Ship each follower the records it is missing: every lagging

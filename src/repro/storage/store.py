@@ -9,11 +9,12 @@ it, and each client request runs inside a single store transaction so that
 promise-violation detection can roll back the application's changes.
 
 Concurrency discipline: conflicting lock requests fail immediately
-(``try_acquire``) and abort the requesting transaction with
-:class:`WriteConflict` semantics rather than blocking.  This mirrors the
-paper's observation (§9) that immediate rejection avoids the deadlocks that
-plague lock-based algorithms; the *blocking* behaviour the paper argues
-against lives in the locking baseline, not here.
+(``try_acquire``): the requesting transaction is aborted and
+:class:`~repro.storage.errors.TransactionAborted` raised rather than
+blocking.  This mirrors the paper's observation (§9) that immediate
+rejection avoids the deadlocks that plague lock-based algorithms; the
+*blocking* behaviour the paper argues against lives in the locking
+baseline, not here.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ class Store:
     ) -> None:
         # ``group_commit`` is accepted and ignored: the log has one
         # write path.  Kept for callers not yet moved off it.
+        # ``auto_checkpoint_every`` counts log records since the last
+        # checkpoint — one per committed transaction that wrote.
         if auto_checkpoint_every is not None and auto_checkpoint_every < 1:
             raise ValueError("auto_checkpoint_every must be positive")
         self._tables: dict[str, dict[str, object]] = {}
@@ -99,14 +102,6 @@ class Store:
             self._wal.append(LogRecordType.CREATE_TABLE, table=name)
             self._tables[name] = {}
 
-    def drop_table(self, name: str) -> None:
-        """Remove ``name`` and all its rows."""
-        if name not in self._tables:
-            raise TableNotFound(name)
-        if self._active:
-            raise TransactionStateError("cannot drop tables with active transactions")
-        del self._tables[name]
-
     def tables(self) -> list[str]:
         """Names of all tables."""
         return sorted(self._tables)
@@ -120,9 +115,11 @@ class Store:
     # ----------------------------------------------------- transaction API
 
     def begin(self) -> Transaction:
-        """Start a new transaction (refused once the log has failed)."""
+        """Start a new transaction (refused once the log has failed).
+
+        Nothing is logged until it commits (:meth:`_commit`)."""
+        self._wal.raise_if_failed()
         txn = Transaction(self, next(self._txn_ids))
-        self._wal.append(LogRecordType.BEGIN, txn_id=txn.txn_id)
         self._active[txn.txn_id] = txn
         crash_point("store.after-begin", self._fault_scope)
         return txn
@@ -238,9 +235,6 @@ class Store:
         old = rows.get(key, _MISSING)
         txn.undo_log.append(UndoEntry(table, key, old))
         rows[key] = stored
-        self._wal.append(
-            LogRecordType.PUT, txn_id=txn.txn_id, table=table, key=key, value=stored
-        )
         crash_point("store.after-put", self._fault_scope)
 
     def _insert(self, txn: Transaction, table: str, key: str, value: object) -> None:
@@ -258,9 +252,6 @@ class Store:
             raise KeyNotFound(table, key)
         txn.undo_log.append(UndoEntry(table, key, rows[key]))
         del rows[key]
-        self._wal.append(
-            LogRecordType.DELETE, txn_id=txn.txn_id, table=table, key=key
-        )
 
     def _scan(
         self,
@@ -285,25 +276,14 @@ class Store:
             rows = self._tables[entry.table]
             if entry.old_value is _MISSING:
                 rows.pop(entry.key, None)
-                self._wal.append(
-                    LogRecordType.DELETE,
-                    txn_id=txn.txn_id,
-                    table=entry.table,
-                    key=entry.key,
-                )
             else:
                 rows[entry.key] = entry.old_value
-                self._wal.append(
-                    LogRecordType.PUT,
-                    txn_id=txn.txn_id,
-                    table=entry.table,
-                    key=entry.key,
-                    value=entry.old_value,
-                )
 
     def _commit(self, txn: Transaction) -> None:
         crash_point("store.before-commit", self._fault_scope)
-        self._wal.append(LogRecordType.COMMIT, txn_id=txn.txn_id)
+        ops = self._write_set(txn)
+        if ops:
+            self._wal.append(LogRecordType.COMMIT, txn_id=txn.txn_id, value=ops)
         crash_point("store.after-commit", self._fault_scope)
         txn.status = TransactionStatus.COMMITTED
         self._finish(txn)
@@ -314,9 +294,18 @@ class Store:
         ):
             self.checkpoint()
 
+    def _write_set(self, txn: Transaction) -> list[list]:
+        """The COMMIT line's ops: every row the undo log says ``txn``
+        touched, once, in first-write order, with its after-image —
+        ``[table, key, value]``, or ``[table, key]`` when it is gone."""
+        ops: list[list] = []
+        for table, key in dict.fromkeys((e.table, e.key) for e in txn.undo_log):
+            value = self._tables[table].get(key, _MISSING)
+            ops.append([table, key] if value is _MISSING else [table, key, value])
+        return ops
+
     def _abort(self, txn: Transaction) -> None:
         self._rollback_to(txn, 0)
-        self._wal.append(LogRecordType.ABORT, txn_id=txn.txn_id)
         txn.status = TransactionStatus.ABORTED
         self._finish(txn)
 

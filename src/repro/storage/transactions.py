@@ -2,7 +2,8 @@
 
 A :class:`Transaction` is a handle bound to a :class:`~repro.storage.store.Store`;
 all reads and writes go through it so the store can enforce strict two-phase
-locking, maintain the undo log, and write WAL records.  The promise manager
+locking and maintain the undo log, from which a commit's one WAL line is
+built.  The promise manager
 wraps each client request in exactly one of these transactions (paper, §8),
 covering the application action *and* the subsequent promise checking, so a
 detected violation rolls everything back.

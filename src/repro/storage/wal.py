@@ -6,6 +6,11 @@ deliberately simple — physical REDO images keyed by (table, key) — because
 the substrate only needs to honour the ACID contract the prototype relies on
 (paper, §8), not compete with a production engine.
 
+A transaction is one line, its COMMIT record, whose ``value`` is the
+write set; an aborted transaction, or one that wrote nothing, leaves
+none.  :func:`committed` is the one reader of that shape and of the
+record-by-record one older builds wrote.
+
 The invariant, whatever writes the file (``tests/storage/
 test_one_write_path.py`` tests it apart from the code): **acked ⇒
 hardened; the file is a byte prefix of the log; nothing is written after
@@ -18,15 +23,16 @@ a crash.**  The mechanism is one write path:
   arrive meanwhile wait for it, then find their LSN covered or lead the
   next batch.  Batches form only while a barrier is in progress — no
   flusher thread, no timer, a lone commit never waits for company.
-* Outside a request (:meth:`WriteAheadLog.request_scope`) every COMMIT,
-  ABORT and CREATE_TABLE is a barrier, so an in-process commit returns
+* Outside a request (:meth:`WriteAheadLog.request_scope`) every COMMIT
+  and CREATE_TABLE is a barrier, so an in-process commit returns
   hardened.  Inside one, hardening waits for the request's
   :meth:`WriteAheadLog.wait_durable`, which a server calls after its ack
   gate: one barrier per request.
 * A write or fsync that fails latches the log: the barrier raises
   :class:`~repro.storage.errors.DurabilityError` to every waiter,
   ``durable_lsn`` does not move, every later barrier raises too, and no
-  new transaction starts (nor is a line buffered that nothing drains).
+  new transaction starts (:meth:`WriteAheadLog.raise_if_failed`) nor is a
+  line buffered that nothing drains.
 * Once the owning scope has simulated-crashed the disk is frozen: no
   barrier writes anything, pending lines included.
 * A *torn tail* — the final line cut short by a crash mid-append — is
@@ -52,7 +58,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterator
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ..faults.crashpoints import SimulatedCrash, crash_point, crashed, should_crash
 from .errors import DurabilityError, RecoveryError
@@ -66,7 +72,8 @@ _lsn_of = attrgetter("lsn")
 
 
 class LogRecordType(enum.Enum):
-    """Kinds of WAL records."""
+    """Kinds of WAL records.  BEGIN, PUT, DELETE and ABORT are only in
+    logs older builds wrote."""
 
     CREATE_TABLE = "create_table"
     BEGIN = "begin"
@@ -77,23 +84,14 @@ class LogRecordType(enum.Enum):
     CHECKPOINT = "checkpoint"
 
 
-#: Boundaries a request leaves to its own barrier (and a replication
-#: sender to its gate); outside a request each is one.  CREATE_TABLE is
-#: a barrier anywhere, and a CHECKPOINT hardens itself.
-REQUEST_BOUNDARIES = frozenset({LogRecordType.COMMIT, LogRecordType.ABORT})
-
-#: Records a failed log refuses: new work, not the rest of a transaction.
-_NEW_WORK = frozenset({LogRecordType.BEGIN, LogRecordType.CREATE_TABLE})
-
-
 @dataclass(frozen=True, slots=True)
 class LogRecord:
     """One WAL entry.
 
-    ``value`` carries the full after-image for PUT records; CHECKPOINT
-    records carry a snapshot of the whole store in ``value`` instead.
-    The log keeps every record in memory, some two dozen per request, so
-    the instances carry no ``__dict__``.
+    A COMMIT's ``value`` is its transaction's write set (module
+    docstring); a CHECKPOINT's is a snapshot of the whole store.  The
+    log keeps every record in memory, about one per transaction, so the
+    instances carry no ``__dict__``.
     """
 
     lsn: int
@@ -241,8 +239,8 @@ class WriteAheadLog:
 
     @contextlib.contextmanager
     def request_scope(self) -> Iterator[None]:
-        """One request's work on this thread: the COMMITs and ABORTs
-        logged inside are not barriers — the request's
+        """One request's work on this thread: the COMMITs logged inside
+        are not barriers — the request's
         :meth:`wait_durable` hardens them together, and a replication
         sender leaves them to the request's gate (:meth:`in_request`).
         Installed as :attr:`~repro.net.server.PromiseServer.request_scope`
@@ -330,10 +328,10 @@ class WriteAheadLog:
         """Append a record, assigning the next LSN; its line is pending
         until a barrier writes it — at once, for a boundary record
         outside a request.  A failed log raises :class:`DurabilityError`
-        for a BEGIN or CREATE_TABLE, before anything changes."""
+        for a CREATE_TABLE, before anything changes."""
         with self._mutex:
-            if record_type in _NEW_WORK:
-                self._raise_if_failed()
+            if record_type is LogRecordType.CREATE_TABLE:
+                self.raise_if_failed()
             record = LogRecord(
                 lsn=self._next_lsn,
                 record_type=record_type,
@@ -355,7 +353,7 @@ class WriteAheadLog:
                     raise SimulatedCrash("wal.torn-append")
                 self._buffer(record.lsn, line)
             if record_type is LogRecordType.CREATE_TABLE or (
-                record_type in REQUEST_BOUNDARIES and not self.in_request()
+                record_type is LogRecordType.COMMIT and not self.in_request()
             ):
                 self._harden(record.lsn)
             self._notify(record)
@@ -368,7 +366,9 @@ class WriteAheadLog:
                 self._pending.append(line)
                 self._buffered_lsn = lsn
 
-    def _raise_if_failed(self) -> None:
+    def raise_if_failed(self) -> None:
+        """Refuse new work on a latched log: :class:`DurabilityError`
+        once a write or fsync failed (a store checks this in ``begin``)."""
         if self._failure is not None:
             raise DurabilityError(
                 f"{self._path}: log write failed: {self._failure}"
@@ -390,7 +390,7 @@ class WriteAheadLog:
         """
         with self._barrier:
             while self._durable_lsn < lsn:
-                self._raise_if_failed()
+                self.raise_if_failed()
                 if self._handle is None or (
                     crashed(self._fault_scope) and not dying
                 ):
@@ -553,13 +553,13 @@ class WriteAheadLog:
     def replay(self) -> dict[str, dict[str, object]]:
         """Fold the log into table->key->value state of committed work.
 
-        Uncommitted (in-flight or aborted) transactions leave no trace,
+        Uncommitted (in-flight or aborted) transactions leave no trace —
+        they logged nothing, or, in an older build's log, no COMMIT —
         which is exactly the atomicity contract the promise manager's
         per-request transaction depends on.
         """
         state: dict[str, dict[str, object]] = {}
-        pending: dict[int, list[LogRecord]] = {}
-        for record in self._records:
+        for record, ops in committed(self._records):
             if record.record_type is LogRecordType.CREATE_TABLE:
                 state.setdefault(record.table or "", {})
             elif record.record_type is LogRecordType.CHECKPOINT:
@@ -568,34 +568,13 @@ class WriteAheadLog:
                 state = {
                     table: dict(rows) for table, rows in record.value.items()
                 }
-                pending.clear()
-            elif record.record_type is LogRecordType.BEGIN:
-                if record.txn_id is None:
-                    raise RecoveryError("BEGIN record without txn id")
-                pending[record.txn_id] = []
-            elif record.record_type in (LogRecordType.PUT, LogRecordType.DELETE):
-                if record.txn_id not in pending:
-                    raise RecoveryError(
-                        f"change record for unknown txn {record.txn_id}"
-                    )
-                pending[record.txn_id].append(record)
-            elif record.record_type is LogRecordType.COMMIT:
-                changes = pending.pop(record.txn_id, None)
-                if changes is None:
-                    raise RecoveryError(f"COMMIT for unknown txn {record.txn_id}")
-                for change in changes:
-                    table_state = state.setdefault(change.table or "", {})
-                    if change.record_type is LogRecordType.PUT:
-                        table_state[change.key or ""] = change.value
-                    else:
-                        table_state.pop(change.key or "", None)
-            elif record.record_type is LogRecordType.ABORT:
-                pending.pop(record.txn_id, None)
+            for table, key, *value in ops:
+                rows = state.setdefault(table, {})
+                if value:
+                    rows[key] = value[0]
+                else:
+                    rows.pop(key, None)
         return state
-
-    def records_for(self, txn_id: int) -> list[LogRecord]:
-        """All records tagged with ``txn_id`` (testing/debug helper)."""
-        return [record for record in self._records if record.txn_id == txn_id]
 
     # ------------------------------------------------------------ internals
 
@@ -652,3 +631,48 @@ class WriteAheadLog:
             # so the next append starts on a fresh line.
             with self._path.open("ab") as handle:
                 handle.write(b"\n")
+
+
+def committed(
+    records: Iterable[LogRecord],
+) -> Iterator[tuple[LogRecord, list[list]]]:
+    """What a replay applies, in log order: ``(commit, ops)`` per
+    committed transaction — ``[table, key, value]`` per row it put,
+    ``[table, key]`` per row it deleted — and ``(record, [])`` per
+    CREATE_TABLE and CHECKPOINT.
+
+    A COMMIT whose ``value`` is null closes a group an older build
+    logged record by record — BEGIN, a PUT or DELETE per write, then
+    COMMIT, or ABORT or nothing to drop it — folded into the same ops.
+    """
+    pending: dict[int, list[list]] = {}
+    for record in records:
+        kind = record.record_type
+        if kind is LogRecordType.COMMIT:
+            if record.value is not None:
+                yield record, record.value  # type: ignore[misc]
+                continue
+            ops = pending.pop(record.txn_id, None)  # type: ignore[arg-type]
+            if ops is None:
+                raise RecoveryError(f"COMMIT for unknown txn {record.txn_id}")
+            yield record, ops
+        elif kind is LogRecordType.CREATE_TABLE:
+            yield record, []
+        elif kind is LogRecordType.CHECKPOINT:
+            pending.clear()
+            yield record, []
+        elif kind is LogRecordType.BEGIN:
+            if record.txn_id is None:
+                raise RecoveryError("BEGIN record without txn id")
+            pending[record.txn_id] = []
+        elif kind in (LogRecordType.PUT, LogRecordType.DELETE):
+            if record.txn_id not in pending:
+                raise RecoveryError(
+                    f"change record for unknown txn {record.txn_id}"
+                )
+            op = [record.table or "", record.key or ""]
+            if kind is LogRecordType.PUT:
+                op.append(record.value)
+            pending[record.txn_id].append(op)
+        elif kind is LogRecordType.ABORT:
+            pending.pop(record.txn_id, None)  # type: ignore[arg-type]

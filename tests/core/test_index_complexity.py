@@ -21,6 +21,7 @@ from repro.core.predicates import quantity_at_least
 from repro.core.table import PROMISE_INDEX_TABLE, PROMISES_TABLE
 from repro.services.deployment import Deployment
 from repro.services.merchant import MerchantService
+from repro.storage.wal import committed
 
 OTHER_POOLS = tuple(f"other-{n}" for n in range(8))
 
@@ -144,10 +145,9 @@ def test_vacuum_only_deletes_rows():
         shop.manager.release(response.promise_id)
     before = len(shop.store.wal)
     assert shop.manager.vacuum() == 4
-    written = [r for r in list(shop.store.wal)[before:] if r.table is not None]
-    assert [(r.record_type.name, r.table) for r in written] == [
-        ("DELETE", PROMISES_TABLE)
-    ] * 4
+    ops = [op for __, ops in committed(list(shop.store.wal)[before:]) for op in ops]
+    # A delete is ``[table, key]``: no after-image.
+    assert [(op[0], len(op)) for op in ops] == [(PROMISES_TABLE, 2)] * 4
     shop.close()
 
 

@@ -4,11 +4,12 @@
     the reply to a journalled id never changes.*
 
 The server logs nothing of its own: what a request writes over TCP is
-what the same message writes on an in-process deployment, record for
-record.  Because a request is then one COMMIT, "crash between any two
-of its records" is a finite list — every prefix of that transaction —
-and the sweep below reopens the log at each one, redelivers the same
-bytes and checks that the effect happened exactly once.
+what the same message writes on an in-process deployment, line for
+line and row for row.  Because a request is then one COMMIT line,
+"crash between any two of its records" is a short list — before the
+line, half-way through it, after it — and the sweep below reopens the
+log at each, redelivers the same bytes and checks that the effect
+happened exactly once.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.net.server import METRICS_ENDPOINT, NET_REPLY_JOURNAL_TABLE
 from repro.protocol.messages import ActionPayload, Message
 from repro.services.deployment import Deployment
 from repro.services.merchant import MerchantService
+from repro.storage.wal import committed
 
 pytestmark = pytest.mark.crash
 
@@ -134,48 +136,45 @@ class InProcess:
         self.shop.close()
 
 
-def shape(records) -> list[tuple[str, str | None]]:
-    return [(record.record_type.value, record.table) for record in records]
+def ops(records) -> list[list]:
+    """Every row the records' transactions wrote, in log order."""
+    return [op for __, written in committed(records) for op in written]
+
+
+def shape(records) -> list[list[tuple[str, bool]]]:
+    """Per line: ``(table, is a put)`` for each row its COMMIT carries."""
+    return [
+        [(op[0], len(op) == 3) for op in written]
+        for __, written in committed(records)
+    ]
 
 
 # --------------------------------------------------------- (a) exact shape
 
-GRANT = [
-    ("begin", None),
-    ("put", "pools"),
-    ("put", "promise_table"),
-    ("put", "promise_index"),  # r:widgets
-    ("put", "reply_journal"),  # <request id>
-    ("commit", None),
-]
+GRANT = [[
+    ("pools", True),
+    ("promise_table", True),
+    ("promise_index", True),  # r:widgets
+    ("reply_journal", True),  # <request id>
+]]
 #: A grant that expires before every live promise also moves the
-#: earliest-expiry watermark: the seventh record.
-GRANT_MOVING_THE_WATERMARK = GRANT[:4] + [("put", "promise_index")] + GRANT[4:]
-RELEASE = [
-    ("begin", None),
-    ("put", "pools"),
-    ("put", "promise_table"),
-    ("put", "promise_index"),
-    ("put", "reply_journal"),  # release:<promise id>
-    ("commit", None),
-]
-SELL_UNDER_PROMISE = [
-    ("begin", None),
-    ("put", "pools"),  # the sale
-    ("put", "pools"),  # the promise's escrow, consumed
-    ("put", "promise_table"),
-    ("put", "promise_index"),
-    ("put", "reply_journal"),  # <message id>:action
-    ("commit", None),
-]
-#: Nothing to be atomic with: the aborted attempt, then the row alone.
-REJECTION = [
-    ("begin", None),
-    ("abort", None),
-    ("begin", None),
-    ("put", "reply_journal"),
-    ("commit", None),
-]
+#: earliest-expiry watermark: a fifth row in the same line.
+GRANT_MOVING_THE_WATERMARK = [GRANT[0][:3] + [("promise_index", True)] + GRANT[0][3:]]
+RELEASE = [[
+    ("pools", True),
+    ("promise_table", True),
+    ("promise_index", True),
+    ("reply_journal", True),  # release:<promise id>
+]]
+SELL_UNDER_PROMISE = [[
+    ("pools", True),  # the sale, then the promise's escrow consumed: one row
+    ("promise_table", True),
+    ("promise_index", True),
+    ("reply_journal", True),  # <message id>:action
+]]
+#: Nothing to be atomic with: the aborted attempt logs nothing, then
+#: the row alone.
+REJECTION = [[("reply_journal", True)]]
 
 
 def script(front) -> dict[str, list]:
@@ -212,16 +211,18 @@ def test_a_request_over_tcp_writes_what_the_manager_writes(tmp_path):
     assert shape(over_tcp["rejection"]) == REJECTION
     assert shape(over_tcp["sell"]) == SELL_UNDER_PROMISE
     for name, records in over_tcp.items():
-        # One transaction per effect, and the server added nothing ...
-        assert shape(records) == shape(in_process[name]), name
-        assert [r.key for r in records] == [r.key for r in in_process[name]]
+        # One line per effect, nothing else, and the server added nothing ...
+        assert len(records) == 1 and shape(records) == shape(in_process[name])
+        assert [op[1] for op in ops(records)] == [
+            op[1] for op in ops(in_process[name])
+        ], name
         # ... in particular not the two rows the old build added.
         assert not [
-            r for r in records
-            if r.table == NET_REPLY_JOURNAL_TABLE or r.key == "__meta__"
+            op for op in ops(records)
+            if op[0] == NET_REPLY_JOURNAL_TABLE or op[1] == "__meta__"
         ], name
     journal_keys = {
-        name: [r.key for r in records if r.table == "reply_journal"]
+        name: [op[1] for op in ops(records) if op[0] == "reply_journal"]
         for name, records in over_tcp.items()
     }
     assert journal_keys["grant"] == ["m1:req"]
@@ -258,17 +259,18 @@ def test_crash_after_every_record_of_a_request(tmp_path, case):
     wire.close()
     request = after[len(before):]
     assert after[: len(before)] == before
-    assert '"type": "begin"' in request[0] and '"type": "commit"' in request[-1]
-    assert len(request) == {"grant": 6, "release": 6, "sell-with-release": 7}[case]
+    assert len(request) == 1 and '"type": "commit"' in request[0]
+    line = request[0]
 
-    for cut in range(len(request) + 1):
-        # The disk froze after ``cut`` records of the request.
+    for cut in (0, len(line) // 2, len(line)):
+        # The disk froze before the request's line, half-way through
+        # it (a torn tail), or after it.
         crashed = tmp_path / f"{case}-{cut}.wal"
-        crashed.write_text("".join(before + request[:cut]))
+        crashed.write_text("".join(before) + line[:cut])
         revived = Wire(build_shop(crashed))
         try:
             assert revived.shop.recovery_report.healthy, cut
-            committed = cut == len(request)
+            committed = cut == len(line)
             assert (state(revived.shop) == effect) == committed, cut
             reply, __ = revived.send(message)
             assert not reply.faults, (cut, reply.faults)

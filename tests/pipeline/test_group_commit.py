@@ -25,21 +25,17 @@ pytestmark = pytest.mark.pipeline
 
 
 def grant_txn(wal: WriteAheadLog, txn_id: int, pool: str, allocated: int) -> int:
-    """Append one committed grant-shaped transaction; returns commit LSN."""
-    wal.append(LogRecordType.BEGIN, txn_id=txn_id)
-    wal.append(
-        LogRecordType.PUT,
-        txn_id=txn_id,
-        table="pools",
-        key=pool,
-        value={"available": 10 - allocated, "allocated": allocated},
-    )
-    return wal.append(LogRecordType.COMMIT, txn_id=txn_id).lsn
+    """Append one committed grant-shaped transaction — one COMMIT line
+    carrying its write set; returns its LSN."""
+    image = {"available": 10 - allocated, "allocated": allocated}
+    return wal.append(
+        LogRecordType.COMMIT, txn_id=txn_id, value=[["pools", pool, image]]
+    ).lsn
 
 
 def test_a_backlog_drains_in_few_flushes(tmp_path, monkeypatch):
     # Park the first barrier inside its fsync: while it is writing,
-    # sixty records pile into the buffer, and the next barrier takes
+    # twenty commit lines pile into the buffer, and the next barrier takes
     # them all at once — the batch a concurrent load forms by itself.
     metrics = MetricsRegistry()
     wal = WriteAheadLog(tmp_path / "batch.wal", fsync=True)
@@ -65,11 +61,11 @@ def test_a_backlog_drains_in_few_flushes(tmp_path, monkeypatch):
     gate.set()
     first.join(timeout=5)
     second.join(timeout=5)
-    assert wal.durable_lsn == wal.last_lsn == 63
-    assert metrics.value("wal.batch.records") == 63
+    assert wal.durable_lsn == wal.last_lsn == 21
+    assert metrics.value("wal.batch.records") == 21
     assert metrics.value("wal.batch.flushes") == 2
     wal.close()
-    assert len((tmp_path / "batch.wal").read_text().splitlines()) == 63
+    assert len((tmp_path / "batch.wal").read_text().splitlines()) == 21
 
 
 def test_wal_routes_batch_metrics_and_hardens_everything(tmp_path):
@@ -81,10 +77,10 @@ def test_wal_routes_batch_metrics_and_hardens_everything(tmp_path):
             grant_txn(wal, txn, "widgets", 1)
     wal.wait_durable()
     assert wal.durable_lsn == wal.last_lsn
-    assert metrics.value("wal.batch.records") == 60
+    assert metrics.value("wal.batch.records") == 20
     assert metrics.value("wal.batch.flushes") == 1
     wal.close()
-    assert len((tmp_path / "batched.wal").read_text().splitlines()) == 60
+    assert len((tmp_path / "batched.wal").read_text().splitlines()) == 20
 
 
 def test_wait_durable_is_the_ack_gate(tmp_path):
@@ -132,31 +128,23 @@ def test_concurrent_committers_amortise_their_barriers(tmp_path, monkeypatch):
     assert failures == []
     assert wal.durable_lsn == wal.last_lsn
     # Eight commits hardened in fewer barriers than commits.
-    assert metrics.value("wal.batch.records") == 24
+    assert metrics.value("wal.batch.records") == 8
     assert 1 <= metrics.value("wal.batch.flushes") < 8
     wal.close()
 
 
 def test_crash_loses_only_the_unacknowledged_commit(tmp_path):
-    """Batch-boundary recovery: a commit record still pending dies with
+    """Batch-boundary recovery: a commit line still pending dies with
     the process, and replay rolls the whole transaction back."""
     live = tmp_path / "live.wal"
     wal = WriteAheadLog(live)
     grant_txn(wal, 1, "widgets", 1)
-    wal.append(LogRecordType.BEGIN, txn_id=2)
-    wal.append(
-        LogRecordType.PUT,
-        txn_id=2,
-        table="pools",
-        key="widgets",
-        value={"available": 8, "allocated": 2},
-    )
     wal.wait_durable()  # everything so far is on disk
     hardened = wal.durable_lsn
-    # The commit record belongs to a request that never reached its
+    # The commit line belongs to a request that never reached its
     # barrier: no ack exists for transaction 2, and nothing wrote it.
     with wal.request_scope():
-        commit_lsn = wal.append(LogRecordType.COMMIT, txn_id=2).lsn
+        commit_lsn = grant_txn(wal, 2, "widgets", 2)
     assert wal.durable_lsn == hardened < commit_lsn
 
     # "Crash": copy the file exactly as the disk holds it, mid-run.
@@ -167,7 +155,7 @@ def test_crash_loses_only_the_unacknowledged_commit(tmp_path):
     assert recovered.last_lsn == hardened
     state = recovered.replay()
     # Transaction 1 committed and survives; transaction 2 lost its
-    # commit record and leaves no trace — not a half-applied PUT.
+    # commit line and leaves no trace.
     assert state["pools"]["widgets"] == {"available": 9, "allocated": 1}
     recovered.close()
     wal.close()

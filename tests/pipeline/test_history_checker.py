@@ -41,8 +41,21 @@ class Script:
             )
         )
 
-    def txn(self, *changes: tuple[str, str, dict | None], commit: bool = True):
-        """One transaction of (table, key, value) puts; value None = delete."""
+    def txn(self, *changes: tuple[str, str, dict | None]):
+        """One committed transaction of (table, key, value) puts, value
+        None = delete: one COMMIT line carrying them."""
+        self._txn += 1
+        ops = [
+            [table, key] if value is None else [table, key, value]
+            for table, key, value in changes
+        ]
+        self._emit(LogRecordType.COMMIT, txn=self._txn, value=ops)
+
+    def legacy_txn(
+        self, *changes: tuple[str, str, dict | None], commit: bool = True
+    ):
+        """The same, logged record by record as older builds did: BEGIN,
+        a PUT or DELETE per change, then COMMIT or ABORT."""
         self._txn += 1
         txn = self._txn
         self._emit(LogRecordType.BEGIN, txn=txn)
@@ -86,8 +99,10 @@ def test_clean_grant_and_release_pass():
 
 
 def test_uncommitted_and_aborted_transactions_leave_no_trace():
+    # Only an older build's log can hold either: this one logs nothing
+    # until a transaction commits.
     script = Script()
-    script.txn(
+    script.legacy_txn(
         ("pools", "widgets", pool(-5, 15)),  # would be an over-grant...
         commit=False,  # ...but it aborted
     )
@@ -102,6 +117,24 @@ def test_uncommitted_and_aborted_transactions_leave_no_trace():
     )
     assert script.recorder.check() == []
     assert script.recorder.events() == []
+
+
+def test_legacy_groups_and_commit_lines_fold_as_one_history():
+    script = Script()
+    script.legacy_txn(
+        ("pools", "widgets", pool(8, 2)),
+        ("promise_table", "p1", promise("active", {"widgets": 2})),
+    )
+    script.txn(
+        ("pools", "widgets", pool(10, 0)),
+        ("promise_table", "p1", promise("released", {})),
+    )
+    script.legacy_txn(("promise_table", "p1", promise("active", {})))
+    anomalies = script.recorder.check()
+    assert [event.kind for event in script.recorder.events()] == [
+        "grant", "settle", "grant",
+    ]
+    assert len(anomalies) == 1 and "re-granted" in anomalies[0]
 
 
 def test_same_reply_for_the_same_dedup_key_is_fine():
@@ -191,34 +224,30 @@ def test_non_pool_promises_do_not_drift_the_escrow_check():
 
 
 def wal_grant(wal: WriteAheadLog, txn: int, promise_id: str):
-    wal.append(LogRecordType.BEGIN, txn_id=txn)
     wal.append(
-        LogRecordType.PUT,
+        LogRecordType.COMMIT,
         txn_id=txn,
-        table="promise_table",
-        key=promise_id,
-        value=promise("active", {"widgets": 1}),
+        value=[["promise_table", promise_id, promise("active", {"widgets": 1})]],
     )
-    wal.append(LogRecordType.COMMIT, txn_id=txn)
 
 
 def test_reattach_prunes_the_lost_tail():
     recorder = HistoryRecorder()
     wal = WriteAheadLog()
     recorder.attach(0, wal)
-    wal_grant(wal, 1, "p1")  # LSNs 1-3: survives the crash
-    wal_grant(wal, 2, "p2")  # LSNs 4-6: the un-fsynced, un-acked tail
-    assert recorder.events_recorded == 6
+    wal_grant(wal, 1, "p1")  # LSN 1: survives the crash
+    wal_grant(wal, 2, "p2")  # LSN 2: the un-fsynced, un-acked tail
+    assert recorder.events_recorded == 2
 
     # The recovered log holds only transaction 1 — the crash ate the
     # tail before any client was acked.
     recovered = WriteAheadLog()
     wal_grant(recovered, 1, "p1")
     recorder.attach(0, recovered)
-    assert recorder.events_recorded == 3
+    assert recorder.events_recorded == 1
     assert [event.promise_id for event in recorder.events()] == ["p1"]
 
-    # The restarted server reuses LSNs 4-6 to grant p2 afresh.  Without
+    # The restarted server reuses LSN 2 to grant p2 afresh.  Without
     # the prune this would read as a double grant; with it, clean.
     wal_grant(recovered, 2, "p2")
     assert recorder.check() == []

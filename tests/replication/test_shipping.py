@@ -69,24 +69,23 @@ def make_pair(tmp_path, wal, epoch: int = 0):
 
 
 def commit_txn(wal: WriteAheadLog, txn_id: int) -> None:
-    wal.append(LogRecordType.BEGIN, txn_id=txn_id)
+    """One transaction, as the store logs it: one COMMIT line."""
     wal.append(
-        LogRecordType.PUT, txn_id=txn_id, table="t", key=f"k{txn_id}", value=1
+        LogRecordType.COMMIT, txn_id=txn_id, value=[["t", f"k{txn_id}", 1]]
     )
-    wal.append(LogRecordType.COMMIT, txn_id=txn_id)
 
 
 def test_observe_ships_only_at_txn_boundaries(tmp_path, wal):
     sender, receiver, transport, _ = make_pair(tmp_path, wal)
     wal.subscribe(sender.observe)
 
-    wal.append(LogRecordType.BEGIN, txn_id=1)
-    wal.append(LogRecordType.PUT, txn_id=1, table="t", key="k", value=1)
-    assert transport.sent == 0  # intermediate records ride along
+    with wal.request_scope():
+        commit_txn(wal, 1)
+    assert transport.sent == 0  # a request's commit waits for its gate
 
-    wal.append(LogRecordType.COMMIT, txn_id=1)
-    assert transport.sent == 1  # one ship per commit, not per record
-    assert receiver.applied_lsn == wal.last_lsn
+    commit_txn(wal, 2)
+    assert transport.sent == 1  # one ship for the commit, carrying both
+    assert receiver.applied_lsn == wal.last_lsn == 2
 
 
 def test_ship_carries_only_the_unacked_suffix(tmp_path, wal):
@@ -95,8 +94,8 @@ def test_ship_carries_only_the_unacked_suffix(tmp_path, wal):
     commit_txn(wal, 1)
     shipped_first = sender.records_shipped
     commit_txn(wal, 2)
-    # The second flush must not re-send transaction 1's records.
-    assert sender.records_shipped == shipped_first + 3
+    # The second flush must not re-send transaction 1's line.
+    assert sender.records_shipped == shipped_first + 1
     assert link.acked_lsn == wal.last_lsn
     assert receiver.applied_lsn == wal.last_lsn
 
@@ -155,8 +154,7 @@ def test_full_sync_rewrites_a_diverged_follower(tmp_path, wal):
     sender, receiver, _, link = make_pair(tmp_path, wal)
     # The follower diverged: it holds records the primary never wrote
     # (it was briefly a primary itself behind a partition).
-    receiver.wal.append(LogRecordType.BEGIN, txn_id=99)
-    receiver.wal.append(LogRecordType.COMMIT, txn_id=99)
+    commit_txn(receiver.wal, 99)
     commit_txn(wal, 1)
     assert sender.full_sync(link)
     assert receiver.applied_lsn == wal.last_lsn
@@ -168,7 +166,7 @@ def test_catch_up_larger_than_one_frame_ships_in_chunks(tmp_path, wal):
     one wire frame must still catch up (chunked shipping), otherwise
     the link can never ack and the primary's gate closes forever."""
     sender, receiver, transport, link = make_pair(tmp_path, wal)
-    txns = SHIP_CHUNK_RECORDS  # 3 records each: several chunks' worth
+    txns = 3 * SHIP_CHUNK_RECORDS  # a line each: several chunks' worth
     for txn_id in range(1, txns + 1):
         commit_txn(wal, txn_id)
     assert sender.full_sync(link)
@@ -230,18 +228,16 @@ def grant_then_release(wal: WriteAheadLog, number: int) -> None:
         (2 * number, 8, "active", {"widgets": 2}),
         (2 * number + 1, 10, "released", {}),
     ):
-        wal.append(LogRecordType.BEGIN, txn_id=txn_id)
+        pool = {"available": available, "allocated": 10 - available}
+        promise = {"status": status, "meta": {"resource_pool": {"escrow": escrow}}}
         wal.append(
-            LogRecordType.PUT, txn_id=txn_id, table="pools", key="widgets",
-            value={"available": available, "allocated": 10 - available},
+            LogRecordType.COMMIT,
+            txn_id=txn_id,
+            value=[
+                ["pools", "widgets", pool],
+                ["promise_table", promise_id, promise],
+            ],
         )
-        wal.append(
-            LogRecordType.PUT, txn_id=txn_id, table="promise_table",
-            key=promise_id,
-            value={"status": status,
-                   "meta": {"resource_pool": {"escrow": escrow}}},
-        )
-        wal.append(LogRecordType.COMMIT, txn_id=txn_id)
 
 
 def history_anomalies(path) -> tuple[int, list[str]]:
@@ -273,20 +269,20 @@ def test_follower_torn_mid_batch_reopens_and_catches_up(tmp_path, wal):
     sender, receiver, _, _ = make_pair(tmp_path, wal)
     for number in range(1, 4):
         grant_then_release(wal, number)
-    assert sender.flush()  # one batch of 24 lines
+    assert sender.flush()  # one batch of 6 lines
     receiver.close()
     follower = tmp_path / "follower.wal"
     primary = wal.path.read_bytes()
     assert follower.read_bytes() == primary
 
     # Power loss part-way through the batch's single write: the file
-    # ends inside line 11.
+    # ends inside line 4.
     lines = primary.splitlines(keepends=True)
-    follower.write_bytes(b"".join(lines[:10]) + lines[10][:17])
+    follower.write_bytes(b"".join(lines[:3]) + lines[3][:17])
 
     reborn = reship_to_reopened(tmp_path, wal, sender)
     assert any("torn tail" in note for note in reborn.wal.recovery_notes)
-    assert reborn.ships_applied == len(wal) - 10  # the prefix was kept
+    assert reborn.ships_applied == len(wal) - 3  # the prefix was kept
     assert follower.read_bytes() == primary
     events, anomalies = history_anomalies(follower)
     assert events == 6 and anomalies == []
@@ -339,12 +335,12 @@ def test_checkpoint_in_the_middle_of_a_batch(tmp_path, wal):
     fsyncs = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("repro.storage.wal.os.fsync", fsyncs.append)
-        assert log.ingest_lines(batch) == 7
+        assert log.ingest_lines(batch) == 3
     # What precedes the checkpoint is hardened into the old file, then
     # the swap's temp file and the directory holding the rename (as a
-    # local checkpoint does), then the rest: seven records, four fsyncs.
+    # local checkpoint does), then the rest: three records, four fsyncs.
     assert len(fsyncs) == 4
-    assert [r.lsn for r in log] == [r.lsn for r in wal] == [4, 5, 6, 7]
+    assert [r.lsn for r in log] == [r.lsn for r in wal] == [2, 3]
     assert log.replay() == wal.replay()
     log.close()
     assert follower.read_bytes() == wal.path.read_bytes()
@@ -378,7 +374,7 @@ def test_a_batch_costs_one_barrier_and_ingest_is_its_one_record_case(tmp_path):
         assert len(fsyncs) == 1
         batch = "\n".join(r.to_json() for r in records)
         assert log.ingest_lines(batch) == len(records) - 1
-        assert len(fsyncs) == 2  # eleven lines, one barrier
+        assert len(fsyncs) == 2  # three lines, one barrier
         assert log.ingest_lines(batch) == 0
         assert len(fsyncs) == 2  # nothing new, nothing hardened
     log.close()

@@ -100,11 +100,9 @@ class Group:
     def commit(self) -> None:
         self._txn += 1
         txn = self._txn
-        self.wal.append(LogRecordType.BEGIN, txn_id=txn)
         self.wal.append(
-            LogRecordType.PUT, txn_id=txn, table="t", key=f"k{txn}", value=txn
+            LogRecordType.COMMIT, txn_id=txn, value=[["t", f"k{txn}", txn]]
         )
-        self.wal.append(LogRecordType.COMMIT, txn_id=txn)
 
     def close(self) -> None:
         self.sender.close()
@@ -211,8 +209,8 @@ def test_gate_open_with_one_dead_and_one_live_follower(home):
     assert metrics.value("repl.ship_failures.f0") >= 1
     assert metrics.value("repl.ship_failures.f1") == 0
     status = group.sender.status()
-    assert status["lag"] == {"f0": 3, "f1": 0}
-    assert group.sender.metrics.value("repl.lag_lsn.f0") == 3
+    assert status["lag"] == {"f0": 1, "f1": 0}
+    assert group.sender.metrics.value("repl.lag_lsn.f0") == 1
     assert group.sender.metrics.value("repl.lag_lsn.f1") == 0
     assert group.sender.metrics.value("repl.ship_lag_lsn") == 0
     group.close()
@@ -270,25 +268,24 @@ def test_flush_reads_the_suffix_not_the_log(home):
     shipped, ships = sender.records_shipped, sender.ships
     group.commit()
     assert sender.gate() is None
-    # Exactly that transaction's three records, once per link, in one
-    # ship each; and nothing longer was ever read from the log.
-    assert sender.records_shipped - shipped == 3 * 2
+    # Exactly that transaction's one line, once per link, in one ship
+    # each; and nothing longer was ever read from the log.
+    assert sender.records_shipped - shipped == 1 * 2
     assert sender.ships - ships == 2
-    assert read and max(read) == 3
+    assert read and max(read) == 1
     assert [r.applied_lsn for r in group.receivers] == [group.wal.last_lsn] * 2
     group.close()
 
 
 def test_since_is_the_suffix_across_a_checkpoint():
     wal = WriteAheadLog()
-    for txn in range(1, 4):
-        wal.append(LogRecordType.BEGIN, txn_id=txn)
-        wal.append(LogRecordType.COMMIT, txn_id=txn)
+    for txn in range(1, 7):
+        wal.append(LogRecordType.COMMIT, txn_id=txn, value=[["t", "k", txn]])
     assert [r.lsn for r in wal.since(4)] == [5, 6]
     assert wal.since(6) == [] and wal.since(99) == []
     assert [r.lsn for r in wal.since(0)] == [1, 2, 3, 4, 5, 6]
     wal.checkpoint({})
-    wal.append(LogRecordType.BEGIN, txn_id=9)
+    wal.append(LogRecordType.COMMIT, txn_id=9, value=[["t", "k", 9]])
     # A cursor the truncation passed gets everything the log still
     # holds, snapshot first; one past it gets only what follows.
     for cursor in (0, 4, 6):
@@ -320,8 +317,8 @@ def test_followers_are_shipped_to_at_the_same_time(home):
 def test_a_backlog_longer_than_a_frame_still_overlaps_its_first_chunk(home):
     group = Group(home)
     group.sender.blocked = True
-    for _ in range(400):
-        group.commit()  # 1200 records: three chunks a link
+    for _ in range(1200):
+        group.commit()  # 1200 lines: three chunks a link
     group.sender.blocked = False
     assert group.sender.flush()
     firsts = [link.ids[0] for link in group.links]
@@ -353,10 +350,10 @@ def test_a_request_scope_ships_once_at_the_gate(home):
         assert sender.ships == 0
         assert [r.applied_lsn for r in group.receivers] == [0, 0]
     assert sender.gate() is None
-    assert sender.ships == 2 and sender.records_shipped == 6 * 2
+    assert sender.ships == 2 and sender.records_shipped == 2 * 2
     status = sender.status()
     assert status["flushes"] == 1 and status["ships"] == 2
-    assert status["records_per_ship"] == 6
+    assert status["records_per_ship"] == 2
     assert sender.metrics.snapshot()["histograms"]["repl.ship.records"][
         "count"
     ] == 2
@@ -429,8 +426,9 @@ def test_each_gated_request_costs_one_ship_per_follower(home):
 
 
 def test_work_nobody_gates_is_on_the_followers_when_the_call_returns(home):
-    """``vacuum()``, a read transaction, a seeding write: no request, so
-    no gate follows — each must ship at its own boundary."""
+    """A direct grant and release, ``vacuum()``, a seeding write: no
+    request, so no gate follows — each must ship at its own boundary.
+    A read transaction logs nothing, so it has nothing to ship."""
     with _fleet(home, 1) as fleet:
         deployment = fleet.shard(0).deployment
         wal = deployment.store.wal
@@ -440,12 +438,20 @@ def test_work_nobody_gates_is_on_the_followers_when_the_call_returns(home):
             return [f.receiver.applied_lsn for f in followers]
 
         before = wal.last_lsn
-        deployment.manager.vacuum()
+        response = deployment.manager.request_promise_for(
+            [P("quantity('product-0') >= 1")], 50
+        )
         assert wal.last_lsn > before and held() == [wal.last_lsn] * 2
+        before = wal.last_lsn
+        deployment.manager.release(response.promise_id)
+        assert wal.last_lsn > before and held() == [wal.last_lsn] * 2
+        before = wal.last_lsn
+        assert deployment.manager.vacuum() == 1
+        assert wal.last_lsn == before + 1 and held() == [wal.last_lsn] * 2
         before = wal.last_lsn
         with deployment.store.begin() as txn:
             deployment.resources.pool(txn, "product-0")
-        assert wal.last_lsn > before and held() == [wal.last_lsn] * 2
+        assert wal.last_lsn == before and held() == [wal.last_lsn] * 2
         before = wal.last_lsn
         with deployment.seed() as txn:
             deployment.resources.add_stock(txn, "product-0", 1)
@@ -513,11 +519,13 @@ def test_since_never_waits_for_the_log_mutex():
     the sender lock while it reads the suffix.  If that read took the
     mutex the two would deadlock (seen with ``workers=4``)."""
     wal = WriteAheadLog()
-    wal.append(LogRecordType.BEGIN, txn_id=1)
+    wal.append(LogRecordType.COMMIT, txn_id=1, value=[["t", "k", 1]])
     inside, release = threading.Event(), threading.Event()
     wal.subscribe(lambda record: (inside.set(), release.wait(5.0)))
     appender = threading.Thread(
-        target=wal.append, args=(LogRecordType.COMMIT,), kwargs={"txn_id": 1}
+        target=wal.append,
+        args=(LogRecordType.COMMIT,),
+        kwargs={"txn_id": 2, "value": [["t", "k", 2]]},
     )
     appender.start()
     assert inside.wait(5.0)  # the appender sits in its observer, mutex held

@@ -3,12 +3,13 @@
     acked ⇒ hardened; the file is a byte prefix of the log;
     nothing is written after a crash.
 
-"Acked" is a barrier returning normally: a COMMIT or ABORT outside a
-request, or :meth:`WriteAheadLog.wait_durable`.  "Hardened" is measured
-by an ``os.fsync`` stand-in that records, per file, how many bytes each
-successful call covered — so an ack whose fsync failed is caught even
-though its bytes sit in the page cache.  Whatever batches the writes
-may be replaced; these must keep passing.  The same module pins what
+"Acked" is a barrier returning normally: a COMMIT outside a request,
+or :meth:`WriteAheadLog.wait_durable`.  A transaction is one COMMIT
+line; an aborted one logs nothing, so it has nothing to harden.
+"Hardened" is measured by an ``os.fsync`` stand-in that records, per
+file, how many bytes each successful call covered — so an ack whose
+fsync failed is caught even though its bytes sit in the page cache.
+Whatever batches the writes may be replaced; these must keep passing.  The same module pins what
 the one write path costs: one write and one fsync for an in-process
 transaction, for a served request (with or without workers) and for a
 follower's batch, and fewer barriers than requests under concurrent
@@ -125,6 +126,14 @@ def disk(monkeypatch) -> Disk:
     clear()
 
 
+def commit(wal: WriteAheadLog, txn: int) -> LogRecord:
+    """Log transaction ``txn`` as the store does: one COMMIT line
+    carrying its write set."""
+    return wal.append(
+        LogRecordType.COMMIT, txn_id=txn, value=[["t", f"k{txn}", txn]]
+    )
+
+
 def lsns(data: bytes) -> list[int]:
     """The LSN of every line in ``data``."""
     return [LogRecord.from_json(line.decode()).lsn for line in data.splitlines()]
@@ -166,22 +175,22 @@ def _check(path: Path, disk: Disk, scripts) -> None:
         """One transaction under the mutex; the LSN a request still has
         to wait for, or None."""
         txn = next(txns)
-        kind = LogRecordType.ABORT if op == "abort" else LogRecordType.COMMIT
         scope = wal.request_scope() if op == "request" else contextlib.nullcontext()
-        begun = False
+        logged = len(wal)
         try:
+            wal.raise_if_failed()  # what a store's begin checks
+            if op == "abort":
+                return None
             with scope:
-                wal.append(LogRecordType.BEGIN, txn_id=txn)  # refused once failed
-                begun = True
-                wal.append(
-                    LogRecordType.PUT, txn_id=txn, table="t", key=f"k{txn}", value=txn
-                )
-                wal.append(kind, txn_id=txn)
+                try:
+                    commit(wal, txn)
+                finally:
+                    commits[txn] = wal.last_lsn
         except DurabilityError:
             return None
         finally:
-            if begun and kind is LogRecordType.COMMIT:
-                commits[txn] = wal.last_lsn
+            # An aborted transaction, or one refused, logs nothing.
+            assert len(wal) == logged + (txn in commits)
         if op == "request":
             return wal.last_lsn
         acked.append(wal.last_lsn)  # the boundary's own barrier returned
@@ -335,12 +344,10 @@ def test_the_disk_is_frozen_at_a_scoped_crash(tmp_path, disk):
     through a barrier nor through ``close()``."""
     path = tmp_path / "frozen.wal"
     wal = WriteAheadLog(path, fault_scope=SCOPE)
-    wal.append(LogRecordType.BEGIN, txn_id=1)
-    wal.append(LogRecordType.COMMIT, txn_id=1)  # a barrier: on disk
+    commit(wal, 1)  # a barrier: on disk
     before = path.read_bytes()
     with wal.request_scope():
-        wal.append(LogRecordType.BEGIN, txn_id=2)
-        wal.append(LogRecordType.COMMIT, txn_id=2)  # pending
+        commit(wal, 2)  # pending
     install("test.crash", scope=SCOPE)
     with pytest.raises(SimulatedCrash):
         crash_point("test.crash", SCOPE)
@@ -349,7 +356,7 @@ def test_the_disk_is_frozen_at_a_scoped_crash(tmp_path, disk):
     wal.close()
     time.sleep(0.3)
     assert path.read_bytes() == before
-    assert lsns(before) == [1, 2]
+    assert lsns(before) == [1]
 
 
 def test_a_request_barrier_in_fsync_blocks_no_append(tmp_path, disk):
@@ -358,8 +365,7 @@ def test_a_request_barrier_in_fsync_blocks_no_append(tmp_path, disk):
     the next barrier hardens it."""
     wal = WriteAheadLog(tmp_path / "parked.wal", fsync=True)
     with wal.request_scope():
-        wal.append(LogRecordType.BEGIN, txn_id=1)
-        wal.append(LogRecordType.COMMIT, txn_id=1)
+        commit(wal, 1)
     disk.hold = release = threading.Event()
     parked = threading.Thread(target=wal.wait_durable)
     parked.start()
@@ -368,9 +374,7 @@ def test_a_request_barrier_in_fsync_blocks_no_append(tmp_path, disk):
 
     def other_request() -> None:
         with wal.request_scope():
-            wal.append(LogRecordType.BEGIN, txn_id=2)
-            wal.append(LogRecordType.PUT, txn_id=2, table="t", key="k", value=2)
-            wal.append(LogRecordType.COMMIT, txn_id=2)
+            commit(wal, 2)
         logged.set()
 
     threading.Thread(target=other_request, daemon=True).start()
@@ -381,9 +385,9 @@ def test_a_request_barrier_in_fsync_blocks_no_append(tmp_path, disk):
         release.set()
         parked.join(timeout=5)
     assert not parked.is_alive()
-    assert wal.durable_lsn == 2
+    assert wal.durable_lsn == 1
     wal.wait_durable()
-    assert wal.durable_lsn == 5
+    assert wal.durable_lsn == 2
     wal.close()
 
 
@@ -396,6 +400,23 @@ def test_an_in_process_transaction_is_one_write_and_one_fsync(tmp_path, disk):
     writes, calls = disk.writes, disk.calls
     store.run(lambda txn: txn.put("t", "k", {"n": 1}))
     assert (disk.writes - writes, disk.calls - calls) == (1, 1)
+    store.close()
+
+
+def test_an_aborted_or_read_only_transaction_is_no_write(tmp_path, disk):
+    store = Store(wal_path=tmp_path / "store.wal", fsync=True)
+    store.create_table("t")
+    store.run(lambda txn: txn.put("t", "k", {"n": 1}))
+    costs = disk.writes, disk.calls, len(store.wal)
+
+    def put_then_fail(txn):
+        txn.put("t", "k", {"n": 2})
+        raise LookupError("the handler failed")
+
+    with pytest.raises(LookupError):
+        store.run(put_then_fail)
+    assert store.run(lambda txn: txn.get("t", "k")) == {"n": 1}
+    assert (disk.writes, disk.calls, len(store.wal)) == costs
     store.close()
 
 
@@ -418,11 +439,7 @@ def test_a_served_request_is_one_write_and_one_fsync(tmp_path, disk, workers):
 def test_a_follower_batch_is_one_write_and_one_fsync(tmp_path, disk):
     primary = WriteAheadLog()
     for txn in range(1, 6):
-        primary.append(LogRecordType.BEGIN, txn_id=txn)
-        primary.append(
-            LogRecordType.PUT, txn_id=txn, table="t", key=f"k{txn}", value=txn
-        )
-        primary.append(LogRecordType.COMMIT, txn_id=txn)
+        commit(primary, txn)
     receiver = ReplicationReceiver("g", str(tmp_path / "follower.wal"), fsync=True)
     ship = Message(
         message_id="repl:g:0:1",
@@ -440,7 +457,7 @@ def test_a_follower_batch_is_one_write_and_one_fsync(tmp_path, disk):
     )
     writes, calls = disk.writes, disk.calls
     reply = receiver.handle(ship)
-    assert reply.action_outcome.value["applied_lsn"] == 15
+    assert reply.action_outcome.value["applied_lsn"] == 5
     assert (disk.writes - writes, disk.calls - calls) == (1, 1)
     receiver.close()
 

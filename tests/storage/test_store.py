@@ -304,15 +304,6 @@ class TestSchema:
         store.create_table("t")
         assert "t" in store.tables()
 
-    def test_drop_table(self, store):
-        store.create_table("gone")
-        store.drop_table("gone")
-        assert "gone" not in store.tables()
-
-    def test_drop_missing_table_raises(self, store):
-        with pytest.raises(TableNotFound):
-            store.drop_table("never")
-
     def test_row_count(self, store):
         with store.begin() as txn:
             txn.put("t", "a", 1)

@@ -1,49 +1,56 @@
-"""Unit tests for the write-ahead log."""
+"""Unit tests for the write-ahead log.
+
+A transaction is one COMMIT line carrying its write set; the
+record-by-record shape older builds wrote (BEGIN, PUT/DELETE, COMMIT or
+ABORT) is still read, and the replay tests that spell it say so.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.storage.errors import RecoveryError
-from repro.storage.wal import LogRecord, LogRecordType, WriteAheadLog
+from repro.storage.wal import LogRecord, LogRecordType, WriteAheadLog, committed
+
+
+def commit(wal, txn_id, *ops):
+    """Log one transaction the way the store does: one COMMIT line."""
+    return wal.append(LogRecordType.COMMIT, txn_id=txn_id, value=[*map(list, ops)])
 
 
 class TestAppend:
     def test_lsns_are_sequential(self):
         wal = WriteAheadLog()
-        first = wal.append(LogRecordType.BEGIN, txn_id=1)
-        second = wal.append(LogRecordType.COMMIT, txn_id=1)
+        first = commit(wal, 1, ("t", "a", 1))
+        second = commit(wal, 2, ("t", "b", 2))
         assert (first.lsn, second.lsn) == (1, 2)
         assert wal.last_lsn == 2
 
     def test_len_and_iteration(self):
         wal = WriteAheadLog()
-        wal.append(LogRecordType.BEGIN, txn_id=1)
-        wal.append(LogRecordType.PUT, txn_id=1, table="t", key="k", value=5)
+        wal.append(LogRecordType.CREATE_TABLE, table="t")
+        commit(wal, 1, ("t", "k", 5))
         assert len(wal) == 2
         assert [record.record_type for record in wal] == [
-            LogRecordType.BEGIN,
-            LogRecordType.PUT,
+            LogRecordType.CREATE_TABLE,
+            LogRecordType.COMMIT,
         ]
 
-    def test_records_for_txn(self):
+    def test_a_commit_carries_its_txn_and_ops(self):
         wal = WriteAheadLog()
-        wal.append(LogRecordType.BEGIN, txn_id=1)
-        wal.append(LogRecordType.BEGIN, txn_id=2)
-        wal.append(LogRecordType.PUT, txn_id=1, table="t", key="k", value=1)
-        assert len(wal.records_for(1)) == 2
-        assert len(wal.records_for(2)) == 1
+        record = commit(wal, 7, ("t", "k", {"n": 1}), ("t", "gone"))
+        assert (record.txn_id, record.table, record.key) == (7, None, None)
+        assert record.value == [["t", "k", {"n": 1}], ["t", "gone"]]
+        assert wal.max_txn_id() == 7
 
 
 class TestSerialisation:
     def test_json_roundtrip(self):
         record = LogRecord(
             lsn=7,
-            record_type=LogRecordType.PUT,
+            record_type=LogRecordType.COMMIT,
             txn_id=3,
-            table="t",
-            key="k",
-            value={"a": [1, 2]},
+            value=[["t", "k", {"a": [1, 2]}], ["t", "old"]],
         )
         assert LogRecord.from_json(record.to_json()) == record
 
@@ -57,23 +64,20 @@ class TestSerialisation:
 
 
 class TestReplay:
-    def _committed_put(self, wal, txn_id, key, value):
-        wal.append(LogRecordType.BEGIN, txn_id=txn_id)
-        wal.append(LogRecordType.PUT, txn_id=txn_id, table="t", key=key, value=value)
-        wal.append(LogRecordType.COMMIT, txn_id=txn_id)
-
     def test_committed_changes_survive(self):
         wal = WriteAheadLog()
-        self._committed_put(wal, 1, "k", "v")
+        commit(wal, 1, ("t", "k", "v"))
         assert wal.replay() == {"t": {"k": "v"}}
 
     def test_uncommitted_changes_dropped(self):
+        # Legacy shape: a group with no COMMIT.
         wal = WriteAheadLog()
         wal.append(LogRecordType.BEGIN, txn_id=1)
         wal.append(LogRecordType.PUT, txn_id=1, table="t", key="k", value="v")
         assert wal.replay() == {}
 
     def test_aborted_changes_dropped(self):
+        # Legacy shape: the group ends in ABORT.
         wal = WriteAheadLog()
         wal.append(LogRecordType.BEGIN, txn_id=1)
         wal.append(LogRecordType.PUT, txn_id=1, table="t", key="k", value="v")
@@ -82,19 +86,24 @@ class TestReplay:
 
     def test_delete_applies(self):
         wal = WriteAheadLog()
-        self._committed_put(wal, 1, "k", "v")
-        wal.append(LogRecordType.BEGIN, txn_id=2)
-        wal.append(LogRecordType.DELETE, txn_id=2, table="t", key="k")
-        wal.append(LogRecordType.COMMIT, txn_id=2)
+        commit(wal, 1, ("t", "k", "v"))
+        commit(wal, 2, ("t", "k"))
         assert wal.replay() == {"t": {}}
 
     def test_last_writer_wins(self):
         wal = WriteAheadLog()
-        self._committed_put(wal, 1, "k", "first")
-        self._committed_put(wal, 2, "k", "second")
+        commit(wal, 1, ("t", "k", "first"))
+        commit(wal, 2, ("t", "k", "second"))
         assert wal.replay() == {"t": {"k": "second"}}
 
+    def test_ops_apply_in_order_across_tables(self):
+        wal = WriteAheadLog()
+        commit(wal, 1, ("t", "a", 1), ("u", "b", 2))
+        commit(wal, 2, ("t", "a"), ("u", "b", 3), ("t", "c", None))
+        assert wal.replay() == {"t": {"c": None}, "u": {"b": 3}}
+
     def test_interleaved_transactions(self):
+        # Legacy shape: two open groups, one commits, one aborts.
         wal = WriteAheadLog()
         wal.append(LogRecordType.BEGIN, txn_id=1)
         wal.append(LogRecordType.BEGIN, txn_id=2)
@@ -104,6 +113,21 @@ class TestReplay:
         wal.append(LogRecordType.ABORT, txn_id=1)
         assert wal.replay() == {"t": {"b": 2}}
 
+    def test_legacy_groups_and_commit_lines_mix(self):
+        # An older build's open group, then this build's lines after it.
+        wal = WriteAheadLog()
+        wal.append(LogRecordType.BEGIN, txn_id=1)
+        wal.append(LogRecordType.PUT, txn_id=1, table="t", key="a", value=1)
+        wal.append(LogRecordType.DELETE, txn_id=1, table="t", key="b")
+        wal.append(LogRecordType.COMMIT, txn_id=1)
+        wal.append(LogRecordType.BEGIN, txn_id=2)  # never committed
+        wal.append(LogRecordType.PUT, txn_id=2, table="t", key="x", value=0)
+        commit(wal, 3, ("t", "c", 3))
+        assert wal.replay() == {"t": {"a": 1, "c": 3}}
+        assert [
+            (record.txn_id, ops) for record, ops in committed(wal)
+        ] == [(1, [["t", "a", 1], ["t", "b"]]), (3, [["t", "c", 3]])]
+
     def test_change_without_begin_raises(self):
         wal = WriteAheadLog()
         wal.append(LogRecordType.PUT, txn_id=9, table="t", key="k", value=1)
@@ -111,6 +135,7 @@ class TestReplay:
             wal.replay()
 
     def test_commit_without_begin_raises(self):
+        # A COMMIT with no write set closes a legacy group, or nothing.
         wal = WriteAheadLog()
         wal.append(LogRecordType.COMMIT, txn_id=9)
         with pytest.raises(RecoveryError):
@@ -120,9 +145,7 @@ class TestReplay:
 class TestCheckpoint:
     def test_checkpoint_truncates(self):
         wal = WriteAheadLog()
-        wal.append(LogRecordType.BEGIN, txn_id=1)
-        wal.append(LogRecordType.PUT, txn_id=1, table="t", key="k", value=1)
-        wal.append(LogRecordType.COMMIT, txn_id=1)
+        commit(wal, 1, ("t", "k", 1))
         wal.checkpoint({"t": {"k": 1}})
         assert len(wal) == 1
         assert wal.replay() == {"t": {"k": 1}}
@@ -130,9 +153,7 @@ class TestCheckpoint:
     def test_replay_continues_after_checkpoint(self):
         wal = WriteAheadLog()
         wal.checkpoint({"t": {"old": 1}})
-        wal.append(LogRecordType.BEGIN, txn_id=5)
-        wal.append(LogRecordType.PUT, txn_id=5, table="t", key="new", value=2)
-        wal.append(LogRecordType.COMMIT, txn_id=5)
+        commit(wal, 5, ("t", "new", 2))
         assert wal.replay() == {"t": {"old": 1, "new": 2}}
 
 
@@ -140,20 +161,21 @@ class TestPersistence:
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         wal = WriteAheadLog(path)
-        wal.append(LogRecordType.BEGIN, txn_id=1)
-        wal.append(LogRecordType.PUT, txn_id=1, table="t", key="k", value="v")
-        wal.append(LogRecordType.COMMIT, txn_id=1)
+        wal.append(LogRecordType.CREATE_TABLE, table="t")
+        commit(wal, 1, ("t", "k", "v"), ("t", "w", [1, 2]))
 
         reloaded = WriteAheadLog(path)
-        assert len(reloaded) == 3
-        assert reloaded.replay() == {"t": {"k": "v"}}
-        assert reloaded.last_lsn == 3
+        assert len(reloaded) == 2
+        assert reloaded.replay() == {"t": {"k": "v", "w": [1, 2]}}
+        assert reloaded.last_lsn == 2
+        assert list(reloaded) == list(wal)
 
     def test_reload_continues_lsn_sequence(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         wal = WriteAheadLog(path)
-        wal.append(LogRecordType.BEGIN, txn_id=1)
-        wal.close()  # a BEGIN is no barrier: it reaches the file here
+        with wal.request_scope():
+            commit(wal, 1, ("t", "k", 1))  # no barrier inside a request
+        wal.close()  # ... so it reaches the file here
         reloaded = WriteAheadLog(path)
-        record = reloaded.append(LogRecordType.COMMIT, txn_id=1)
+        record = commit(reloaded, 2, ("t", "k", 2))
         assert record.lsn == 2

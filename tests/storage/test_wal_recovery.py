@@ -19,15 +19,15 @@ from repro.storage.store import Store
 from repro.storage.wal import LogRecordType, WriteAheadLog
 
 
+def commit(wal: WriteAheadLog, txn: int) -> None:
+    """One transaction, as the store logs it: one COMMIT line."""
+    wal.append(LogRecordType.COMMIT, txn_id=txn, value=[["t", f"k{txn}", txn]])
+
+
 def write_records(path, count: int = 3) -> WriteAheadLog:
     wal = WriteAheadLog(path)
     for index in range(1, count + 1):
-        wal.append(LogRecordType.BEGIN, txn_id=index)
-        wal.append(
-            LogRecordType.PUT, txn_id=index, table="t", key=f"k{index}",
-            value=index,
-        )
-        wal.append(LogRecordType.COMMIT, txn_id=index)
+        commit(wal, index)
     wal.close()
     return wal
 
@@ -35,7 +35,7 @@ def write_records(path, count: int = 3) -> WriteAheadLog:
 class TestTornTail:
     def test_half_final_record_is_dropped_and_truncated(self, tmp_path):
         path = tmp_path / "torn.wal"
-        write_records(path, count=2)
+        write_records(path, count=3)
         whole = path.read_bytes()
         # Tear the final line in half, as a crash mid-append would.
         lines = whole.splitlines(keepends=True)
@@ -43,7 +43,8 @@ class TestTornTail:
         path.write_bytes(torn)
 
         wal = WriteAheadLog(path)
-        assert len(wal) == 5  # six appended, the torn sixth dropped
+        assert len(wal) == 2  # three appended, the torn third dropped
+        assert wal.replay() == {"t": {"k1": 1, "k2": 2}}
         assert wal.recovery_notes
         assert "torn tail" in wal.recovery_notes[0]
         # The file itself was truncated back to whole records.
@@ -57,24 +58,26 @@ class TestTornTail:
         path.write_bytes(raw[: len(raw) - 10])
 
         wal = WriteAheadLog(path)
-        wal.append(LogRecordType.BEGIN, txn_id=9)
+        commit(wal, 9)
         wal.close()
         reread = WriteAheadLog(path)
         assert reread.max_txn_id() == 9
+        assert reread.replay() == {"t": {"k1": 1, "k9": 9}}
         assert not reread.recovery_notes
         reread.close()
 
     def test_injected_torn_append_recovers_on_restart(self, tmp_path):
         path = tmp_path / "torn.wal"
         wal = WriteAheadLog(path)
-        wal.append(LogRecordType.BEGIN, txn_id=1)
-        with armed("wal.torn-append"):
-            with pytest.raises(SimulatedCrash):
-                wal.append(LogRecordType.COMMIT, txn_id=1)
+        with wal.request_scope():
+            commit(wal, 1)  # pending: the torn append writes it first
+            with armed("wal.torn-append"):
+                with pytest.raises(SimulatedCrash):
+                    commit(wal, 2)
         wal.close()
 
         reread = WriteAheadLog(path)
-        assert [r.record_type for r in reread] == [LogRecordType.BEGIN]
+        assert [r.txn_id for r in reread] == [1]
         assert reread.recovery_notes
         reread.close()
 
@@ -85,16 +88,16 @@ class TestTornTail:
         path.write_bytes(raw.rstrip(b"\n"))
 
         wal = WriteAheadLog(path)
-        assert len(wal) == 3  # the whole record survived
-        wal.append(LogRecordType.BEGIN, txn_id=5)
+        assert len(wal) == 1  # the whole record survived
+        commit(wal, 5)
         wal.close()
-        assert len(WriteAheadLog(path)) == 4
+        assert len(WriteAheadLog(path)) == 2
 
     def test_corruption_before_tail_still_raises(self, tmp_path):
         path = tmp_path / "corrupt.wal"
-        write_records(path, count=2)
+        write_records(path, count=3)
         lines = path.read_bytes().splitlines(keepends=True)
-        lines[2] = b"definitely not json\n"
+        lines[1] = b"definitely not json\n"
         path.write_bytes(b"".join(lines))
 
         with pytest.raises(RecoveryError, match="before end of log"):
@@ -147,7 +150,7 @@ class TestAtomicCheckpoint:
         for index in range(30):
             with store.begin() as txn:
                 txn.put("t", f"k{index}", index)
-        assert store.wal.records_since_checkpoint < 90
+        assert store.wal.records_since_checkpoint < 20
         first_line = path.read_text().splitlines()[0]
         assert json.loads(first_line)["type"] == "checkpoint"
         store.close()
@@ -167,17 +170,18 @@ class TestPersistentHandle:
         wal = WriteAheadLog(path)
         handle = wal._handle
         for index in range(5):
-            wal.append(LogRecordType.BEGIN, txn_id=index + 1)
+            commit(wal, index + 1)
         assert wal._handle is handle
         wal.close()
 
     def test_each_append_is_flushed(self, tmp_path):
         path = tmp_path / "flush.wal"
         wal = WriteAheadLog(path)
-        wal.append(LogRecordType.BEGIN, txn_id=1)
+        with wal.request_scope():
+            commit(wal, 1)
         # Pending until a barrier: a COMMIT outside a request is one.
         assert len(WriteAheadLog(path)) == 0
-        wal.append(LogRecordType.COMMIT, txn_id=1)
+        commit(wal, 2)
         # Both visible to a second reader at once, without close().
         assert len(WriteAheadLog(path)) == 2
         wal.close()
