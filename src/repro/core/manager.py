@@ -29,8 +29,9 @@ the release ran inside the aborted transaction.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..faults.crashpoints import crash_point
 from ..obs.metrics import MetricsRegistry
@@ -932,6 +933,8 @@ class PromiseManager:
         A promise with one strategy is its own view.
         """
         split = promise.meta.get(_SPLIT_KEY)
+        if split is None:
+            return promise
         if not isinstance(split, Mapping) or len(split) <= 1:
             return promise
         raw = split.get(strategy.name)

@@ -176,7 +176,7 @@ class PromiseResponse:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Promise:
     """A granted promise as the promise manager records it (§8's
     'promise table' row).
@@ -184,6 +184,9 @@ class Promise:
     ``meta`` holds strategy bookkeeping — escrowed amounts, tagged or
     tentatively assigned instance ids, upstream promise ids for delegation
     — keyed by strategy name so different strategies never collide.
+
+    A value: a changed promise is a new one (``dataclasses.replace``).
+    Decoded from a stored row, ``meta`` is that row's read-only mapping.
     """
 
     promise_id: str
@@ -192,7 +195,7 @@ class Promise:
     granted_at: int
     expires_at: int
     status: PromiseStatus = PromiseStatus.ACTIVE
-    meta: dict[str, object] = field(default_factory=dict)
+    meta: Mapping[str, object] = field(default_factory=dict)
 
     @property
     def is_active(self) -> bool:
@@ -241,7 +244,7 @@ class Promise:
             granted_at=int(payload["granted_at"]),  # type: ignore[arg-type]
             expires_at=int(payload["expires_at"]),  # type: ignore[arg-type]
             status=PromiseStatus(str(payload.get("status", "active"))),
-            meta=dict(meta),
+            meta=meta,
         )
 
 

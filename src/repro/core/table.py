@@ -21,12 +21,19 @@ and WAL shipping cover them — and can be rebuilt from the rows alone:
 * the *earliest-expiry watermark*, a lower bound on the soonest
   ``expires_at`` among live promises: the per-request expiry sweep is
   one read until the clock reaches it.
+
+A decoded promise is kept beside its row, in memory: rows are immutable
+values (:mod:`repro.storage.frozen`), so while the store still holds the
+very row a promise was decoded from, the decoded value is still right.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+import dataclasses
+from collections.abc import Mapping
+from typing import Callable, Iterable, Sequence
 
+from ..storage.frozen import freeze
 from ..storage.transactions import Transaction
 from .errors import UnknownPromise
 from .predicates import Predicate
@@ -52,51 +59,87 @@ class PromiseTable:
     ) -> None:
         self._store = store
         self._resource_key = resource_key or (lambda txn, resource_id: resource_id)
+        #: promise id → (row, the promise decoded from it).  An entry is
+        #: used only while the store holds that very row object, so a
+        #: write, an undo or a replay makes it a miss; nothing clears it.
+        self._decoded: dict[str, tuple[object, Promise]] = {}
         store.create_table(PROMISES_TABLE)
         store.create_table(PROMISE_INDEX_TABLE)
 
     def insert(self, txn: Transaction, promise: Promise) -> None:
         """Record a newly granted promise."""
-        txn.insert(PROMISES_TABLE, promise.promise_id, promise.to_dict())
+        txn.insert(PROMISES_TABLE, promise.promise_id, self._encode(promise))
         if promise.is_active:
             self._index(txn, promise, live=True)
 
     def get(self, txn: Transaction, promise_id: str) -> Promise:
         """Load one promise; raises :class:`UnknownPromise` when absent."""
-        payload = txn.get_or_none(PROMISES_TABLE, promise_id)
-        if payload is None:
+        promise = self.get_or_none(txn, promise_id)
+        if promise is None:
             raise UnknownPromise(promise_id)
-        return Promise.from_dict(payload)  # type: ignore[arg-type]
+        return promise
 
     def get_or_none(self, txn: Transaction, promise_id: str) -> Promise | None:
         """Load one promise, or ``None`` when absent."""
-        payload = txn.get_or_none(PROMISES_TABLE, promise_id)
-        if payload is None:
+        row = txn.get_or_none(PROMISES_TABLE, promise_id)
+        if row is None:
             return None
-        return Promise.from_dict(payload)  # type: ignore[arg-type]
+        return self._decode(promise_id, row)
 
     def update(self, txn: Transaction, promise: Promise) -> None:
         """Persist changed status/metadata of an existing promise."""
         if not txn.exists(PROMISES_TABLE, promise.promise_id):
             raise UnknownPromise(promise.promise_id)
-        txn.put(PROMISES_TABLE, promise.promise_id, promise.to_dict())
+        txn.put(PROMISES_TABLE, promise.promise_id, self._encode(promise))
         self._index(txn, promise, live=promise.is_active)
 
     def mark(
         self, txn: Transaction, promise_id: str, status: PromiseStatus
     ) -> Promise:
-        """Set a promise's status and return the updated promise."""
-        promise = self.get(txn, promise_id)
-        promise.status = status
-        self.update(txn, promise)
+        """Set a promise's status and return the updated promise.
+
+        The new row is a new top level over the stored one: its
+        predicates and meta are the stored objects, not encoded again."""
+        row = txn.get_or_none(PROMISES_TABLE, promise_id)
+        if row is None:
+            raise UnknownPromise(promise_id)
+        promise = dataclasses.replace(self._decode(promise_id, row), status=status)
+        marked = freeze({**row, "status": status.value})  # type: ignore[dict-item]
+        self._decoded[promise_id] = (marked, promise)
+        txn.put(PROMISES_TABLE, promise_id, marked)
+        self._index(txn, promise, live=promise.is_active)
         return promise
 
     def all_promises(self, txn: Transaction) -> list[Promise]:
         """Every promise, regardless of status (audit trail included)."""
         return [
-            Promise.from_dict(payload)  # type: ignore[arg-type]
-            for __, payload in txn.scan(PROMISES_TABLE)
+            self._decode(promise_id, row)
+            for promise_id, row in txn.scan(PROMISES_TABLE)
         ]
+
+    def _decode(self, promise_id: str, row: object) -> Promise:
+        """The promise ``row`` holds, decoded once per row object."""
+        entry = self._decoded.get(promise_id)
+        if entry is not None and entry[0] is row:
+            return entry[1]
+        promise = Promise.from_dict(row)  # type: ignore[arg-type]
+        self._decoded[promise_id] = (row, promise)
+        return promise
+
+    def _encode(self, promise: Promise) -> object:
+        """``promise`` as the row to write, remembered as that row's
+        decoding, so the next read decodes nothing.
+
+        The row is frozen here, and the store keeps a frozen value as
+        it is, so it is the very object later reads return.  Its
+        ``meta`` becomes the promise's, as decoding the row would give.
+        A write that fails leaves an entry no stored row matches."""
+        row = freeze(promise.to_dict())
+        self._decoded[promise.promise_id] = (
+            row,
+            dataclasses.replace(promise, meta=row["meta"]),  # type: ignore[index]
+        )
+        return row
 
     # ------------------------------------------------------ indexed reads
 
@@ -189,13 +232,18 @@ class PromiseTable:
     def vacuum(self, txn: Transaction) -> int:
         """Physically delete released/expired rows; returns rows removed.
         (They left the index when they were marked.)"""
-        dead = [
-            promise.promise_id
-            for promise in self.all_promises(txn)
-            if not promise.is_active
-        ]
+        live: dict[str, tuple[object, Promise]] = {}
+        dead = []
+        for promise_id, row in txn.scan(PROMISES_TABLE):
+            if self._decode(promise_id, row).is_active:
+                live[promise_id] = self._decoded[promise_id]
+            else:
+                dead.append(promise_id)
         for promise_id in dead:
             txn.delete(PROMISES_TABLE, promise_id)
+        # Entries whose row is gone (vacuumed, or inserted by a
+        # transaction that aborted) go too.
+        self._decoded = live
         return len(dead)
 
     # ------------------------------------------- derived-state maintenance
@@ -226,7 +274,7 @@ class PromiseTable:
         expiries = []
         for promise_id, payload in txn.scan(PROMISES_TABLE):
             try:
-                promise = Promise.from_dict(payload)  # type: ignore[arg-type]
+                promise = self._decode(promise_id, payload)
             except Exception:  # noqa: BLE001 - the doctor reports bad rows
                 continue
             if promise.is_active:

@@ -261,7 +261,11 @@ class ReplicationSender:
 
             begun = []
             for link in self._links:
-                todo = self._wal.since(link.acked_lsn)
+                # Up to ``target`` only: a record a worker appends while
+                # this loop runs would otherwise reach only the links
+                # read after it, and its own gate, finding it acked by
+                # one follower, would never ship it to the others.
+                todo = [r for r in self._wal.since(link.acked_lsn) if r.lsn <= target]
                 if todo:
                     chunks = _chunks(todo, line_of)
                     begun.append(

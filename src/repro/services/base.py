@@ -14,6 +14,7 @@ value or an :class:`~repro.core.manager.ActionResult`.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from abc import ABC
 from typing import Callable
@@ -43,38 +44,57 @@ class ApplicationService(ABC):
 
     def operations(self) -> dict[str, Callable[..., object]]:
         """All operations this service exposes, by name."""
-        found: dict[str, Callable[..., object]] = {}
-        for attribute, value in inspect.getmembers(self, inspect.ismethod):
-            if attribute.startswith(_OPERATION_PREFIX):
-                found[attribute[len(_OPERATION_PREFIX):]] = value
-        return found
+        return {
+            operation: function.__get__(self)
+            for operation, function in _operations_of(type(self)).items()
+        }
 
     def action_for(self, operation: str, params: dict[str, object]) -> Action:
         """Bind one operation + params into an action callable."""
-        method = self.operations().get(operation)
-        if method is None:
+        function = _operations_of(type(self)).get(operation)
+        if function is None:
             raise ServiceError(
                 f"service {self.name!r} has no operation {operation!r}"
             )
-        signature = inspect.signature(method)
-        accepted = set(signature.parameters) - {"ctx"}
-        unknown = set(params) - accepted
-        if unknown and not any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in signature.parameters.values()
-        ):
+        accepted = _accepted_parameters(function)
+        if accepted is not None and not accepted.issuperset(params):
             raise ServiceError(
                 f"operation {self.name}.{operation} does not accept "
-                f"parameters {sorted(unknown)}"
+                f"parameters {sorted(set(params) - accepted)}"
             )
 
         def action(ctx: ActionContext) -> object:
-            return method(ctx, **params)
+            return function(self, ctx, **params)
 
         return action
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+@functools.cache
+def _operations_of(service_class: type) -> dict[str, Callable[..., object]]:
+    """Operation name → the ``op_*`` function of ``service_class``.
+
+    Read off the class once: nothing on an instance (a property, say)
+    is evaluated to find or to call an operation."""
+    return {
+        attribute[len(_OPERATION_PREFIX):]: function
+        for attribute, function in inspect.getmembers(
+            service_class, inspect.isfunction
+        )
+        if attribute.startswith(_OPERATION_PREFIX)
+    }
+
+
+@functools.cache
+def _accepted_parameters(function: Callable[..., object]) -> frozenset[str] | None:
+    """The message parameters an operation accepts — every parameter
+    after ``self`` but ``ctx`` — or ``None`` when it takes ``**kwargs``."""
+    parameters = list(inspect.signature(function).parameters.values())[1:]
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters):
+        return None
+    return frozenset(p.name for p in parameters) - {"ctx"}
 
 
 class ServiceRegistry:

@@ -50,12 +50,15 @@ class _LockRequest:
     mode: LockMode
 
 
-@dataclass
+@dataclass(slots=True)
 class _LockEntry:
-    """State of a single lockable key: current holders plus FIFO waiters."""
+    """State of a single lockable key: current holders plus FIFO waiters.
+
+    ``waiters`` becomes a deque when a request first waits; the no-wait
+    path never builds one (a scan locks every row of a table)."""
 
     holders: dict[int, LockMode] = field(default_factory=dict)
-    waiters: deque[_LockRequest] = field(default_factory=deque)
+    waiters: deque[_LockRequest] | tuple[()] = ()
 
 
 class LockManager:
@@ -108,7 +111,11 @@ class LockManager:
         manager uses internally (paper, §9): an unfulfillable request fails
         at once instead of joining a wait queue, so deadlock is impossible.
         """
-        entry = self._table.setdefault(key, _LockEntry())
+        entry = self._table.get(key)
+        if entry is None:
+            self._table[key] = _LockEntry({txn_id: mode})
+            self._keys_of.setdefault(txn_id, set()).add(key)
+            return True
         held = entry.holders.get(txn_id)
         if held is not None:
             if held is LockMode.EXCLUSIVE or mode is LockMode.SHARED:
@@ -130,21 +137,24 @@ class LockManager:
         scheduler can resume the lucky waiters.
         """
         granted: list[tuple[int, Hashable]] = []
-        for key in list(self._keys_of.get(txn_id, ())):
+        for key in self._keys_of.pop(txn_id, ()):
             entry = self._table.get(key)
             if entry is None:
                 continue
             entry.holders.pop(txn_id, None)
-            entry.waiters = deque(
-                request for request in entry.waiters if request.txn_id != txn_id
-            )
-            granted.extend((req_txn, key) for req_txn in self._promote(key, entry))
+            if entry.waiters:
+                entry.waiters = deque(
+                    request for request in entry.waiters if request.txn_id != txn_id
+                )
+                granted.extend(
+                    (req_txn, key) for req_txn in self._promote(key, entry)
+                )
             if not entry.holders and not entry.waiters:
                 del self._table[key]
-        self._keys_of.pop(txn_id, None)
-        self._waits_for.pop(txn_id, None)
-        for edges in self._waits_for.values():
-            edges.discard(txn_id)
+        if self._waits_for:
+            self._waits_for.pop(txn_id, None)
+            for edges in self._waits_for.values():
+                edges.discard(txn_id)
         return granted
 
     def holders(self, key: Hashable) -> dict[int, LockMode]:
@@ -187,6 +197,8 @@ class LockManager:
             raise DeadlockDetected(
                 f"txn {txn_id} waiting on {key!r} would deadlock", txn_id=txn_id
             )
+        if not entry.waiters:
+            entry.waiters = deque()
         entry.waiters.append(_LockRequest(txn_id, mode))
         self._waits_for.setdefault(txn_id, set()).update(blockers)
         self._keys_of.setdefault(txn_id, set()).add(key)

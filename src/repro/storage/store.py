@@ -208,12 +208,16 @@ class Store:
             raise TableNotFound(table) from None
 
     def _lock(self, txn: Transaction, key: object, mode: LockMode) -> None:
+        held = txn.locks.get(key)
+        if held is mode or held is LockMode.EXCLUSIVE:
+            return
         if not self._locks.try_acquire(txn.txn_id, key, mode):
             self._abort(txn)
             raise TransactionAborted(
                 f"txn {txn.txn_id} conflicts on {key!r} ({mode.value})",
                 txn_id=txn.txn_id,
             )
+        txn.locks[key] = mode
 
     def _get(self, txn: Transaction, table: str, key: str) -> object:
         value = self._get_or_none(txn, table, key)
@@ -311,4 +315,5 @@ class Store:
 
     def _finish(self, txn: Transaction) -> None:
         self._locks.release_all(txn.txn_id)
+        txn.locks.clear()
         self._active.pop(txn.txn_id, None)

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator
 
 from .errors import TransactionStateError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .locks import LockMode
     from .store import Store
 
 
@@ -60,6 +61,10 @@ class Transaction:
         self.txn_id = txn_id
         self.status = TransactionStatus.ACTIVE
         self.undo_log: list[UndoEntry] = []
+        #: Lock key → the mode the lock manager granted this transaction.
+        #: Under strict 2PL the set only grows until commit or abort, so
+        #: the store answers a request it already covers from here.
+        self.locks: dict[Hashable, "LockMode"] = {}
 
     # ------------------------------------------------------------- protocol
 

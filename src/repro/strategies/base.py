@@ -17,8 +17,9 @@ grant (or a post-action violation) rolls back every side effect at once.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from ..core.predicates import AtomicPredicate, Predicate
 from ..core.promise import Promise

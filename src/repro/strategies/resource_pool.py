@@ -15,7 +15,8 @@ tampering with the allocated counter directly.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections.abc import Mapping
+from typing import Sequence
 
 from ..core.errors import PredicateUnsupported, UnknownResource
 from ..core.predicates import QuantityAtLeast

@@ -94,6 +94,46 @@ class TestServiceRegistry:
         assert registry.names() == ["echo"]
 
 
+class CountingService(EchoService):
+    """An echo service with a property that counts its reads."""
+
+    name = "counting"
+    property_reads = 0
+
+    @property
+    def expensive(self) -> int:
+        type(self).property_reads += 1
+        return 0
+
+
+class TestDispatchEvaluatesNoProperty:
+    def test_resolving_and_running_actions_reads_no_property(self):
+        registry = ServiceRegistry()
+        registry.register(CountingService())
+        resolve = registry.resolver()
+        for n in range(5):
+            action = resolve(ActionPayload("counting", "say", {"text": str(n)}))
+            assert action(None).value == str(n)
+        assert CountingService.property_reads == 0
+
+    def test_unknown_parameters_are_still_refused(self):
+        registry = ServiceRegistry()
+        registry.register(CountingService())
+        with pytest.raises(ServiceError, match="volume"):
+            registry.resolver()(
+                ActionPayload("counting", "say", {"text": "hi", "volume": 11})
+            )
+
+    def test_var_keyword_operations_still_accept_them(self):
+        registry = ServiceRegistry()
+        registry.register(CountingService())
+        action = registry.resolver()(
+            ActionPayload("counting", "kwargs", {"volume": 11, "text": "hi"})
+        )
+        assert action(None).value == ["text", "volume"]
+        assert CountingService.property_reads == 0
+
+
 class TestDeployment:
     def test_full_wiring(self):
         deployment = Deployment(name="dep")
