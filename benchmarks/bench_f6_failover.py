@@ -195,7 +195,7 @@ def mttr_run(heartbeat_interval: float) -> dict[str, object]:
         gateway = fleet.gateway(
             timeout=0.75,
             retry=RetryPolicy(max_attempts=2, base_delay=0.05, max_delay=0.1),
-            breaker_threshold=4,
+            breaker_failures=4,
             breaker_reset=0.2,
         )
         tap = _Tap(gateway)
@@ -288,7 +288,7 @@ def goodput_run(replicas: int) -> dict[str, object]:
         gateway = fleet.gateway(
             timeout=0.75,
             retry=RetryPolicy(max_attempts=2, base_delay=0.05, max_delay=0.1),
-            breaker_threshold=4,
+            breaker_failures=4,
             breaker_reset=0.2,
         )
         tap = _Tap(gateway)

@@ -13,9 +13,8 @@ Four subcommands:
 
 ``serve``
     Host a promise-enabled merchant deployment on a TCP socket (the
-    networked Figure-2 pipeline); ``--self-test`` stands the server up
-    on a loopback port, drives a client through grant / action /
-    redelivery, and exits.
+    networked Figure-2 pipeline) until interrupted; ``--port 0`` binds
+    an ephemeral port and the banner names it.
 
 ``serve-cluster``
     Host a sharded fleet: N promise managers on consecutive ports, each
@@ -23,11 +22,8 @@ Four subcommands:
     ``--replicas N`` turns every shard into a replica group: N hot
     followers apply the primary's WAL stream, a heartbeat detector
     promotes the most-caught-up one when the primary dies, and epoch
-    fencing keeps the deposed primary's late writes out.
-    ``--self-test`` boots a two-shard fleet on loopback, drives a
-    gateway through single-shard, cross-shard and shard-crash paths,
-    and exits; with ``--replicas`` it instead kills a primary and
-    proves automatic failover end to end.
+    fencing keeps the deposed primary's late writes out.  ``--port 0``
+    puts every shard on its own ephemeral port.
 
 ``call``
     Talk to a running server: request a promise and/or invoke a service
@@ -56,14 +52,12 @@ Four subcommands:
     Run one seeded chaos-nemesis schedule against a loopback fleet —
     randomized request/reply drops, crash points, shard kill/restarts
     and overload bursts — then print the audit report as JSON.
-    ``--self-test`` instead proves the auditors catch a planted leak.
 
 ``serve`` and ``serve-cluster`` accept overload-protection flags:
 ``--max-queue`` / ``--rate-limit`` put an admission controller in front
 of every server (shed checks before actions before releases, surfaced
-as a retryable ``overloaded`` fault), and ``--breaker-threshold`` arms
-per-shard circuit breakers on the self-test's client path so a dead
-shard fails fast instead of consuming the retry budget.
+as a retryable ``overloaded`` fault).  Both run until SIGINT, then
+print ``shutting down`` and exit 0.
 
 Examples::
 
@@ -73,8 +67,6 @@ Examples::
     python -m repro.cli serve --port 7807 --stock 100 --wal /var/lib/shop.wal
     python -m repro.cli serve-cluster --shards 4 --port 7807 --products 16 --wal-dir /var/lib/shop
     python -m repro.cli serve-cluster --shards 2 --replicas 1 --heartbeat-interval 0.2
-    python -m repro.cli serve-cluster --self-test
-    python -m repro.cli serve-cluster --replicas 1 --self-test
     python -m repro.cli call --connect 127.0.0.1:7807 --predicate "quantity('widgets') >= 5" --duration 30
     python -m repro.cli call --connect 127.0.0.1:7807 --service merchant --operation sell --param product=widgets --param quantity=1
     python -m repro.cli call --cluster 127.0.0.1:7807,127.0.0.1:7808 --predicate "quantity('product-0') >= 2 and quantity('product-1') >= 1"
@@ -86,7 +78,6 @@ Examples::
     python -m repro.cli doctor --wal /var/lib/shop.wal --repair
     python -m repro.cli serve --port 7807 --max-queue 64 --rate-limit 200
     python -m repro.cli chaos --seed 2007 --duration 30
-    python -m repro.cli chaos --self-test
 """
 
 from __future__ import annotations
@@ -107,7 +98,7 @@ from .cluster import ClusterGateway, host_deployment, provision_products
 from .core.environment import Environment
 from .core.errors import PredicateSyntaxError
 from .core.parser import P
-from .net import NetworkTransport, ThreadedServer
+from .net import NetworkTransport
 from .net.server import METRICS_ENDPOINT, SPANS_ENDPOINT
 from .obs.metrics import snapshot_delta
 from .obs.trace import Span, SpanRecorder, render_trace, spans_from_jsonl
@@ -117,7 +108,6 @@ from .protocol.errors import ProtocolError
 from .protocol.messages import ActionPayload, Message
 from .replication import HeartbeatDetector, ReplicatedFleet
 from .resilience.admission import AdmissionController
-from .resilience.breaker import CircuitBreaker
 from .services.deployment import Deployment
 from .services.merchant import MerchantService
 from .sim.workload import WorkloadSpec
@@ -167,9 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="host a promise-enabled deployment over TCP"
     )
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=None,
+    serve.add_argument("--port", type=int, default=DEFAULT_PORT,
                        help=f"listen port (default {DEFAULT_PORT}; "
-                            "--self-test defaults to an ephemeral port)")
+                            "0 picks an ephemeral port)")
     serve.add_argument("--endpoint", default="shop",
                        help="endpoint/deployment name (default shop)")
     serve.add_argument("--stock", type=int, default=100,
@@ -184,10 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="compact the WAL after every N records "
                             "(one per committed transaction)")
-    serve.add_argument("--self-test", action="store_true",
-                       help="serve on loopback, run a client round trip "
-                            "(grant, action, redelivery), then kill the "
-                            "server and restart it from the WAL")
     _add_resilience_flags(serve)
     _add_pipeline_flags(serve)
 
@@ -197,10 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--shards", type=int, default=2,
                          help="number of shard servers to boot (default 2)")
     cluster.add_argument("--host", default="127.0.0.1")
-    cluster.add_argument("--port", type=int, default=None,
+    cluster.add_argument("--port", type=int, default=DEFAULT_PORT,
                          help=f"base port; shard i listens on port+i "
-                              f"(default {DEFAULT_PORT}; --self-test "
-                              "defaults to ephemeral ports)")
+                              f"(default {DEFAULT_PORT}; 0 puts every "
+                              "shard on an ephemeral port)")
     cluster.add_argument("--endpoint", default="shop",
                          help="endpoint name every shard serves "
                               "(default shop)")
@@ -226,12 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="failure-detector ping interval; a primary "
                               "missing 3 consecutive beats is replaced "
                               "(default 0.2, used when --replicas > 0)")
-    cluster.add_argument("--self-test", action="store_true",
-                         help="boot a loopback fleet, drive a gateway "
-                              "through single-shard, cross-shard and "
-                              "shard-crash paths, then exit; with "
-                              "--replicas, also kill a primary and prove "
-                              "automatic failover")
     _add_resilience_flags(cluster)
     _add_pipeline_flags(cluster)
 
@@ -345,9 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="failure-detector ping interval during a "
                             "replicated run (default 0.05)")
-    chaos.add_argument("--self-test", action="store_true",
-                       help="prove the invariant auditors catch a "
-                            "planted leak, then exit")
     return parser
 
 
@@ -363,11 +340,6 @@ def _add_resilience_flags(subparser: argparse.ArgumentParser) -> None:
         help="admission control: token-bucket rate in requests/second "
              "per server; shed requests get a retryable 'overloaded' "
              "fault (checks shed first, releases last)",
-    )
-    subparser.add_argument(
-        "--breaker-threshold", type=int, default=None, metavar="N",
-        help="consecutive failures before the self-test client's "
-             "per-endpoint circuit breaker opens (default: no breaker)",
     )
 
 
@@ -520,32 +492,18 @@ def _build_served_deployment(
 
 def run_serve(
     host: str,
-    port: int | None,
+    port: int,
     endpoint: str,
     stock: int,
-    self_test: bool,
     wal: str | None = None,
     fsync: bool = False,
     checkpoint_every: int | None = None,
     max_queue: int | None = None,
     rate_limit: float | None = None,
-    breaker_threshold: int | None = None,
     workers: int = 0,
     out=sys.stdout,
 ) -> int:
-    """Host the deployment over TCP; returns a process exit code."""
-    if port is None:
-        port = 0 if self_test else DEFAULT_PORT
-
-    if self_test:
-        return _serve_self_test(
-            host, port, endpoint, stock, wal,
-            fsync=fsync, checkpoint_every=checkpoint_every,
-            max_queue=max_queue, rate_limit=rate_limit,
-            breaker_threshold=breaker_threshold,
-            workers=workers, out=out,
-        )
-
+    """Host the deployment over TCP until SIGINT; returns an exit code."""
     deployment = _build_served_deployment(
         endpoint, stock, wal, fsync, checkpoint_every, out=out
     )
@@ -568,235 +526,39 @@ def run_serve(
             f"serving endpoint {endpoint!r} on {bound_host}:{bound_port} "
             f"(widgets stock: {stock}{durability}{shedding})",
             file=out,
+            flush=True,
         )
         await server.serve_forever()
 
     try:
         asyncio.run(serve())
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
+    except KeyboardInterrupt:
         print("shutting down", file=out)
     except OSError as error:
         print(f"cannot serve on {host}:{port}: {error}", file=out)
         return 2
-    return 0
-
-
-def _serve_self_test(
-    host: str,
-    port: int,
-    endpoint: str,
-    stock: int,
-    wal: str | None,
-    fsync: bool = False,
-    checkpoint_every: int | None = None,
-    workers: int = 0,
-    max_queue: int | None = None,
-    rate_limit: float | None = None,
-    breaker_threshold: int | None = None,
-    out=sys.stdout,
-) -> int:
-    """Loopback smoke test, in two lives of the same deployment.
-
-    Life one: grant, action under promise, §6 redelivery — as before.
-    Then the server is killed, and life two restarts from the WAL
-    (a temporary file when ``--wal`` was not given): recovery must come
-    up healthy, the pre-crash stock must survive, and a client retrying
-    a pre-crash message must get its original reply back, re-rendered
-    from the manager's journal row (``manager.journal.replays``) rather
-    than executed again.
-    """
-    import tempfile
-
-    cleanup: str | None = None
-    if wal is None:
-        fd, wal = tempfile.mkstemp(prefix="repro-selftest-", suffix=".wal")
-        os.close(fd)
-        os.unlink(wal)  # the WAL layer creates it; we only needed a name
-        cleanup = wal
-    try:
-        return _self_test_two_lives(
-            host, port, endpoint, stock, wal,
-            fsync=fsync, checkpoint_every=checkpoint_every,
-            max_queue=max_queue, rate_limit=rate_limit,
-            breaker_threshold=breaker_threshold,
-            workers=workers, out=out,
-        )
     finally:
-        if cleanup is not None:
-            for leftover in (cleanup, cleanup + ".tmp"):
-                if os.path.exists(leftover):
-                    os.unlink(leftover)
-
-
-def _self_test_two_lives(
-    host: str,
-    port: int,
-    endpoint: str,
-    stock: int,
-    wal: str,
-    fsync: bool,
-    checkpoint_every: int | None,
-    max_queue: int | None = None,
-    rate_limit: float | None = None,
-    breaker_threshold: int | None = None,
-    workers: int = 0,
-    out=sys.stdout,
-) -> int:
-    def breaker() -> CircuitBreaker | None:
-        if breaker_threshold is None:
-            return None
-        return CircuitBreaker(
-            endpoint=endpoint, failure_threshold=breaker_threshold
-        )
-
-    deployment = _build_served_deployment(
-        endpoint, stock, wal, fsync, checkpoint_every, out=out
-    )
-    server = host_deployment(
-        deployment, endpoint, host=host, port=port,
-        admission=_admission_from_flags(max_queue, rate_limit),
-        workers=workers,
-    )
-    with ThreadedServer(server) as (host, bound_port):
-        print(f"self-test: serving on {host}:{bound_port}", file=out)
-        with NetworkTransport((host, bound_port), breaker=breaker()) as transport:
-            client = PromiseClient("self-test", transport)
-            response = client.request_promise(
-                endpoint, [P("quantity('widgets') >= 5")], 30
-            )
-            if not response.accepted:
-                print(f"self-test FAILED: {response.reason}", file=out)
-                return 1
-            print(f"promise granted: {response.promise_id}", file=out)
-
-            # Lose a reply on purpose; the client's retry must redeliver
-            # and the server's dedup cache must not re-run the sale.
-            transport.plan_reply_drop(transport.stats.sent + 1)
-            outcome = client.call(
-                endpoint, "merchant", "sell",
-                {"product": "widgets", "quantity": 1},
-                environment=Environment.of(response.promise_id),
-            )
-            if not outcome.success:
-                print(f"self-test FAILED: {outcome.reason}", file=out)
-                return 1
-            level = client.call(
-                endpoint, "merchant", "stock_level", {"product": "widgets"}
-            )
-            remaining = (
-                level.value.get("available", 0) + level.value.get("allocated", 0)
-            )
-            sold_once = remaining == stock - 1  # one unit sold, not two
-            print(
-                f"action under promise: ok (stock {level.value}, "
-                f"exactly one sale after dropped reply + redelivery)",
-                file=out,
-            )
-
-            # Deterministic §6 redelivery probe: the same message id twice
-            # must be served from the reply cache, byte-identically.
-            probe = Message(
-                message_id="self-test:probe",
-                sender="self-test",
-                recipient=endpoint,
-                action=ActionPayload(
-                    "merchant", "stock_level", {"product": "widgets"}
-                ),
-            )
-            first = transport.send(probe)
-            duplicates_before = server.stats.duplicates_served
-            second = transport.send(probe)
-            deduplicated = (
-                first == second
-                and server.stats.duplicates_served == duplicates_before + 1
-            )
-            print(
-                f"redelivery probe: duplicate served from cache: "
-                f"{'yes' if deduplicated else 'NO'}",
-                file=out,
-            )
-            faults = client.release(endpoint, response.promise_id)
-            life_one_ok = not faults and sold_once and deduplicated
-
-    # Kill the server (the context manager above tore it down without
-    # ceremony) and start a second life from the same WAL.
-    deployment.close()
-    print(f"killed server; restarting from {wal}", file=out)
-    deployment = _build_served_deployment(
-        endpoint, stock, wal, fsync, checkpoint_every, out=out
-    )
-    report = deployment.recovery_report
-    recovered_ok = report is not None and report.healthy
-    server = host_deployment(
-        deployment, endpoint, host=host, port=port,
-        admission=_admission_from_flags(max_queue, rate_limit),
-        workers=workers,
-    )
-    with ThreadedServer(server) as (host, bound_port):
-        with NetworkTransport((host, bound_port), breaker=breaker()) as transport:
-            client = PromiseClient("self-test-2", transport)
-            level = client.call(
-                endpoint, "merchant", "stock_level", {"product": "widgets"}
-            )
-            stock_survived = (
-                level.value.get("available", 0)
-                + level.value.get("allocated", 0)
-            ) == stock - 1
-            print(
-                f"stock after restart: {level.value} "
-                f"({'survived' if stock_survived else 'LOST'})",
-                file=out,
-            )
-            # Retry a pre-crash message: the reply cache died with the
-            # first life, so the request re-enters the handler, hits the
-            # row journalled in the action's own transaction and renders
-            # the original envelope — a journal hit, not an execution.
-            probe = Message(
-                message_id="self-test:probe",
-                sender="self-test",
-                recipient=endpoint,
-                action=ActionPayload(
-                    "merchant", "stock_level", {"product": "widgets"}
-                ),
-            )
-            replayed = transport.send(probe)
-            journal_replayed = (
-                replayed == first
-                and server.metrics.value("manager.journal.replays") == 1
-            )
-            print(
-                f"pre-crash message retried: journaled reply replayed: "
-                f"{'yes' if journal_replayed else 'NO'}",
-                file=out,
-            )
-    deployment.close()
-    healthy = (
-        life_one_ok and recovered_ok and stock_survived and journal_replayed
-    )
-    print("self-test " + ("ok" if healthy else "FAILED"), file=out)
-    return 0 if healthy else 1
+        deployment.close()
+    return 0
 
 
 def run_serve_cluster(
     shards: int,
     host: str,
-    port: int | None,
+    port: int,
     endpoint: str,
     products: int,
     stock: int,
-    self_test: bool,
     wal_dir: str | None = None,
     fsync: bool = False,
     max_queue: int | None = None,
     rate_limit: float | None = None,
-    breaker_threshold: int | None = None,
     replicas: int = 0,
     heartbeat_interval: float = 0.2,
     workers: int = 0,
     out=sys.stdout,
 ) -> int:
-    """Host a sharded fleet over TCP; returns a process exit code."""
-    import tempfile
+    """Host a sharded fleet over TCP until SIGINT; returns an exit code."""
     import threading
 
     if shards < 1:
@@ -812,36 +574,18 @@ def run_serve_cluster(
         def admission(index: int) -> AdmissionController:
             return _admission_from_flags(max_queue, rate_limit)
 
-    def build(wal_dir: str | None, base_port: int | None) -> ReplicatedFleet:
-        return ReplicatedFleet(
-            shards,
-            replicas=replicas,
-            endpoint=endpoint,
-            provision=provision_products(products, stock),
-            wal_dir=wal_dir,
-            fsync=fsync,
-            host=host,
-            base_port=base_port,
-            admission=admission,
-            workers=workers,
-        )
-
-    if self_test:
-        with tempfile.TemporaryDirectory(prefix="repro-cluster-") as scratch:
-            with build(scratch, None) as fleet:
-                # With followers the road back from a kill is the
-                # detector's promotion; without, restart-from-WAL.
-                if replicas > 0:
-                    return _serve_cluster_failover_self_test(
-                        fleet, heartbeat_interval, breaker_threshold, out
-                    )
-                return _serve_cluster_self_test(
-                    fleet, products, breaker_threshold, out
-                )
-    if port is None:
-        port = DEFAULT_PORT
-
-    fleet = build(wal_dir, port)
+    fleet = ReplicatedFleet(
+        shards,
+        replicas=replicas,
+        endpoint=endpoint,
+        provision=provision_products(products, stock),
+        wal_dir=wal_dir,
+        fsync=fsync,
+        host=host,
+        base_port=port,
+        admission=admission,
+        workers=workers,
+    )
     try:
         addresses = fleet.start()
     except OSError as error:
@@ -879,255 +623,15 @@ def run_serve_cluster(
                 file=out,
             )
         joined = ",".join(f"{h}:{p}" for h, p in addresses)
-        print(f"gateway clients: call --cluster {joined}", file=out)
+        print(f"gateway clients: call --cluster {joined}", file=out, flush=True)
         threading.Event().wait()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
+    except KeyboardInterrupt:  # pragma: no cover - runs in a subprocess
         print("shutting down fleet", file=out)
     finally:
         if detector is not None:
             detector.stop()
         fleet.stop()
     return 0
-
-
-def _serve_cluster_failover_self_test(
-    fleet, heartbeat_interval: float, breaker_threshold: int | None, out
-) -> int:
-    """Replicated-fleet smoke test: grant, kill the primary, recover.
-
-    Runs a heartbeat detector over the booted replica groups, grants a
-    promise, verifies the WAL stream is caught up, then kills the
-    promise's home primary.  The detector must promote a follower
-    within a few heartbeats, after which the same gateway — remapped
-    and breaker-reset automatically — must grant again without manual
-    intervention, and a message first answered by the dead primary must
-    be answered again from the row it journalled (the same reply but for
-    the ``<epoch>`` header); the dead primary rejoins as a follower and
-    the doctor audit must come back clean.
-    """
-    import time
-    from dataclasses import replace
-
-    from .protocol.retry import RetryPolicy
-
-    endpoint = fleet.endpoint
-    checks: list[tuple[str, bool]] = []
-
-    def check(label: str, ok: bool) -> None:
-        checks.append((label, ok))
-        print(f"{label}: {'ok' if ok else 'FAILED'}", file=out)
-
-    print(
-        f"self-test: {len(fleet)} replica groups x "
-        f"{1 + len(fleet.group(0).followers)} nodes, "
-        f"heartbeat {heartbeat_interval}s",
-        file=out,
-    )
-    with HeartbeatDetector(
-        fleet, interval=heartbeat_interval, miss_threshold=3
-    ):
-        gateway = fleet.gateway(
-            timeout=2.0,
-            retry=RetryPolicy(max_attempts=4, base_delay=0.05, max_delay=0.2),
-            breaker_threshold=breaker_threshold or 4,
-            breaker_reset=0.2,
-        )
-        with gateway:
-            client = PromiseClient(
-                "failover-self-test", gateway, deadline=10.0
-            )
-            product = "product-0"
-            victim = fleet.ring.shard_of(product)
-            response = client.request_promise(
-                endpoint, [P(f"quantity('{product}') >= 2")], 60
-            )
-            check("grant before failover", response.accepted)
-            probe = Message(
-                message_id="failover-self-test:probe",
-                sender="failover-self-test",
-                recipient=endpoint,
-                action=ActionPayload(
-                    "merchant", "stock_level", {"product": product}
-                ),
-            )
-            first = gateway.send(probe)
-            stream = fleet.replication_status(victim)["stream"]
-            check(
-                "followers caught up",
-                stream is not None
-                and stream["synced_lsn"] == stream["last_lsn"],
-            )
-            epoch_before = fleet.epoch(victim)
-            fleet.kill(victim)
-            print(
-                f"killed primary of shard {victim}; waiting for "
-                "the detector...",
-                file=out,
-            )
-            started = time.monotonic()
-            promoted = fleet.await_failover(
-                victim, beyond_epoch=epoch_before, timeout=15.0
-            )
-            elapsed = time.monotonic() - started
-            check(
-                f"automatic failover (epoch "
-                f"{fleet.epoch(victim)}, {elapsed:.2f}s)",
-                promoted,
-            )
-            retry = client.request_promise(
-                endpoint, [P(f"quantity('{product}') >= 1")], 60
-            )
-            check("grant after failover", retry.accepted)
-            replayed = gateway.send(probe)
-            promoted_metrics = fleet.shard(victim).server.metrics
-            check(
-                "pre-failover message re-rendered from the journal",
-                replace(replayed, epoch=first.epoch) == first
-                and replayed.epoch == fleet.epoch(victim)
-                and promoted_metrics.value("manager.journal.replays") == 1,
-            )
-            released = True
-            for pid in (response.promise_id, retry.promise_id):
-                if pid:
-                    released = (
-                        client.release(endpoint, pid) == () and released
-                    )
-            check("releases across the failover", released)
-            rejoined = fleet.rejoin(victim)
-            check("dead primary rejoined as follower", rejoined == 1)
-            counts = fleet.live_promises()
-            findings = fleet.audit()
-            check(
-                "no orphaned promises",
-                all(count == 0 for count in counts.values()),
-            )
-            check(
-                "doctor audit clean",
-                all(not found for found in findings.values()),
-            )
-    healthy = all(ok for __, ok in checks)
-    print("failover self-test " + ("ok" if healthy else "FAILED"), file=out)
-    return 0 if healthy else 1
-
-
-def _serve_cluster_self_test(
-    fleet, products: int, breaker_threshold: int | None, out
-) -> int:
-    """Loopback fleet smoke test: grant, cross-shard, crash, audit.
-
-    Drives one gateway over the booted fleet (ephemeral ports, per-shard
-    WALs in a temporary directory) through the paths that define the
-    subsystem: a single-shard grant/release, a cross-shard composite
-    grant/release, an action routed by its resource parameter, and a
-    shard kill mid-fleet — the cross-shard request must be rejected, the
-    compensation queued, and one flush after restart must leave every
-    shard's doctor audit clean.
-    """
-    from .protocol.retry import RetryPolicy
-
-    endpoint = fleet.endpoint
-    checks: list[tuple[str, bool]] = []
-
-    def check(label: str, ok: bool) -> None:
-        checks.append((label, ok))
-        print(f"{label}: {'ok' if ok else 'FAILED'}", file=out)
-
-    print(
-        f"self-test: {len(fleet)} shards on "
-        + ", ".join(f"{h}:{p}" for h, p in fleet.addresses()),
-        file=out,
-    )
-    pair = _cross_shard_pair(fleet, products)
-    if pair is None:
-        print(
-            f"self-test FAILED: the ring placed all {products} "
-            "products on one shard; rerun with more --products",
-            file=out,
-        )
-        return 1
-    near, far = pair
-    with fleet.gateway(
-        timeout=2.0,
-        retry=RetryPolicy.none(),
-        breaker_threshold=breaker_threshold,
-        breaker_reset=0.2,
-    ) as gateway:
-        client = PromiseClient(
-            "cluster-self-test", gateway, retry=RetryPolicy.none()
-        )
-
-        response = client.request_promise(
-            endpoint, [P(f"quantity('{near}') >= 1")], 30
-        )
-        check("single-shard grant", response.accepted)
-        check(
-            "single-shard release",
-            client.release(endpoint, response.promise_id) == (),
-        )
-
-        response = client.request_promise(
-            endpoint,
-            [P(f"quantity('{near}') >= 2"), P(f"quantity('{far}') >= 1")],
-            30,
-        )
-        check(
-            "cross-shard composite grant",
-            response.accepted
-            and response.promise_id.startswith("cluster/"),
-        )
-        check(
-            "composite release fan-out",
-            client.release(endpoint, response.promise_id) == (),
-        )
-
-        outcome = client.call(
-            endpoint, "merchant", "sell",
-            {"product": far, "quantity": 1},
-        )
-        check("action routed to resource shard", outcome.success)
-
-        victim = fleet.ring.shard_of(far)
-        fleet.kill(victim)
-        response = client.request_promise(
-            endpoint,
-            [P(f"quantity('{near}') >= 2"), P(f"quantity('{far}') >= 1")],
-            30,
-        )
-        check(
-            "cross-shard request rejected while shard down",
-            not response.accepted,
-        )
-        check(
-            "compensation queued for dead shard",
-            gateway.pending_compensations == 1,
-        )
-        fleet.restart(victim)
-        check("queued compensation flushed", gateway.flush_pending() == 1)
-
-        counts = fleet.live_promises()
-        findings = fleet.audit()
-        check(
-            "no orphaned sub-promises",
-            all(count == 0 for count in counts.values()),
-        )
-        check(
-            "per-shard doctor audit clean",
-            all(not found for found in findings.values()),
-        )
-    healthy = all(ok for __, ok in checks)
-    print("cluster self-test " + ("ok" if healthy else "FAILED"), file=out)
-    return 0 if healthy else 1
-
-
-def _cross_shard_pair(fleet, products: int) -> tuple[str, str] | None:
-    """Two product pools the fleet's ring places on different shards."""
-    first = "product-0"
-    home = fleet.ring.shard_of(first)
-    for number in range(1, products):
-        candidate = f"product-{number}"
-        if fleet.ring.shard_of(candidate) != home:
-            return first, candidate
-    return None
 
 
 def _parse_addresses(text: str) -> list[tuple[str, int]] | None:
@@ -1536,12 +1040,11 @@ def run_chaos(
     shards: int,
     products: int,
     stock: int,
-    self_test: bool,
     replicas: int = 0,
     heartbeat_interval: float = 0.05,
     out=sys.stdout,
 ) -> int:
-    """One seeded nemesis schedule (or the auditors' self-test).
+    """One seeded nemesis schedule.
 
     Prints the run's audit report as JSON; exit code 0 only when every
     invariant held *and* every fault class demonstrably fired.
@@ -1551,16 +1054,8 @@ def run_chaos(
     # Imported here, not at module top: the nemesis pulls in the whole
     # cluster/net stack and is deliberately not exported from
     # ``repro.faults`` (see its module docstring).
-    from .faults.nemesis import ChaosNemesis, self_test as nemesis_self_test
+    from .faults.nemesis import ChaosNemesis
 
-    if self_test:
-        ok = nemesis_self_test()
-        print(
-            "auditor self-test "
-            + ("ok: planted leak was flagged" if ok else "FAILED"),
-            file=out,
-        )
-        return 0 if ok else 1
     if shards < 2:
         print(f"chaos needs at least two shards, got {shards}", file=out)
         return 2
@@ -1609,19 +1104,17 @@ def main(argv: Sequence[str] | None = None, out=sys.stdout) -> int:
     if args.command == "serve":
         return run_serve(
             args.host, args.port, args.endpoint, args.stock,
-            args.self_test, args.wal, args.fsync, args.checkpoint_every,
+            args.wal, args.fsync, args.checkpoint_every,
             max_queue=args.max_queue, rate_limit=args.rate_limit,
-            breaker_threshold=args.breaker_threshold,
             workers=args.workers,
             out=out,
         )
     if args.command == "serve-cluster":
         return run_serve_cluster(
             args.shards, args.host, args.port, args.endpoint,
-            args.products, args.stock, args.self_test,
+            args.products, args.stock,
             args.wal_dir, args.fsync,
             max_queue=args.max_queue, rate_limit=args.rate_limit,
-            breaker_threshold=args.breaker_threshold,
             replicas=args.replicas,
             heartbeat_interval=args.heartbeat_interval,
             workers=args.workers,
@@ -1649,7 +1142,7 @@ def main(argv: Sequence[str] | None = None, out=sys.stdout) -> int:
     if args.command == "chaos":
         return run_chaos(
             args.seed, args.duration, args.steps, args.shards,
-            args.products, args.stock, args.self_test,
+            args.products, args.stock,
             replicas=args.replicas,
             heartbeat_interval=args.heartbeat_interval, out=out,
         )

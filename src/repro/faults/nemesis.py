@@ -834,7 +834,7 @@ def audit_spans(spans: list[dict]) -> list[str]:
 
 
 def audit_fleet(fleet: ReplicatedFleet, stock: int) -> list[str]:
-    """End-state invariant audit shared by the nemesis and its self-test.
+    """End-state invariant audit of a nemesis run (and of a planted leak).
 
     With every promise released, over-grant, double-execution and lost
     release all leave the same fingerprint: a pool whose availability or
@@ -862,85 +862,3 @@ def audit_fleet(fleet: ReplicatedFleet, stock: int) -> list[str]:
                         f" (expected available={stock} allocated=0)"
                     )
     return violations
-
-
-def _span_audit_self_test() -> bool:
-    """Feed :func:`audit_spans` a fabricated double grant; it must object.
-
-    The forged history shows one check-kind message executed and
-    acknowledged at epoch 0 and again at epoch 1 — plus decoys (a fenced
-    execution and a duplicate replay) that must *not* trip it.
-    """
-
-    def dispatch(span_id, message_id, epoch, outcome="ok", executed=True):
-        return {
-            "name": "server.dispatch",
-            "trace_id": "t-forged",
-            "span_id": span_id,
-            "outcome": outcome,
-            "attributes": {
-                "message_id": message_id,
-                "kind": "check",
-                "epoch": epoch,
-                "executed": executed or None,
-            },
-        }
-
-    clean = [
-        dispatch("s1", "m-clean", 0),
-        dispatch("s2", "m-fenced", 0, outcome="fenced"),
-        dispatch("s3", "m-fenced", 1),
-        dispatch("s4", "m-replayed", 0),
-        dispatch("s5", "m-replayed", 1, outcome="duplicate", executed=False),
-        dispatch("s4", "m-replayed", 0),  # same span scraped twice
-    ]
-    if audit_spans(clean):
-        return False
-    forged = clean + [
-        dispatch("s6", "m-double", 0),
-        dispatch("s7", "m-double", 1),
-    ]
-    caught = audit_spans(forged)
-    return any(
-        "m-double" in violation and "across epochs 0/1" in violation
-        for violation in caught
-    )
-
-
-def self_test(wal_dir: str | None = None) -> bool:
-    """Prove the auditors can actually catch a violation.
-
-    Boots a small fleet, grants a promise and deliberately never
-    releases it; :func:`audit_fleet` must flag both the live promise and
-    the pool's missing stock.  :func:`audit_spans` must likewise flag a
-    fabricated trace showing one message executed on both sides of an
-    epoch bump.  A nemesis whose auditors pass this check cannot be
-    green merely because the checks are vacuous.
-    """
-    if not _span_audit_self_test():
-        return False
-    owned_dir = wal_dir is None
-    directory = wal_dir or tempfile.mkdtemp(prefix="nemesis-selftest-")
-    fleet = ReplicatedFleet(
-        2,
-        replicas=0,
-        provision=provision_products(4, 10),
-        wal_dir=directory,
-    )
-    fleet.start()
-    try:
-        with fleet.gateway(retry=RetryPolicy.none()) as gateway:
-            client = PromiseClient("selftest", gateway, retry=RetryPolicy.none())
-            response = client.request_promise(
-                "shop", [P("quantity('product-0') >= 3")], 600
-            )
-            if not response.accepted:
-                return False
-        violations = audit_fleet(fleet, stock=10)
-        leaked_promise = any("live promises" in v for v in violations)
-        leaked_stock = any("pool product-0" in v for v in violations)
-        return leaked_promise and leaked_stock
-    finally:
-        fleet.stop()
-        if owned_dir:
-            shutil.rmtree(directory, ignore_errors=True)

@@ -21,27 +21,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
+from ..resilience.deadline import remaining_budget
 from ..sim.random import RandomStream
 from .errors import TransportFailure
 
 T = TypeVar("T")
-
-
-def _remaining(deadline: object | None) -> float | None:
-    """Seconds left on a deadline, duck-typed.
-
-    Accepts ``None``, anything with a callable ``remaining()`` (a
-    :class:`repro.resilience.Deadline`), or a bare float taken as an
-    absolute :func:`time.monotonic` timestamp.  Duck-typed so this
-    module stays import-light; :mod:`repro.resilience.deadline` hosts
-    the canonical twin of this reader.
-    """
-    if deadline is None:
-        return None
-    remaining = getattr(deadline, "remaining", None)
-    if callable(remaining):
-        return remaining()
-    return float(deadline) - time.monotonic()  # type: ignore[arg-type]
 
 
 @dataclass
@@ -103,7 +87,7 @@ class RetryPolicy:
                 failures += 1
                 if failures >= self.max_attempts:
                     raise
-                remaining = _remaining(deadline)
+                remaining = remaining_budget(deadline)
                 if remaining is not None and remaining <= 0:
                     raise
                 self.retries += 1

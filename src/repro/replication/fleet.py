@@ -145,7 +145,7 @@ class ReplicatedFleet:
         host: str = "127.0.0.1",
         ring: PartitionMap | None = None,
         admission: AdmissionFactory | None = None,
-        base_port: int | None = None,
+        base_port: int = 0,
         workers: int = 0,
         history: "HistoryRecorder | None" = None,
     ) -> None:
@@ -453,7 +453,7 @@ class ReplicatedFleet:
         timeout: float = 5.0,
         retry: RetryPolicy | None = None,
         name: str = "cluster",
-        breaker_threshold: int | None = None,
+        breaker_failures: int | None = None,
         breaker_reset: float = 5.0,
         pending_limit: int | None = 256,
         pending_max_age: float | None = None,
@@ -461,7 +461,7 @@ class ReplicatedFleet:
     ) -> ClusterGateway:
         """A routing gateway over the current primaries.
 
-        ``breaker_threshold`` (consecutive failures) turns on one
+        ``breaker_failures`` (consecutive failures) turns on one
         circuit breaker per shard; a dead shard then fails fast at the
         gateway instead of consuming every request's retry schedule.
 
@@ -483,11 +483,11 @@ class ReplicatedFleet:
                 for address in self.addresses()
             ]
             breakers = None
-            if breaker_threshold is not None:
+            if breaker_failures is not None:
                 breakers = [
                     CircuitBreaker(
                         endpoint=f"{self.endpoint}-s{index}",
-                        failure_threshold=breaker_threshold,
+                        failure_threshold=breaker_failures,
                         reset_timeout=breaker_reset,
                     )
                     for index in range(self._count)
@@ -591,7 +591,9 @@ class ReplicatedFleet:
         )
 
     def _boot_group(self, index: int) -> ReplicaGroup:
-        port = 0 if self._base_port is None else self._base_port + index
+        # Shard i listens on base_port + i; a base of 0 puts every
+        # shard on its own ephemeral port, as ``serve --port 0`` does.
+        port = self._base_port + index if self._base_port else 0
         # The primary is the group's first incarnation (scope
         # "shard-N", follower logs count from r1) even though its
         # followers are listening before it boots, so the provisioning

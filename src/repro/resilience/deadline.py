@@ -65,9 +65,8 @@ def remaining_budget(deadline: object | None) -> float | None:
 
     Accepts ``None`` (no deadline), a :class:`Deadline`, anything else
     with a callable ``remaining()``, or a bare float taken as an absolute
-    :func:`time.monotonic` timestamp.  Layers that must not import this
-    package (to stay dependency-light) duck-type against the same
-    shapes; this helper is the one canonical reading of them.
+    :func:`time.monotonic` timestamp.  This is the one reader of those
+    shapes: the retry loop and the pipelined client both call it.
     """
     if deadline is None:
         return None

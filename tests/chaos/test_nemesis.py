@@ -4,7 +4,7 @@ Each test is one fully deterministic-schedule nemesis run (the workload
 and fault choices derive from the seed; socket timing does not change
 *what* is injected).  The acceptance bar from the issue: at least three
 distinct seeds, zero invariant violations, and proof that every fault
-class actually fired — plus a self-test showing the auditors are not
+class actually fired — plus a planted leak showing the auditors are not
 vacuous.
 """
 
@@ -12,8 +12,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.provision import provision_products
+from repro.core.parser import P
 from repro.faults.crashpoints import clear
-from repro.faults.nemesis import FAULT_CLASSES, ChaosNemesis, self_test
+from repro.faults.nemesis import FAULT_CLASSES, ChaosNemesis, audit_fleet
+from repro.protocol.client import PromiseClient
+from repro.protocol.retry import RetryPolicy
+from repro.replication import ReplicatedFleet
 
 pytestmark = pytest.mark.chaos
 
@@ -57,9 +62,29 @@ def test_report_summary_is_json_shaped(tmp_path):
 
 
 def test_auditors_catch_a_planted_leak(tmp_path):
-    # A granted-but-never-released promise must be flagged; if this
-    # fails the green runs above prove nothing.
-    assert self_test(wal_dir=str(tmp_path))
+    # A granted-but-never-released promise must be flagged as both a
+    # live promise and a pool short of its stock; if this fails the
+    # green runs above prove nothing.  (The span auditor's planted
+    # double grant is tests/obs/test_trace.py.)
+    fleet = ReplicatedFleet(
+        2,
+        replicas=0,
+        provision=provision_products(4, 10),
+        wal_dir=str(tmp_path),
+    )
+    fleet.start()
+    try:
+        with fleet.gateway(retry=RetryPolicy.none()) as gateway:
+            client = PromiseClient("planted", gateway, retry=RetryPolicy.none())
+            response = client.request_promise(
+                "shop", [P("quantity('product-0') >= 3")], 600
+            )
+            assert response.accepted
+        violations = audit_fleet(fleet, stock=10)
+    finally:
+        fleet.stop()
+    assert any("live promises" in v for v in violations)
+    assert any("pool product-0" in v for v in violations)
 
 
 def test_time_budget_stops_early(tmp_path):

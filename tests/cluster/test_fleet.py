@@ -140,6 +140,25 @@ class TestFleetLifecycle:
         assert fleet.live_promises()[home] == 1
         assert all(not findings for findings in fleet.audit().values())
 
+    def test_base_port_zero_puts_every_shard_on_an_ephemeral_port(
+        self, tmp_path
+    ):
+        # Not base_port + i: shard i on port i would bind (or fail to
+        # bind) the privileged ports 1, 2, ...
+        fleet = ReplicatedFleet(
+            3,
+            replicas=0,
+            provision=provision_products(PRODUCTS, STOCK),
+            wal_dir=str(tmp_path),
+            base_port=0,
+        )
+        ports = [port for __, port in fleet.start()]
+        try:
+            assert len(set(ports)) == 3
+            assert min(ports) >= 1024
+        finally:
+            fleet.stop()
+
 
 class TestShardCrashMidScatter:
     def test_crash_after_grant_is_compensated(self, fleet):
@@ -226,7 +245,7 @@ class TestShardCrashMidScatter:
         with fleet.gateway(
             timeout=1.0,
             retry=RetryPolicy.none(),
-            breaker_threshold=2,
+            breaker_failures=2,
             breaker_reset=3600.0,  # would stay open for an hour
         ) as gateway:
             client = PromiseClient("erin", gateway, retry=RetryPolicy.none())

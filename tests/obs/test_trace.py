@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.crashpoints import SimulatedCrash
-from repro.faults.nemesis import _span_audit_self_test, audit_spans
+from repro.faults.nemesis import audit_spans
 from repro.obs.trace import (
     Span,
     SpanRecorder,
@@ -183,4 +183,26 @@ def test_audit_spans_accepts_legitimate_histories():
 
 
 def test_span_audit_self_test_is_not_vacuous():
-    assert _span_audit_self_test()
+    """A forged double grant trips the auditor; its decoys do not.
+
+    The forged history shows one check-kind message executed and
+    acknowledged at epoch 0 and again at epoch 1, beside a fenced
+    execution and a duplicate replay that must *not* trip it.
+    """
+    clean = [
+        _dispatch_span("s1", "m-clean", 0),
+        _dispatch_span("s2", "m-fenced", 0, outcome="fenced"),
+        _dispatch_span("s3", "m-fenced", 1),
+        _dispatch_span("s4", "m-replayed", 0),
+        _dispatch_span("s5", "m-replayed", 1, outcome="duplicate", executed=False),
+        _dispatch_span("s4", "m-replayed", 0),  # same span scraped twice
+    ]
+    assert audit_spans(clean) == []
+    forged = clean + [
+        _dispatch_span("s6", "m-double", 0),
+        _dispatch_span("s7", "m-double", 1),
+    ]
+    assert any(
+        "m-double" in violation and "across epochs 0/1" in violation
+        for violation in audit_spans(forged)
+    )

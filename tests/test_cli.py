@@ -15,6 +15,22 @@ def run_cli(*argv: str) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+@pytest.fixture
+def closed(monkeypatch):
+    """Names of the deployments closed while the test runs."""
+    from repro.services.deployment import Deployment
+
+    names: list[str] = []
+    close = Deployment.close
+
+    def recording_close(self):
+        names.append(self.name)
+        close(self)
+
+    monkeypatch.setattr(Deployment, "close", recording_close)
+    return names
+
+
 class TestFigure1Command:
     def test_happy_path(self):
         code, output = run_cli("figure1", "--stock", "12", "--need", "5")
@@ -60,65 +76,68 @@ class TestCompareCommand:
 
 
 class TestServeCommand:
-    def test_self_test_round_trip(self):
-        code, output = run_cli("serve", "--self-test")
-        assert code == 0
-        assert "promise granted" in output
-        assert "duplicate served from cache: yes" in output
-        assert "self-test ok" in output
+    def test_interrupted_serve_closes_its_wal(
+        self, closed, tmp_path, monkeypatch
+    ):
+        from repro.net import PromiseServer
 
-    def test_self_test_with_custom_stock_and_endpoint(self):
+        async def interrupted(self):
+            await self.stop()  # what the real loop's cancellation does
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(PromiseServer, "serve_forever", interrupted)
         code, output = run_cli(
-            "serve", "--self-test", "--stock", "7", "--endpoint", "store"
+            "serve", "--port", "0", "--wal", str(tmp_path / "shop.wal"),
         )
         assert code == 0
-        assert "self-test ok" in output
-
-    def test_self_test_restarts_from_wal(self, tmp_path):
-        wal = tmp_path / "shop.wal"
-        code, output = run_cli("serve", "--self-test", "--wal", str(wal))
-        assert code == 0
-        assert "killed server; restarting from" in output
-        assert "recovery:" in output
-        assert "stock after restart" in output and "survived" in output
-        assert "journaled reply replayed: yes" in output
-        assert "self-test ok" in output
-        assert wal.exists()  # an explicit WAL is kept for inspection
-
-    def test_self_test_cleans_up_implicit_wal(self):
-        code, output = run_cli("serve", "--self-test")
-        assert code == 0
-        wal_name = output.split("restarting from ")[1].splitlines()[0]
-        import os
-
-        assert not os.path.exists(wal_name)
+        assert "shutting down" in output
+        assert closed == ["shop"]
 
 
 class TestDoctorCommand:
-    def test_healthy_wal(self, tmp_path):
-        wal = tmp_path / "shop.wal"
-        code, __ = run_cli("serve", "--self-test", "--wal", str(wal))
-        assert code == 0
+    @pytest.fixture
+    def wal(self, tmp_path):
+        """A WAL the served deployment wrote: a grant, a sale under the
+        promise, its release, then a clean close."""
+        from repro.cli import _build_served_deployment
+        from repro.core.environment import Environment
+        from repro.core.parser import P
+
+        path = tmp_path / "shop.wal"
+        shop = _build_served_deployment(
+            "shop", stock=100, wal_path=str(path), out=io.StringIO()
+        )
+        client = shop.client("doctor-fixture")
+        granted = client.request_promise(
+            "shop", [P("quantity('widgets') >= 5")], 30
+        )
+        assert granted.accepted
+        sold = client.call(
+            "shop", "merchant", "sell", {"product": "widgets", "quantity": 1},
+            environment=Environment.of(granted.promise_id),
+        )
+        assert sold.success
+        assert client.release("shop", granted.promise_id) == ()
+        shop.close()
+        return path
+
+    def test_healthy_wal(self, wal):
         code, output = run_cli("doctor", "--wal", str(wal))
         assert code == 0
         assert "healthy" in output
 
-    def test_repair_flag_accepted(self, tmp_path):
-        wal = tmp_path / "shop.wal"
-        run_cli("serve", "--self-test", "--wal", str(wal))
+    def test_repair_flag_accepted(self, wal):
         code, output = run_cli("doctor", "--wal", str(wal), "--repair")
         assert code == 0
 
     @pytest.mark.parametrize("flags", [("--repair",), ()])
-    def test_rebuilds_corrupted_promise_index(self, tmp_path, flags):
+    def test_rebuilds_corrupted_promise_index(self, wal, flags):
         """The index and the watermark are derived state: recovery rebuilds
         them before anything reads through them, with ``--repair`` or not."""
         from repro.core.predicates import quantity_at_least
         from repro.core.table import PROMISE_INDEX_TABLE
         from repro.services.deployment import Deployment
 
-        wal = tmp_path / "shop.wal"
-        run_cli("serve", "--self-test", "--wal", str(wal))
         shop = Deployment(name="shop", wal_path=str(wal))
         shop.use_pool_strategy("widgets")
         shop.recover()
@@ -147,9 +166,7 @@ class TestDoctorCommand:
         assert code == 2
         assert "no such WAL" in output
 
-    def test_torn_tail_reported_as_note(self, tmp_path):
-        wal = tmp_path / "shop.wal"
-        run_cli("serve", "--self-test", "--wal", str(wal))
+    def test_torn_tail_reported_as_note(self, wal):
         raw = wal.read_bytes()
         wal.write_bytes(raw[:-10])  # tear the final record
         code, output = run_cli("doctor", "--wal", str(wal))
@@ -231,13 +248,17 @@ class TestCallCommand:
         assert code == 2
         assert output.startswith("bad predicate: ")
 
-    def test_port_conflict_reports_cleanly(self, server_address):
+    def test_port_conflict_reports_cleanly(
+        self, server_address, closed, tmp_path
+    ):
         host, _, port = server_address.rpartition(":")
         code, output = run_cli(
             "serve", "--host", host, "--port", port, "--stock", "5",
+            "--wal", str(tmp_path / "shop.wal"),
         )
         assert code == 2
         assert "cannot serve" in output
+        assert closed == ["shop"]  # the WAL it opened is closed again
 
     def test_fresh_processes_do_not_collide_in_dedup_cache(
         self, server_address, monkeypatch
@@ -266,31 +287,7 @@ class TestCallCommand:
         assert "merchant.sell: ok" in output
 
 
-class TestResilienceFlags:
-    def test_serve_self_test_with_flags(self):
-        code, output = run_cli(
-            "serve", "--self-test",
-            "--max-queue", "16", "--rate-limit", "500",
-            "--breaker-threshold", "5",
-        )
-        assert code == 0
-        assert "self-test ok" in output
-
-    def test_serve_banner_reports_admission(self, tmp_path):
-        # A flagged self-test run still prints the admission banner line
-        # describing the controller it built.
-        code, output = run_cli(
-            "serve", "--self-test", "--max-queue", "8", "--rate-limit", "100",
-        )
-        assert code == 0
-
-
 class TestChaosCommand:
-    def test_self_test_flags_planted_leak(self):
-        code, output = run_cli("chaos", "--self-test")
-        assert code == 0
-        assert "planted leak was flagged" in output
-
     def test_rejects_single_shard(self):
         code, output = run_cli("chaos", "--shards", "1", "--steps", "2")
         assert code == 2
@@ -322,7 +319,6 @@ class TestParser:
             args = build_parser().parse_args([command])
             assert args.max_queue is None
             assert args.rate_limit is None
-            assert args.breaker_threshold is None
 
     def test_chaos_defaults(self):
         args = build_parser().parse_args(["chaos"])
@@ -330,4 +326,3 @@ class TestParser:
         assert args.steps == 30
         assert args.shards == 3
         assert args.duration is None
-        assert args.self_test is False
