@@ -14,6 +14,8 @@ from repro.strategies.registry import StrategyRegistry
 from repro.strategies.resource_pool import ResourcePoolStrategy
 from repro.strategies.tentative import TentativeAllocationStrategy
 
+from .processes import Server
+
 
 @pytest.fixture
 def store() -> Store:
@@ -130,3 +132,19 @@ def tagged_rooms_manager(
         registry=registry,
         name="test",
     )
+
+
+@pytest.fixture
+def launch():
+    """Start real ``serve``/``serve-cluster`` processes; each one still
+    running when the test ends is killed."""
+    started: list[Server] = []
+
+    def start(*argv: str) -> Server:
+        server = Server(*argv)
+        started.append(server)
+        return server
+
+    yield start
+    for server in started:
+        server.kill()

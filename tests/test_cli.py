@@ -8,6 +8,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from .processes import cli as spawn_cli
+
 
 def run_cli(*argv: str) -> tuple[int, str]:
     out = io.StringIO()
@@ -29,6 +31,37 @@ def closed(monkeypatch):
 
     monkeypatch.setattr(Deployment, "close", recording_close)
     return names
+
+
+@pytest.fixture
+def interrupted_serve(monkeypatch):
+    """``serve`` in process: it binds, prints its banner, and is stopped
+    as SIGINT would stop it instead of serving forever."""
+    from repro.net import PromiseServer
+
+    async def interrupted(self):
+        await self.stop()  # what the real loop's cancellation does
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(PromiseServer, "serve_forever", interrupted)
+
+
+def serve_process(launch, *flags: str):
+    """A real ``serve --port 0`` process, the address it bound and its
+    banner line."""
+    server = launch("serve", "--port", "0", *flags)
+    banner = server.await_line(r"serving endpoint '\S+' on (\S+:\d+) \(")
+    return server, banner.group(1), banner.string
+
+
+def call_sell(address: str, *flags: str):
+    """``call``: a grant on two widgets, then one sold under it."""
+    return spawn_cli(
+        "call", "--connect", address, *flags,
+        "--predicate", "quantity('widgets') >= 2",
+        "--service", "merchant", "--operation", "sell",
+        "--param", "product=widgets", "--param", "quantity=1",
+    )
 
 
 class TestFigure1Command:
@@ -76,16 +109,37 @@ class TestCompareCommand:
 
 
 class TestServeCommand:
+    # The ``self_test`` names are those of the checks the removed
+    # ``serve --self-test`` flag ran; they now drive a real ``serve``.
+
+    def test_self_test_round_trip(self, launch):
+        server, address, __ = serve_process(launch)
+        for __ in range(2):
+            called = call_sell(address)
+            assert called.returncode == 0, called.stdout
+            assert "promise GRANTED as " in called.stdout
+            assert "merchant.sell: ok" in called.stdout
+        assert server.interrupt() == 0, server.output
+        assert "shutting down" in server.output
+
+    def test_self_test_with_custom_stock_and_endpoint(self, launch):
+        server, address, banner = serve_process(
+            launch, "--stock", "7", "--endpoint", "store"
+        )
+        assert "serving endpoint 'store'" in banner
+        assert "widgets stock: 7" in banner
+        for need, verdict, code in ((8, "REJECTED", 1), (7, "GRANTED", 0)):
+            called = spawn_cli(
+                "call", "--connect", address, "--endpoint", "store",
+                "--predicate", f"quantity('widgets') >= {need}",
+            )
+            assert called.returncode == code, called.stdout
+            assert f"promise {verdict}" in called.stdout
+        assert server.interrupt() == 0, server.output
+
     def test_interrupted_serve_closes_its_wal(
-        self, closed, tmp_path, monkeypatch
+        self, closed, tmp_path, interrupted_serve
     ):
-        from repro.net import PromiseServer
-
-        async def interrupted(self):
-            await self.stop()  # what the real loop's cancellation does
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(PromiseServer, "serve_forever", interrupted)
         code, output = run_cli(
             "serve", "--port", "0", "--wal", str(tmp_path / "shop.wal"),
         )
@@ -287,7 +341,56 @@ class TestCallCommand:
         assert "merchant.sell: ok" in output
 
 
+class TestResilienceFlags:
+    def test_serve_self_test_with_flags(self, launch):
+        server, address, __ = serve_process(
+            launch, "--max-queue", "16", "--rate-limit", "500"
+        )
+        called = call_sell(address)
+        assert called.returncode == 0, called.stdout
+        assert "merchant.sell: ok" in called.stdout
+        assert server.interrupt() == 0, server.output
+
+    def test_serve_banner_reports_admission(self, interrupted_serve):
+        code, output = run_cli(
+            "serve", "--port", "0", "--max-queue", "8", "--rate-limit", "100",
+        )
+        assert code == 0
+        assert "admission: queue<=8 rate=100.0/s" in output
+        code, output = run_cli("serve", "--port", "0", "--max-queue", "8")
+        assert code == 0
+        assert "admission: queue<=8)" in output
+        code, output = run_cli("serve", "--port", "0")
+        assert code == 0
+        assert "admission" not in output
+
+
 class TestChaosCommand:
+    def test_self_test_flags_planted_leak(self, monkeypatch):
+        """A promise granted and never released just before the audit
+        fails the run: ``chaos ok`` rests on auditors that can fail."""
+        from repro.core.parser import P
+        from repro.faults.nemesis import ChaosNemesis
+        from repro.protocol.client import PromiseClient
+        from repro.protocol.retry import RetryPolicy
+
+        audit = ChaosNemesis._audit
+
+        def audit_after_a_leak(self, fleet, gateway):
+            client = PromiseClient("planted", gateway, retry=RetryPolicy.none())
+            leaked = client.request_promise(
+                "shop", [P("quantity('product-0') >= 3")], 600
+            )
+            assert leaked.accepted
+            audit(self, fleet, gateway)
+
+        monkeypatch.setattr(ChaosNemesis, "_audit", audit_after_a_leak)
+        code, output = run_cli("chaos", "--seed", "7", "--steps", "6")
+        assert code == 1
+        assert "chaos FAILED" in output
+        assert "live promises" in output
+        assert "pool product-0" in output
+
     def test_rejects_single_shard(self):
         code, output = run_cli("chaos", "--shards", "1", "--steps", "2")
         assert code == 2
