@@ -47,7 +47,7 @@ class LockingRegime(Regime):
 
     def client_process(self, world: World, job: OrderJob, metrics: Metrics):
         start = world.sim.now
-        order_stream = RandomStream(
+        shuffler = RandomStream(
             hash((world.spec.seed, job.client_id)) & 0x7FFFFFFF, "lock-order"
         )
         backoff = RandomStream(
@@ -59,7 +59,7 @@ class LockingRegime(Regime):
                 metrics.count("retry")
                 yield backoff.uniform_int(1, 4 * attempt)
             txn_id = next(self._lock_txn_ids)
-            lock_order = order_stream.shuffle(
+            lock_order = shuffler.shuffle(
                 [pool_id for pool_id, __ in job.demands]
             )
             try:

@@ -75,12 +75,7 @@ def host_deployment(
     the whole process.
     """
     if server is None:
-        server = PromiseServer(
-            host=host,
-            port=port,
-            metrics=admission.metrics if admission is not None else None,
-            workers=workers,
-        )
+        server = PromiseServer(host=host, port=port, workers=workers)
     if NET_REPLY_JOURNAL_TABLE in deployment.store.tables():
         server.attach_journal(
             ReplyJournal(deployment.store, table=NET_REPLY_JOURNAL_TABLE)

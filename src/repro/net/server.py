@@ -160,7 +160,6 @@ class PromiseServer:
         self._port = port
         self._codec = codec or SoapCodec()
         self._max_frame_size = max_frame_size
-        self._admission = admission
         #: Worker-thread count of the dispatch executor; 0 runs every
         #: handler inline on the event loop.
         self._workers = workers
@@ -168,6 +167,7 @@ class PromiseServer:
         #: Metrics registry every ``server.*`` counter lives in; shared
         #: with the admission controller / WAL when a fleet wires one.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.attach_admission(admission)
         #: Span sink for traced requests.  Always present (bounded ring,
         #: costs nothing for untraced traffic) so the ``_spans``
         #: endpoint can serve scrapes on any server.
@@ -241,11 +241,15 @@ class PromiseServer:
     def attach_admission(self, admission: "AdmissionController | None") -> None:
         """Install (or remove) the overload-shedding controller.
 
-        A follower server starts without one — replication traffic must
-        never be shed — and gets the real controller only when a
-        promotion turns it into a primary serving client requests.
+        A follower server starts without one, and gets the real
+        controller only when a promotion turns it into a primary serving
+        client requests.  The controller then counts into this server's
+        registry, so its ``admission.*`` counters show in the one
+        ``_metrics`` scrape whichever registry it was built with.
         """
         self._admission = admission
+        if admission is not None:
+            admission.metrics = self.metrics
 
     def attach_store(self, store: "Store") -> None:
         """Adopt a store's transaction mutex, request scope and barrier.
@@ -802,6 +806,9 @@ class ThreadedServer:
         self.server = server
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
+        #: Listeners :meth:`serve_frames` bound, and their connections.
+        self._listeners: list[asyncio.AbstractServer] = []
+        self._frame_tasks: set[asyncio.Task] = set()
 
     @property
     def running(self) -> bool:
@@ -822,10 +829,64 @@ class ThreadedServer:
         )
         return future.result(timeout=10)
 
+    def serve_frames(self, handler: Callable[[bytes], bytes]) -> tuple[str, int]:
+        """Answer frames with ``handler`` on a second listener on this loop.
+
+        Each frame a connection sends is answered by the frame
+        ``handler`` returns, in order, on the loop thread: no codec, no
+        dedup, no worker and no thread of its own.  A handler that
+        raises drops the connection (``server.transport_faults``).  The
+        listener binds the server's host on an ephemeral port (returned)
+        and closes with :meth:`stop`.
+        """
+        assert self._loop is not None, "start the server first"
+
+        async def serve(reader, writer) -> None:
+            task = asyncio.current_task()
+            assert task is not None
+            self._frame_tasks.add(task)
+            try:
+                while (frame := await read_frame_async(reader)) is not None:
+                    try:
+                        answer = handler(frame)
+                    except Exception:  # noqa: BLE001 - a simulated crash too:
+                        # it ends this connection, never the loop.
+                        self.server.metrics.inc("server.transport_faults")
+                        return
+                    writer.write(encode_frame(answer))
+                    await writer.drain()
+            except (ConnectionError, FrameError):
+                pass  # the peer went away, or sent bytes that are no frame
+            finally:
+                self._frame_tasks.discard(task)
+                writer.close()
+
+        async def bind() -> tuple[str, int]:
+            listener = await asyncio.start_server(
+                serve, self.server.address[0], 0
+            )
+            self._listeners.append(listener)
+            return listener.sockets[0].getsockname()[:2]
+
+        return asyncio.run_coroutine_threadsafe(bind(), self._loop).result(
+            timeout=10
+        )
+
+    async def _close_listeners(self) -> None:
+        for listener in self._listeners:
+            listener.close()
+        for task in list(self._frame_tasks):
+            task.cancel()
+        await asyncio.gather(*self._frame_tasks, return_exceptions=True)
+        self._listeners = []
+
     def stop(self) -> None:
         """Stop the server and tear the loop thread down."""
         if self._loop is None or self._thread is None:
             return
+        asyncio.run_coroutine_threadsafe(
+            self._close_listeners(), self._loop
+        ).result(timeout=10)
         asyncio.run_coroutine_threadsafe(
             self.server.stop(), self._loop
         ).result(timeout=10)

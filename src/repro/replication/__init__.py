@@ -9,10 +9,10 @@ resources stay unavailable until someone calls ``restart``, which
 reboots it from its own WAL — and is not a different class: it is a
 group with nobody to ship to.  With followers:
 
-* the primary streams its WAL records over the existing framed
-  transport to one or more followers
+* the primary ships its WAL lines verbatim, one length-prefixed frame
+  per batch, to a log listener on each of its followers
   (:class:`~repro.replication.shipping.ReplicationSender` /
-  :class:`~repro.replication.shipping.ReplicationReceiver`), which apply
+  :class:`~repro.replication.shipping.ReplicationReceiver`), which write
   them into their own log files and stay hot;
 * a per-group monotonic **epoch** fences split-brain: promotion bumps
   it, the token is stamped on the replication stream and on requests

@@ -13,8 +13,11 @@ of a single-process fleet.
 
 Each shard index is a **replica group**: one primary deployment serving
 the application endpoint plus ``replicas`` hot followers that hold
-nothing but a :class:`~repro.replication.shipping.ReplicationReceiver`
-and the WAL it keeps in lock-step with the primary's.  ``replicas=0`` is
+nothing but a :class:`~repro.replication.shipping.ReplicationReceiver`,
+the WAL it keeps in lock-step with the primary's, and the log listener
+the primary ships to — on the same event loop as the follower's server,
+which answers ``_ping`` and is handed to the deployment a promotion
+seats.  ``replicas=0`` is
 the paper's prototype (§8) — one promise manager per shard, a group at
 epoch 0 with nobody to ship to and no ack gate — and the only fleet
 whose stores may live in memory (``wal_dir=None``): a follower *is* a
@@ -68,7 +71,7 @@ from ..faults.history import HistoryRecorder
 from ..services.deployment import Deployment
 from ..tools.doctor import Doctor, Finding
 from .routing import ReplicaRouting
-from .shipping import REPL_ENDPOINT, ReplicationReceiver, ReplicationSender
+from .shipping import ReplicationReceiver, ReplicationSender
 
 
 @dataclass
@@ -86,8 +89,11 @@ class Replica:
     address: tuple[str, int]
     #: ``None`` only for the in-memory store of an unreplicated fleet.
     wal_path: str | None
-    #: Follower half: applies the primary's shipped records.
+    #: Follower half: applies the primary's shipped records, which
+    #: arrive at the log listener on ``log_address`` (it stays up after
+    #: a promotion, answering ``fenced``).
     receiver: ReplicationReceiver | None = None
+    log_address: tuple[str, int] | None = None
     #: Primary half: full application deployment, plus its WAL shipper
     #: when the fleet replicates.
     deployment: Deployment | None = None
@@ -424,7 +430,7 @@ class ReplicatedFleet:
                 group.followers.append(follower)
                 if primary.sender is not None:
                     link = primary.sender.add_follower(
-                        follower.address, follower.name
+                        follower.log_address, follower.name
                     )
                     primary.sender.full_sync(link)
                 count += 1
@@ -708,7 +714,7 @@ class ReplicatedFleet:
                 metrics=server.metrics,
             )
             for follower in followers:
-                sender.add_follower(follower.address, follower.name)
+                sender.add_follower(follower.log_address, follower.name)
             sender.full_sync_all()
             wal.subscribe(sender.observe)
             server.gate = sender.gate
@@ -740,10 +746,12 @@ class ReplicatedFleet:
             fault_scope=scope,
             metrics=server.metrics,
         )
-        server.register(REPL_ENDPOINT, receiver.handle)
         server.epoch = epoch
         runner = ThreadedServer(server)
         address = runner.start()
+        # Looked up per frame, so the receiver's handler can be swapped
+        # on a live follower.
+        log_address = runner.serve_frames(lambda frame: receiver.handle(frame))
         replica = Replica(
             index=index,
             name=f"{self.endpoint}-s{index}f{incarnation}",
@@ -753,6 +761,7 @@ class ReplicatedFleet:
             address=address,
             wal_path=wal_path,
             receiver=receiver,
+            log_address=log_address,
         )
         server.ping_info = self._ping_info(index, replica)
         return replica

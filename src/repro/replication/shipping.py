@@ -19,27 +19,38 @@ before the request's durability barrier.  A COMMIT logged *outside* a
 request (seeding, ``vacuum()``, a recovery sweep), and a CHECKPOINT or
 CREATE_TABLE anywhere, ships as it is appended — after the log's
 barrier has put it on the primary's disk.
-Each follower gets the suffix past its link's cursor — read by
-bisection (:meth:`~repro.storage.wal.WriteAheadLog.since`), never by
-scanning the log — as a ``_repl`` message over the ordinary framed
-transport, every lagging follower's message on its wire before any ack
-is awaited.  The payload is a batch of WAL lines (newline-joined
-:meth:`LogRecord.to_json` output, the log's own file format) which the
-receiver writes *verbatim* into its own file
-(:meth:`~repro.storage.wal.WriteAheadLog.ingest_lines`: one barrier —
-one write and one fsync — per batch) before it acks the LSN it then
-holds, so the follower's file is the primary's byte for byte —
-promotion boots a deployment straight off it through the normal
-recovery path.
 
-Three properties carry the failover guarantees:
+Replication speaks the log, not the client protocol.  Each follower
+gets the suffix past its link's cursor — read by bisection
+(:meth:`~repro.storage.wal.WriteAheadLog.since`), never by scanning the
+log — as one length-prefixed frame on a plain blocking socket: a JSON
+header line ``{"group", "epoch", "op", "from_lsn"}`` (``op`` is
+``ship`` or ``full_sync``; ``from_lsn`` is the LSN the batch continues
+from), then the WAL lines verbatim — the log's own file format.  Every
+lagging follower's frame is on its wire before any ack is awaited.  The
+receiver writes the lines *verbatim* into its own file
+(:meth:`~repro.storage.wal.WriteAheadLog.ingest_lines`: one barrier —
+one write and one fsync — per batch) and answers one JSON frame,
+``{"applied_lsn": n}`` read off its log after that barrier, or
+``{"fenced": "repl-fenced: …"}``.  So the follower's file is the
+primary's byte for byte — promotion boots a deployment straight off it
+through the normal recovery path.  Acks are matched to frames by order
+alone, so any error or timeout closes the link's socket and the next
+flush reconnects: a late ack is never read as the answer to a later
+frame.
+
+Four properties carry the failover guarantees:
 
 * **Idempotent delivery** — the sender re-ships the full unacked suffix
   after any failure; the receiver skips records at or below its applied
   LSN, so redelivery can never double-apply.
-* **Epoch fencing** — every ship carries the sender's epoch; a receiver
+* **No gaps** — a batch whose ``from_lsn`` is past the follower's end
+  (the sender's cursor ran ahead of a follower that lost records) is
+  refused whole: nothing is written, the ack carries the true
+  ``applied_lsn``, and the sender moves its cursor back to it.
+* **Epoch fencing** — every frame carries the sender's epoch; a receiver
   that has adopted a newer epoch (because a promotion happened) answers
-  ``repl-fenced`` and the sender latches :attr:`ReplicationSender.fenced`
+  ``fenced`` and the sender latches :attr:`ReplicationSender.fenced`
   permanently: the deposed primary's stream is dead, not retried.
 * **Ack gating** — :meth:`ReplicationSender.gate` plugs into
   :attr:`~repro.net.server.PromiseServer.gate`: while no live follower
@@ -50,47 +61,100 @@ Three properties carry the failover guarantees:
 
 from __future__ import annotations
 
-import itertools
+import json
+import socket
 import threading
-import uuid
 from functools import partial
 from typing import Callable, Iterator
 
+from ..net.framing import encode_frame, read_frame
 from ..obs.metrics import MetricsRegistry
-from ..protocol.errors import ProtocolError
-from ..protocol.messages import ActionOutcomePayload, ActionPayload, Message
-from ..protocol.retry import RetryPolicy
+from ..protocol.errors import ProtocolError, TransportFailure
 from ..storage.errors import RecoveryError
 from ..storage.wal import LogRecord, LogRecordType, WriteAheadLog
 
-#: Endpoint name the receiver's handler is registered under on every
-#: follower server.  Deliberately underscore-prefixed like ``_ping``:
-#: not an application endpoint, never routed by a gateway.
+#: The endpoint name ships were once sent to on a follower's
+#: ``PromiseServer``.  Nothing in the program registers it any more (a
+#: ship goes to the follower's log listener); ``benchmarks/perf`` still
+#: imports the name.
 REPL_ENDPOINT = "_repl"
 
-#: Fault prefix a receiver uses to reject a stale-epoch stream.  An
-#: application-level fault (no ``transport:`` prefix): the message was
-#: delivered and understood, the *sender* is what's wrong.
+#: Prefix of the reason a receiver gives for rejecting a stale-epoch
+#: stream (the ``fenced`` value of its ack): the frame was delivered and
+#: understood, the *sender* is what's wrong.
 FENCED_FAULT_PREFIX = "repl-fenced:"
 
-#: Records per ship message.  A long-unreachable (or freshly rejoined)
+#: Records per ship frame.  A long-unreachable (or freshly rejoined)
 #: follower may be missing the log's entire tail; shipping that in one
-#: message would blow the transport's 1 MiB frame limit and fail
-#: forever — the link could then *never* catch up and the primary's ack
-#: gate would stay closed for good.  Chunking keeps every frame small
-#: and lets ``acked_lsn`` advance chunk by chunk, so partial progress
-#: survives a mid-catch-up failure.
+#: frame would blow the 1 MiB frame limit and fail forever — the link
+#: could then *never* catch up and the primary's ack gate would stay
+#: closed for good.  Chunking keeps every frame small and lets
+#: ``acked_lsn`` advance chunk by chunk, so partial progress survives a
+#: mid-catch-up failure.
 SHIP_CHUNK_RECORDS = 512
 
 
 def _chunks(
     records: list[LogRecord], line_of: Callable[[LogRecord], str]
-) -> Iterator[list[str]]:
-    """``records`` as frame-sized runs of WAL lines, acked one by one.
-    No records is one empty run: an empty ``full_sync`` still sends its
-    message — the reset and the epoch adoption are the point."""
+) -> Iterator[tuple[int, list[str]]]:
+    """``records`` as frame-sized runs of WAL lines, acked one by one,
+    each with the LSN of its last record.  No records is one empty run:
+    an empty ``full_sync`` still sends its frame — the reset and the
+    epoch adoption are the point."""
     for start in range(0, max(1, len(records)), SHIP_CHUNK_RECORDS):
-        yield [line_of(r) for r in records[start : start + SHIP_CHUNK_RECORDS]]
+        run = records[start : start + SHIP_CHUNK_RECORDS]
+        yield (run[-1].lsn if run else 0), [line_of(r) for r in run]
+
+
+def _answer(**fields: object) -> bytes:
+    return json.dumps(fields).encode()
+
+
+class _LogConnection:
+    """One blocking socket to a follower's log listener.
+
+    Frames and acks alternate on it, so an ack is matched to its frame
+    by order alone: any error or timeout closes the socket, and the
+    next :meth:`begin` reconnects — it can never read an ack that
+    belongs to a frame sent before.
+    """
+
+    def __init__(self, address: tuple[str, int], timeout: float) -> None:
+        self._address = address
+        self._timeout = timeout
+        self._sock: socket.socket | None = None
+
+    def begin(self, frame: bytes) -> Callable[[], bytes]:
+        """Put ``frame`` on the wire; the returned thunk reads its ack."""
+        data = encode_frame(frame)
+        try:
+            if self._sock is None:
+                self._sock = socket.create_connection(
+                    self._address, self._timeout
+                )
+                self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock.sendall(data)
+        except OSError as exc:
+            self.close()
+            raise TransportFailure(f"ship to {self._address}: {exc}") from exc
+        return self._ack
+
+    def _ack(self) -> bytes:
+        try:
+            if self._sock is None:
+                raise OSError("connection closed")
+            ack = read_frame(self._sock.recv)
+            if ack is None:
+                raise OSError("connection closed by the follower")
+            return ack
+        except (OSError, ProtocolError) as exc:
+            self.close()
+            raise TransportFailure(f"ack from {self._address}: {exc}") from exc
+
+    def close(self) -> None:
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
 
 class _FollowerLink:
@@ -115,6 +179,11 @@ class ReplicationSender:
     checkpoint truncates to a snapshot the receiver applies as a
     whole-file replace), so a follower unreachable for any length of
     time catches up from whatever the log still holds.
+
+    ``transport_factory(address)`` builds a link's transport: anything
+    with ``begin(frame: bytes) -> (() -> ack bytes)`` and ``close()``,
+    raising :class:`~repro.protocol.errors.ProtocolError` on failure.
+    The default is one blocking socket per follower.
     """
 
     def __init__(
@@ -131,18 +200,13 @@ class ReplicationSender:
         self.epoch = epoch
         self._wal = wal
         self._name = sender_name
-        self._timeout = timeout
-        self._transport_factory = transport_factory
+        self._transport_factory = transport_factory or partial(
+            _LogConnection, timeout=timeout
+        )
         self._links: list[_FollowerLink] = []
         #: Held for the whole of a flush: nothing closes a transport a
         #: ship is in flight on, and one flush at a time moves cursors.
         self._lock = threading.RLock()
-        #: ``next()`` on it is atomic: no two ships ever share a
-        #: ``repl:`` message id (the follower's server dedups by it) —
-        #: nor do two senders, or a primary restarted at its old epoch
-        #: would be answered from the cache of the stream it replaces.
-        self._ids = itertools.count(1)
-        self._stream = f"repl:{group}:{epoch}:{uuid.uuid4().hex[:8]}"
         #: Simulated network partition from every follower: flushes fail
         #: without touching a socket.  The chaos nemesis flips this.
         self.blocked = False
@@ -150,14 +214,14 @@ class ReplicationSender:
         #: sender belongs to a deposed primary and must never ack again.
         self.fenced: str | None = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Records per ship message (a count, not a latency).
+        #: Records per ship frame (a count, not a latency).
         self._ship_sizes = self.metrics.histogram(
             "repl.ship.records", (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
         )
 
     @property
     def ships(self) -> int:
-        """Ship messages sent (view over ``repl.ships``)."""
+        """Ship frames sent (view over ``repl.ships``)."""
         return int(self.metrics.value("repl.ships"))
 
     @property
@@ -183,9 +247,9 @@ class ReplicationSender:
     def add_follower(
         self, address: tuple[str, int], name: str
     ) -> _FollowerLink:
-        """Register a follower to ship to (does not sync it — see
-        :meth:`full_sync`)."""
-        link = _FollowerLink(name, self._make_transport(address))
+        """Register a follower's log listener to ship to (does not sync
+        it — see :meth:`full_sync`)."""
+        link = _FollowerLink(name, self._transport_factory(address))
         with self._lock:
             self._links.append(link)
         return link
@@ -210,15 +274,6 @@ class ReplicationSender:
         with self._lock:
             return [link.name for link in self._links]
 
-    def _make_transport(self, address: tuple[str, int]):
-        if self._transport_factory is not None:
-            return self._transport_factory(address)
-        from ..net.transport import NetworkTransport
-
-        return NetworkTransport(
-            address, timeout=self._timeout, retry=RetryPolicy.none()
-        )
-
     # ------------------------------------------------------------ shipping
 
     def observe(self, record: LogRecord) -> None:
@@ -234,15 +289,15 @@ class ReplicationSender:
 
     def flush(self) -> bool:
         """Ship each follower the records it is missing: every lagging
-        follower's first message goes on its wire, then the acks are
+        follower's first frame goes on its wire, then the acks are
         awaited in turn, so the followers work at the same time and
         nothing outlives the call.
 
         Returns True when at least one follower acknowledges holding the
         log's last LSN — the condition under which the primary may ack.
         Failures mark the follower lagging (its suffix is re-shipped on
-        the next flush); a ``repl-fenced`` answer latches
-        :attr:`fenced` and stops this sender for good.
+        the next flush); a ``fenced`` answer latches :attr:`fenced` and
+        stops this sender for good.
         """
         with self._lock:
             if self.fenced is not None or self.blocked:
@@ -268,13 +323,12 @@ class ReplicationSender:
                 todo = [r for r in self._wal.since(link.acked_lsn) if r.lsn <= target]
                 if todo:
                     chunks = _chunks(todo, line_of)
-                    begun.append(
-                        (link, chunks, self._begin(link, "ship", next(chunks)))
-                    )
+                    first = self._begin(link, "ship", link.acked_lsn, *next(chunks))
+                    begun.append((link, chunks, first))
             for link, chunks, acked in begun:
                 ok = acked()
-                for lines in chunks:  # a backlog longer than one frame
-                    ok = ok and self._begin(link, "ship", lines)()
+                for last, lines in chunks:  # a backlog longer than one frame
+                    ok = ok and self._begin(link, "ship", link.acked_lsn, last, lines)()
             self._update_lag()
             return self.fenced is None and any(
                 link.acked_lsn >= target for link in self._links
@@ -292,8 +346,8 @@ class ReplicationSender:
         with self._lock:
             link.acked_lsn = 0
             op = "full_sync"
-            for lines in _chunks(list(self._wal), LogRecord.to_json):
-                if not self._begin(link, op, lines)():
+            for last, lines in _chunks(list(self._wal), LogRecord.to_json):
+                if not self._begin(link, op, link.acked_lsn, last, lines)():
                     return False
                 op = "ship"
             return True
@@ -305,55 +359,59 @@ class ReplicationSender:
                 self.full_sync(link)
 
     def _begin(
-        self, link: _FollowerLink, op: str, lines: list[str]
+        self, link: _FollowerLink, op: str, from_lsn: int, last: int,
+        lines: list[str],
     ) -> Callable[[], bool]:
-        """Put one ship message on ``link``'s wire: ``lines`` are WAL
-        lines, sent as the file would hold them.  The returned thunk
-        awaits the ack and moves the link's cursor; True when it did."""
+        """Put one ship frame on ``link``'s wire: the header, then
+        ``lines`` — WAL lines continuing ``from_lsn`` up to ``last``,
+        sent as the file would hold them.  The returned thunk awaits the
+        ack and moves the link's cursor; True when the batch landed."""
         self.metrics.inc("repl.ships")
         self._ship_sizes.observe(len(lines))
-        message = Message(
-            message_id=f"{self._stream}:{next(self._ids)}",
-            sender=self._name,
-            recipient=REPL_ENDPOINT,
-            action=ActionPayload(
-                service="replication",
-                operation=op,
-                params={
-                    "group": self.group,
-                    "epoch": self.epoch,
-                    "records": "\n".join(lines),
-                },
-            ),
-        )
+        header = json.dumps({
+            "group": self.group,
+            "epoch": self.epoch,
+            "op": op,
+            "from_lsn": from_lsn,
+        })
+        frame = "\n".join([header, *lines]).encode()
         try:
-            reply_of = link.transport.begin(message)
+            ack_of = link.transport.begin(frame)
         except ProtocolError:  # refused, lost or timed out
             return partial(self._failed, link)
-        return partial(self._finish, link, reply_of, len(lines))
+        return partial(self._finish, link, ack_of, last, len(lines))
 
     def _finish(
-        self, link: _FollowerLink, reply_of: Callable[[], Message], count: int
+        self, link: _FollowerLink, ack_of: Callable[[], bytes], last: int,
+        count: int,
     ) -> bool:
         try:
-            reply = reply_of()
-        except ProtocolError:  # refused, lost or timed out
+            ack = json.loads(ack_of())
+        except (ProtocolError, ValueError):  # lost, timed out or garbled
             return self._failed(link)
-        for fault in reply.faults:
-            if fault.startswith(FENCED_FAULT_PREFIX):
-                self.fenced = fault[len(FENCED_FAULT_PREFIX):].strip()
-                self.metrics.inc("repl.fenced")
-                return False
-        outcome = reply.action_outcome
-        applied = outcome.value if outcome is not None and outcome.success else None
-        if isinstance(applied, dict) and "applied_lsn" in applied:
-            link.acked_lsn = int(applied["applied_lsn"])  # type: ignore[arg-type]
-            self.metrics.inc("repl.records_shipped", count)
-            return True
-        return self._failed(link)
+        if not isinstance(ack, dict):
+            return self._failed(link)
+        fenced = ack.get("fenced")
+        if isinstance(fenced, str):
+            self.fenced = fenced.removeprefix(FENCED_FAULT_PREFIX).strip()
+            self.metrics.inc("repl.fenced")
+            return False
+        applied = ack.get("applied_lsn")
+        if not isinstance(applied, int):
+            return self._failed(link)
+        # The follower's own word, even backwards: a gap it refused puts
+        # the cursor at its end, and the next flush ships from there.
+        link.acked_lsn = applied
+        if applied < last:
+            return False
+        self.metrics.inc("repl.records_shipped", count)
+        return True
 
     def _failed(self, link: _FollowerLink) -> bool:
+        """Count the failure and drop the connection: an ack still on
+        its way must not answer the next frame."""
         self.metrics.inc(f"repl.ship_failures.{link.name}")
+        link.close()
         return False
 
     # ---------------------------------------------------------------- gate
@@ -412,11 +470,12 @@ class ReplicationSender:
 class ReplicationReceiver:
     """Apply a primary's shipped WAL records on a follower.
 
-    Owns the follower's log file.  Registered under
-    :data:`REPL_ENDPOINT` on the follower's server; promotion calls
-    :meth:`promote`, after which every further ship is answered
-    ``repl-fenced`` — the token on the replication stream is what
-    rejects a deposed primary's late writes.
+    Owns the follower's log file.  :meth:`handle` answers the frames a
+    follower's log listener reads
+    (:meth:`~repro.net.server.ThreadedServer.serve_frames`); promotion
+    calls :meth:`promote`, after which every further frame is answered
+    ``fenced`` — the epoch on the replication stream is what rejects a
+    deposed primary's late writes.
     """
 
     def __init__(
@@ -440,7 +499,6 @@ class ReplicationReceiver:
         #: primary and its log is no longer writable by any stream.
         self.promoted = False
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._reply_counter = 0
 
     @property
     def ships_applied(self) -> int:
@@ -471,50 +529,45 @@ class ReplicationReceiver:
 
     # ------------------------------------------------------------- handler
 
-    def handle(self, message: Message) -> Message:
-        """The ``_repl`` endpoint: ship / full_sync / status."""
-        action = message.action
-        if action is None or action.service != "replication":
-            return self._fault(message, "repl-malformed: not a replication op")
-        params = action.params
-        if params.get("group") != self.group:
-            return self._fault(
-                message,
-                f"repl-malformed: group {params.get('group')!r} "
-                f"is not {self.group!r}",
-            )
-        if action.operation == "status":
-            return self._ack(message)
+    def handle(self, frame: bytes) -> bytes:
+        """Answer one ship frame with its ack frame (see the module)."""
+        head, _, body = frame.partition(b"\n")
         try:
-            epoch = int(params.get("epoch", -1))  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return self._fault(message, "repl-malformed: bad epoch")
+            header = json.loads(head)
+            group, op = header["group"], header["op"]
+            epoch, from_lsn = int(header["epoch"]), int(header["from_lsn"])
+        except (ValueError, TypeError, KeyError):
+            return _answer(error="repl-malformed: bad header")
+        if group != self.group:
+            return _answer(
+                error=f"repl-malformed: group {group!r} is not {self.group!r}"
+            )
         if self.promoted or epoch < self.epoch:
             self.metrics.inc("repl.ships_fenced")
-            return self._fault(
-                message,
-                f"{FENCED_FAULT_PREFIX} receiver of {self.group} at epoch "
-                f"{self.epoch}"
+            return _answer(
+                fenced=f"{FENCED_FAULT_PREFIX} receiver of {self.group} at "
+                f"epoch {self.epoch}"
                 + (" (promoted)" if self.promoted else "")
-                + f", stream at {epoch}",
+                + f", stream at {epoch}"
             )
+        if op not in ("ship", "full_sync"):
+            return _answer(error=f"repl-malformed: unknown op {op!r}")
         self.epoch = max(self.epoch, epoch)
-        lines = params.get("records", "")
-        if not isinstance(lines, str):
-            return self._fault(message, "repl-malformed: bad records")
-        if action.operation == "full_sync":
+        if op == "full_sync":
             self._reset_log()
-        elif action.operation != "ship":
-            return self._fault(
-                message, f"repl-malformed: unknown op {action.operation!r}"
-            )
+        elif from_lsn > self.wal.last_lsn:
+            # The batch continues records this log never got: writing it
+            # would leave a hole.  The ack tells the sender where to
+            # resume.
+            self.metrics.inc("repl.gaps_refused")
+            return _answer(applied_lsn=self.wal.last_lsn)
         try:
-            applied = self.wal.ingest_lines(lines)
-        except RecoveryError:
-            return self._fault(message, "repl-malformed: bad records")
+            applied = self.wal.ingest_lines(body.decode())
+        except (RecoveryError, UnicodeDecodeError):
+            return _answer(error="repl-malformed: bad records")
         self.metrics.inc("repl.ships_applied", applied)
         # The ack reads the log after the batch's barrier.
-        return self._ack(message)
+        return _answer(applied_lsn=self.wal.last_lsn)
 
     def close(self) -> None:
         self.wal.close()
@@ -529,26 +582,4 @@ class ReplicationReceiver:
             path.unlink()
         self.wal = WriteAheadLog(
             self._wal_path, fsync=self._fsync, fault_scope=self._fault_scope
-        )
-
-    def _ack(self, message: Message) -> Message:
-        self._reply_counter += 1
-        return message.reply(
-            message_id=f"repl-ack:{self.group}:{self._reply_counter}",
-            action_outcome=ActionOutcomePayload(
-                success=True,
-                value={
-                    "group": self.group,
-                    "epoch": self.epoch,
-                    "applied_lsn": self.wal.last_lsn,
-                    "promoted": self.promoted,
-                },
-            ),
-        )
-
-    def _fault(self, message: Message, fault: str) -> Message:
-        self._reply_counter += 1
-        return message.reply(
-            message_id=f"repl-fault:{self.group}:{self._reply_counter}",
-            faults=(fault,),
         )

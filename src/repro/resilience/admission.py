@@ -108,8 +108,14 @@ class AdmissionController:
         self._tokens = self.burst
         self._refilled_at = clock()
         self._in_flight = 0
+        #: Where the ``admission.*`` counters go; a server the
+        #: controller is attached to rebinds it to its own registry.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.stats = AdmissionStats(self.metrics)
+
+    @property
+    def stats(self) -> AdmissionStats:
+        """A view over :attr:`metrics`, wherever it is bound now."""
+        return AdmissionStats(self.metrics)
 
     # ------------------------------------------------------------ decisions
 

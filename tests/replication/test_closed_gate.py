@@ -162,12 +162,17 @@ def test_restart_ships_the_journalled_row_before_replaying_it(fleet, wire):
     assert fleet.live_promises() == {0: 1}
 
 
-def test_restart_without_followers_refuses_the_replay_until_healed(fleet, wire):
+def test_restart_without_followers_refuses_the_replay_until_healed(
+    fleet, wire, monkeypatch
+):
     tap = Tap(wire)
     lost = crash_after_journalling(fleet, tap)
     followers = fleet.group(0).followers
     for follower in followers:
-        follower.server.gate = lambda: "unplugged"
+        # The log listener stays up; the receiver behind it refuses.
+        monkeypatch.setattr(
+            follower.receiver, "handle", lambda frame: b'{"error": "unplugged"}'
+        )
     reboot_same_primary(fleet)
 
     reborn = fleet.shard(0)
@@ -178,8 +183,7 @@ def test_restart_without_followers_refuses_the_replay_until_healed(fleet, wire):
             wire.send(tap.last)
     assert replays(reborn) == 0  # refused at the door, not in the handler
 
-    for follower in followers:
-        follower.server.gate = None
+    monkeypatch.undo()
     reply = wire.send(tap.last)
     assert accepted_ids(reply) == [row["promise_id"]]  # the journalled grant
     assert replays(reborn) == 1

@@ -29,6 +29,7 @@ from repro.protocol.errors import (
 )
 from repro.protocol.retry import RetryPolicy
 from repro.replication import HeartbeatDetector, ReplicatedFleet
+from repro.resilience.admission import AdmissionController
 
 pytestmark = pytest.mark.failover
 
@@ -418,3 +419,28 @@ def test_shipping_to_two_followers_starts_no_thread(tmp_path):
     gateway.close()
     fleet.stop()
     assert settled(before) == before
+
+
+def test_a_promoted_followers_admission_counts_show_in_its_scrape(tmp_path):
+    """A promotion attaches the group's admission controller to the
+    follower's server; its ``admission.*`` counters must land in that
+    server's registry, which is what ``_metrics`` (and ``repro top``)
+    reads."""
+    fleet = ReplicatedFleet(
+        2,
+        replicas=1,
+        provision=provision_products(PRODUCTS, STOCK),
+        wal_dir=str(tmp_path),
+        admission=lambda index: AdmissionController(max_queue=8),
+    )
+    with fleet:
+        gateway, _, client = make_client(fleet)
+        victim, product = victim_product(fleet)
+        fleet.kill(victim)
+        fleet.failover(victim)
+        response = grant(client, product)
+        assert response.accepted
+        scraped = gateway.metrics_snapshot()["shards"][victim]
+        assert scraped["counters"]["admission.admitted"] >= 1
+        client.release("shop", response.promise_id)
+        gateway.close()

@@ -1,17 +1,22 @@
 """WAL shipping unit tests: suffix shipping, idempotence, fencing, gate.
 
 Run the sender against an in-process transport that hands each ship
-message straight to a :class:`ReplicationReceiver` — no sockets, so
+frame straight to a :class:`ReplicationReceiver` — no sockets, so
 every scenario (a lagging link, a fenced stream, a diverged rejoin) is
-deterministic.  The socket path is covered by the fleet failover tests.
+deterministic.  The socket path is covered at the end of this module
+and by the fleet failover tests.
 """
 
 from __future__ import annotations
+
+import threading
+import time
 
 import pytest
 
 from repro.faults import crashpoints
 from repro.faults.history import HistoryRecorder, audit_history
+from repro.net import PromiseServer, ThreadedServer
 from repro.protocol.errors import TransportFailure
 from repro.replication.shipping import (
     FENCED_FAULT_PREFIX,
@@ -28,18 +33,18 @@ GROUP = "shop-g0"
 
 
 class DirectTransport:
-    """Delivers ship messages straight to a receiver's handler."""
+    """Delivers ship frames straight to a receiver's handler."""
 
     def __init__(self, receiver: ReplicationReceiver) -> None:
         self.receiver = receiver
         self.down = False
         self.sent = 0
 
-    def begin(self, message):
+    def begin(self, frame: bytes):
         if self.down:
             raise TransportFailure("link down")
         self.sent += 1
-        return lambda: self.receiver.handle(message)
+        return lambda: self.receiver.handle(frame)
 
     def close(self) -> None:
         pass
@@ -389,3 +394,54 @@ def test_malformed_batch_is_refused_whole(tmp_path, wal):
         receiver.wal.ingest_lines(good + "\n{not json")
     assert receiver.applied_lsn == 0  # parsed before anything is applied
     receiver.close()
+
+
+# ------------------------------------------------------------ the socket
+#
+# Over a real socket acks are matched to frames by order alone, so an
+# ack that went missing must never be read later as the answer to
+# another frame.
+
+
+@pytest.mark.parametrize("lost", ["late", "muted"])
+def test_a_lost_ack_drops_the_connection_and_the_next_flush_reconnects(
+    tmp_path, wal, lost
+):
+    receiver = make_receiver(tmp_path)
+    losing, answered = threading.Event(), threading.Event()
+
+    def handle(frame: bytes) -> bytes:
+        ack = receiver.handle(frame)  # the batch lands either way
+        if losing.is_set():
+            losing.clear()
+            if lost == "muted":
+                answered.set()
+                raise ConnectionResetError("the answer is lost")
+            time.sleep(0.3)  # well past the sender's timeout
+            answered.set()
+        return ack
+
+    runner = ThreadedServer(PromiseServer())
+    runner.start()
+    sender = ReplicationSender(GROUP, 0, wal, timeout=0.1)
+    try:
+        link = sender.add_follower(runner.serve_frames(handle), "f0")
+        commit_txn(wal, 1)
+        assert sender.flush() and link.acked_lsn == 1
+
+        losing.set()
+        commit_txn(wal, 2)
+        assert not sender.flush()
+        assert answered.wait(5.0)
+        assert receiver.applied_lsn == 2 and link.acked_lsn == 1
+        assert sender.metrics.value("repl.ship_failures.f0") == 1
+
+        # A reused socket would now read the lost ack ("applied_lsn": 2)
+        # as the answer to the next frame and leave the cursor short.
+        commit_txn(wal, 3)
+        assert sender.flush()
+        assert link.acked_lsn == receiver.applied_lsn == wal.last_lsn == 3
+    finally:
+        sender.close()
+        runner.stop()
+        receiver.close()

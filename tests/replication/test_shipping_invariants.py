@@ -19,6 +19,7 @@ shipping once per request sound.
 
 from __future__ import annotations
 
+import json
 import tempfile
 import threading
 import time
@@ -46,29 +47,35 @@ EPOCH = 3
 
 class Link:
     """An in-process transport to one receiver, with two switches and a
-    delay: ``down`` refuses the message, ``mute`` delivers it and loses
+    delay: ``down`` refuses the frame, ``mute`` delivers it and loses
     the answer, and an answer is ``delay`` seconds away from the moment
-    the message was put on the wire — not from when it is waited for."""
+    the frame was put on the wire — not from when it is waited for.
+    Every frame is logged, and so is its link on ``wire``, which the
+    links of one group share: the order frames went out in."""
 
-    def __init__(self, receiver: ReplicationReceiver, delay: float = 0.0):
+    def __init__(
+        self, receiver: ReplicationReceiver, delay: float = 0.0, wire=None
+    ):
         self.receiver = receiver
         self.down = False
         self.mute = False
         self.delay = delay
-        self.ids: list[str] = []
+        self.frames: list[bytes] = []
+        self.wire = wire if wire is not None else []
 
-    def begin(self, message):
-        self.ids.append(message.message_id)
+    def begin(self, frame: bytes):
+        self.frames.append(frame)
+        self.wire.append(self)
         if self.down:
             raise TransportFailure("link down")
         due = time.perf_counter() + self.delay
 
         def finish():
             time.sleep(max(0.0, due - time.perf_counter()))
-            reply = self.receiver.handle(message)
+            ack = self.receiver.handle(frame)
             if self.mute:
                 raise RequestTimeout("no answer")
-            return reply
+            return ack
 
         return finish
 
@@ -85,7 +92,10 @@ class Group:
             ReplicationReceiver(GROUP, str(home / f"f{i}.wal"), epoch=EPOCH)
             for i in range(followers)
         ]
-        self.links = [Link(receiver, delay) for receiver in self.receivers]
+        self.wire: list[Link] = []
+        self.links = [
+            Link(receiver, delay, self.wire) for receiver in self.receivers
+        ]
         by_address = {("f", i): link for i, link in enumerate(self.links)}
         self.sender = ReplicationSender(
             GROUP, EPOCH, self.wal, transport_factory=by_address.__getitem__
@@ -321,21 +331,78 @@ def test_a_backlog_longer_than_a_frame_still_overlaps_its_first_chunk(home):
         group.commit()  # 1200 lines: three chunks a link
     group.sender.blocked = False
     assert group.sender.flush()
-    firsts = [link.ids[0] for link in group.links]
     # Both first chunks were on the wire before either link's second.
-    assert sorted(int(i.rsplit(":", 1)[1]) for i in firsts) == [1, 2]
-    assert [len(link.ids) for link in group.links] == [3, 3]
+    assert {id(link) for link in group.wire[:2]} == {
+        id(link) for link in group.links
+    }
+    assert [len(link.frames) for link in group.links] == [3, 3]
     assert [r.applied_lsn for r in group.receivers] == [group.wal.last_lsn] * 2
     group.close()
 
 
-def test_concurrent_ships_never_share_a_message_id(home):
-    group = Group(home, followers=4)
-    for _ in range(50):
+def test_a_sender_restarted_at_its_old_epoch_is_answered_from_the_log(home):
+    """A primary restarted at its old epoch ships what its last life
+    shipped, under the same epoch and from the same cursors.  Every ack
+    it gets is computed from the follower's log as it is then — never
+    an answer replayed from the stream it replaces."""
+    group = Group(home, wal=WriteAheadLog(home / "primary.wal"))
+    for _ in range(3):
         group.commit()
-    ids = [message_id for link in group.links for message_id in link.ids]
-    assert len(ids) == 50 * 4 and len(set(ids)) == len(ids)
+    first_frames = [link.frames[0] for link in group.links]
+    group.sender.close()
+    group.wal.close()
+
+    wal = WriteAheadLog(home / "primary.wal")  # the restart
+    by_address = {("f", i): link for i, link in enumerate(group.links)}
+    sender = ReplicationSender(
+        GROUP, EPOCH, wal, transport_factory=by_address.__getitem__
+    )
+    links = [sender.add_follower(("f", i), f"f{i}") for i in range(2)]
+    wal.append(LogRecordType.COMMIT, txn_id=4, value=[["t", "k4", 4]])
+    assert sender.flush()
+    assert [link.acked_lsn for link in links] == [4, 4]
+    assert [receiver.applied_lsn for receiver in group.receivers] == [4, 4]
+    # The last life's first frame again, byte for byte: answered with
+    # what the log holds now, not with what it held then.
+    for frame, receiver in zip(first_frames, group.receivers):
+        assert json.loads(frame.partition(b"\n")[0])["from_lsn"] == 0
+        assert json.loads(receiver.handle(frame)) == {"applied_lsn": 4}
+    sender.close()
+    wal.close()
     group.close()
+
+
+# ------------------------------------------------------ no gap, ever
+
+
+def test_a_gap_is_refused_and_the_next_flush_fills_it(home):
+    """A cursor ahead of its follower would ship a batch that starts
+    past the follower's end.  The receiver writes nothing and acks its
+    true end; the sender moves the cursor back, and the next flush
+    catches the follower up to the primary's file, byte for byte."""
+    group = Group(home, followers=1, wal=WriteAheadLog(home / "primary.wal"))
+    sender, link = group.sender, group.sender_links[0]
+    receiver = group.receivers[0]
+    group.commit()
+    sender.blocked = True
+    group.commit()
+    group.commit()
+    sender.blocked = False
+    follower = home / "f0.wal"
+    on_disk = follower.read_bytes()
+    link.acked_lsn = 2  # the follower holds lsn 1 only
+
+    reason = sender.gate()
+    assert reason is not None and "lagging" in reason
+    assert follower.read_bytes() == on_disk
+    assert receiver.applied_lsn == 1 and link.acked_lsn == 1
+    assert receiver.metrics.value("repl.gaps_refused") == 1
+
+    assert sender.flush()
+    assert link.acked_lsn == receiver.applied_lsn == group.wal.last_lsn == 3
+    group.close()
+    group.wal.close()
+    assert follower.read_bytes() == (home / "primary.wal").read_bytes()
 
 
 # ------------------------------------------- the cost: one ship per request
@@ -458,6 +525,47 @@ def test_work_nobody_gates_is_on_the_followers_when_the_call_returns(home):
         assert wal.last_lsn > before and held() == [wal.last_lsn] * 2
         primary, *copies = _copies(fleet)
         assert copies == [primary] * 2
+
+
+def test_every_follower_file_is_its_primarys_byte_for_byte(home):
+    """Grants, releases, a cross-shard pair and a vacuum on each shard:
+    every follower's log file ends equal to its primary's."""
+    products = [f"product-{n}" for n in range(12)]
+    fleet = ReplicatedFleet(
+        2,
+        replicas=2,
+        provision=provision_products(len(products), 1000),
+        wal_dir=str(home),
+    )
+    with fleet:
+        first = products[0]
+        other = next(
+            product for product in products
+            if fleet.ring.shard_of(product) != fleet.ring.shard_of(first)
+        )
+        gateway = fleet.gateway(timeout=2.0, retry=RetryPolicy.none())
+        client = PromiseClient("copies", gateway, retry=RetryPolicy.none())
+        for product in (first, other):
+            response = client.request_promise(
+                "shop", [P(f"quantity('{product}') >= 1")], 60
+            )
+            assert response.accepted
+            client.release("shop", response.promise_id)
+        pair = client.request_promise(
+            "shop",
+            [P(f"quantity('{first}') >= 2"), P(f"quantity('{other}') >= 2")],
+            60,
+        )
+        assert pair.accepted and pair.promise_id.startswith("cluster/")
+        client.release("shop", pair.promise_id)
+        gateway.close()
+        vacuumed = [
+            fleet.shard(index).deployment.manager.vacuum() for index in range(2)
+        ]
+        assert all(count > 0 for count in vacuumed)
+        for index in range(2):
+            primary, *copies = _copies(fleet, index)
+            assert copies == [primary] * 2
 
 
 @pytest.mark.slow

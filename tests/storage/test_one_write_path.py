@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import itertools
+import json
 import os
 import stat
 import tempfile
@@ -39,9 +40,9 @@ from repro.core.promise import PromiseRequest
 from repro.faults.crashpoints import SimulatedCrash, clear, crash_point, install
 from repro.net import NetworkTransport, ThreadedServer
 from repro.protocol.errors import TransportFailure
-from repro.protocol.messages import ActionPayload, Message
+from repro.protocol.messages import Message
 from repro.protocol.retry import RetryPolicy
-from repro.replication.shipping import REPL_ENDPOINT, ReplicationReceiver
+from repro.replication.shipping import ReplicationReceiver
 from repro.services.deployment import Deployment
 from repro.services.merchant import MerchantService
 from repro.storage import DurabilityError, Store
@@ -441,23 +442,13 @@ def test_a_follower_batch_is_one_write_and_one_fsync(tmp_path, disk):
     for txn in range(1, 6):
         commit(primary, txn)
     receiver = ReplicationReceiver("g", str(tmp_path / "follower.wal"), fsync=True)
-    ship = Message(
-        message_id="repl:g:0:1",
-        sender="primary",
-        recipient=REPL_ENDPOINT,
-        action=ActionPayload(
-            service="replication",
-            operation="ship",
-            params={
-                "group": "g",
-                "epoch": 0,
-                "records": "\n".join(record.to_json() for record in primary),
-            },
-        ),
-    )
+    header = {"group": "g", "epoch": 0, "op": "ship", "from_lsn": 0}
+    ship = "\n".join(
+        [json.dumps(header), *(record.to_json() for record in primary)]
+    ).encode()
     writes, calls = disk.writes, disk.calls
-    reply = receiver.handle(ship)
-    assert reply.action_outcome.value["applied_lsn"] == 5
+    ack = json.loads(receiver.handle(ship))
+    assert ack == {"applied_lsn": 5}
     assert (disk.writes - writes, disk.calls - calls) == (1, 1)
     receiver.close()
 
