@@ -857,6 +857,11 @@ class ThreadedServer:
                     await writer.drain()
             except (ConnectionError, FrameError):
                 pass  # the peer went away, or sent bytes that are no frame
+            except asyncio.CancelledError:
+                # :meth:`stop` ends the connection: return normally, as a
+                # cancelled connection task makes Python 3.11's stream
+                # callback log ``CancelledError`` as an error.
+                pass
             finally:
                 self._frame_tasks.discard(task)
                 writer.close()

@@ -56,12 +56,14 @@ class PromiseEndpoint:
         # ReplyCache, and disabling that disables dedup entirely.
         self._journal_replies = manager.store.durable
         # promise id -> the resources its predicates cover, learned as
-        # grants succeed.  Lets :meth:`dispatch_keys` key releases and
-        # environment-protected actions by resource without a store read
-        # (reads on the dispatch path would defeat parallel dispatch).
-        # Written under the server's txn mutex, read from the event
-        # loop; individual dict ops are atomic, the lock guards the
-        # bound-trim read-modify-write.
+        # grants succeed and forgotten as releases succeed.  Lets
+        # :meth:`dispatch_keys` key releases and environment-protected
+        # actions by resource without a store read (reads on the
+        # dispatch path would defeat parallel dispatch).  Written under
+        # the server's txn mutex, read from the event loop; individual
+        # dict ops are atomic, the lock guards the bound-trim
+        # read-modify-write.  The bound only catches promises that
+        # expire unreleased.
         self._promise_resources: dict[str, frozenset[str]] = {}
         self._promise_resources_lock = threading.Lock()
         self._promise_resources_bound = 65536
@@ -105,6 +107,8 @@ class PromiseEndpoint:
                 self._remember_resources(
                     response.promise_id, request.resources
                 )
+                for promise_id in request.releases:  # an exchange
+                    self._forget_resources(promise_id)
 
         outcome: ActionOutcomePayload | None = None
         if message.action is not None:
@@ -160,6 +164,10 @@ class PromiseEndpoint:
                 self._promise_resources.clear()
             self._promise_resources[promise_id] = resources
 
+    def _forget_resources(self, promise_id: str) -> None:
+        """A released promise is done: nothing dispatches under it again."""
+        self._promise_resources.pop(promise_id, None)
+
     # ------------------------------------------------------------ internals
 
     def _run_action(
@@ -202,6 +210,8 @@ class PromiseEndpoint:
             # report it as a fault like any SOAP server would.
             faults.append(f"internal-error: {type(exc).__name__}: {exc}")
             return None
+        for promise_id in result.released:
+            self._forget_resources(promise_id)
         if result.violations:
             faults.append("promise-violated: action rolled back")
         return ActionOutcomePayload(
@@ -233,3 +243,5 @@ class PromiseEndpoint:
                 faults.append(f"unknown-promise: {exc.promise_id}")
             except PromiseStateError as exc:
                 faults.append(f"promise-state: {exc}")
+            else:
+                self._forget_resources(promise_id)

@@ -21,9 +21,10 @@ CREATE_TABLE anywhere, ships as it is appended — after the log's
 barrier has put it on the primary's disk.
 
 Replication speaks the log, not the client protocol.  Each follower
-gets the suffix past its link's cursor — read by bisection
-(:meth:`~repro.storage.wal.WriteAheadLog.since`), never by scanning the
-log — as one length-prefixed frame on a plain blocking socket: a JSON
+gets the suffix past its link's cursor — read by bisection from the
+log's memory while the link keeps up, and back from its file once it
+lags (:meth:`~repro.storage.wal.WriteAheadLog.since`) — as one
+length-prefixed frame on a plain blocking socket: a JSON
 header line ``{"group", "epoch", "op", "from_lsn"}`` (``op`` is
 ``ship`` or ``full_sync``; ``from_lsn`` is the LSN the batch continues
 from), then the WAL lines verbatim — the log's own file format.  Every
@@ -65,7 +66,7 @@ import json
 import socket
 import threading
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 from ..net.framing import encode_frame, read_frame
 from ..obs.metrics import MetricsRegistry
@@ -93,17 +94,20 @@ FENCED_FAULT_PREFIX = "repl-fenced:"
 #: mid-catch-up failure.
 SHIP_CHUNK_RECORDS = 512
 
+T = TypeVar("T")
+
 
 def _chunks(
-    records: list[LogRecord], line_of: Callable[[LogRecord], str]
+    entries: list[tuple[int, T]], line_of: Callable[[T], str]
 ) -> Iterator[tuple[int, list[str]]]:
-    """``records`` as frame-sized runs of WAL lines, acked one by one,
-    each with the LSN of its last record.  No records is one empty run:
-    an empty ``full_sync`` still sends its frame — the reset and the
-    epoch adoption are the point."""
-    for start in range(0, max(1, len(records)), SHIP_CHUNK_RECORDS):
-        run = records[start : start + SHIP_CHUNK_RECORDS]
-        yield (run[-1].lsn if run else 0), [line_of(r) for r in run]
+    """``(lsn, record or line)`` entries as frame-sized runs of WAL
+    lines, rendered run by run, acked one by one, each with the LSN of
+    its last record.  No entries is one empty run: an empty
+    ``full_sync`` still sends its frame — the reset and the epoch
+    adoption are the point."""
+    for start in range(0, max(1, len(entries)), SHIP_CHUNK_RECORDS):
+        run = entries[start : start + SHIP_CHUNK_RECORDS]
+        yield (run[-1][0] if run else 0), [line_of(item) for _, item in run]
 
 
 def _answer(**fields: object) -> bytes:
@@ -175,10 +179,13 @@ class ReplicationSender:
 
     Subscribe :meth:`observe` to the primary's WAL and put :meth:`gate`
     on its server (whose request scope is the WAL's).  Each link's
-    unacked suffix is read from the log's in-memory records (which a
-    checkpoint truncates to a snapshot the receiver applies as a
-    whole-file replace), so a follower unreachable for any length of
-    time catches up from whatever the log still holds.
+    unacked suffix comes from :meth:`~repro.storage.wal.WriteAheadLog.since`:
+    from memory while the link keeps up, and read back from the log's
+    file once it lags behind what memory holds; a :meth:`full_sync`
+    ships the file's lines verbatim.  A checkpoint truncates
+    the log to a snapshot the receiver applies as a whole-file replace,
+    so a follower unreachable for any length of time catches up from
+    whatever the log's file still holds.
 
     ``transport_factory(address)`` builds a link's transport: anything
     with ``begin(frame: bytes) -> (() -> ack bytes)`` and ``close()``,
@@ -320,7 +327,11 @@ class ReplicationSender:
                 # this loop runs would otherwise reach only the links
                 # read after it, and its own gate, finding it acked by
                 # one follower, would never ship it to the others.
-                todo = [r for r in self._wal.since(link.acked_lsn) if r.lsn <= target]
+                todo = [
+                    (r.lsn, r)
+                    for r in self._wal.since(link.acked_lsn)
+                    if r.lsn <= target
+                ]
                 if todo:
                     chunks = _chunks(todo, line_of)
                     first = self._begin(link, "ship", link.acked_lsn, *next(chunks))
@@ -346,7 +357,7 @@ class ReplicationSender:
         with self._lock:
             link.acked_lsn = 0
             op = "full_sync"
-            for last, lines in _chunks(list(self._wal), LogRecord.to_json):
+            for last, lines in _chunks(self._wal.lines(), str):
                 if not self._begin(link, op, link.acked_lsn, last, lines)():
                     return False
                 op = "ship"

@@ -44,6 +44,15 @@ a crash.**  The mechanism is one write path:
   ``os.replace``\\ s it over the log, so a crash at any point leaves
   either the full old log or the complete checkpoint — never an empty or
   half-written file.
+
+Memory holds only what the file does not: each append (and each
+follower batch) drops the in-memory prefix at or below ``durable_lsn``,
+so a file-backed log's memory is the records since the last barrier,
+not its history.  Whatever reads the whole log, or a
+suffix older than what memory still holds, reads that prefix back from
+the file (:meth:`WriteAheadLog.since`).  Nothing is dropped by a log
+with no file, a latched one, one whose scope has crashed, or one that
+logged a record its file will never hold.
 """
 
 from __future__ import annotations
@@ -54,9 +63,9 @@ import json
 import logging
 import os
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -69,6 +78,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 logger = logging.getLogger(__name__)
 
 _lsn_of = attrgetter("lsn")
+_lsn_at = itemgetter(0)
+
+#: Bytes a read of the log file back from its end starts with; each
+#: further step doubles what is in hand.
+_READ_BACK_STEP = 64 * 1024
 
 
 class LogRecordType(enum.Enum):
@@ -89,9 +103,10 @@ class LogRecord:
     """One WAL entry.
 
     A COMMIT's ``value`` is its transaction's write set (module
-    docstring); a CHECKPOINT's is a snapshot of the whole store.  The
-    log keeps every record in memory, about one per transaction, so the
-    instances carry no ``__dict__``.
+    docstring); a CHECKPOINT's is a snapshot of the whole store.  A
+    file-backed log holds in memory only the records its file does not
+    yet hold; a memory-only log holds every record since its checkpoint,
+    about one per transaction, so the instances carry no ``__dict__``.
     """
 
     lsn: int
@@ -131,10 +146,12 @@ class LogRecord:
 
 
 class WriteAheadLog:
-    """In-memory WAL with optional file persistence.
+    """WAL with optional file persistence.
 
     The store appends records before applying changes; :meth:`replay` folds
-    the log into the after-state of all *committed* transactions.
+    the log into the after-state of all *committed* transactions.  With
+    a file, memory keeps only what the file does not hold yet (module
+    docstring); without one, it keeps everything.
     """
 
     def __init__(
@@ -144,7 +161,19 @@ class WriteAheadLog:
         fsync: bool = False,
         fault_scope: str | None = None,
     ) -> None:
+        #: The records memory still holds, oldest first: with a file, the
+        #: ones it does not hold yet (plus, after an open, what was read
+        #: until the first append drops it).  Only ever appended to or
+        #: swapped for a new list, never edited in place: :meth:`since`
+        #: reads it without the mutex.
         self._records: list[LogRecord] = []
+        #: Records the log holds since its checkpoint, in memory or not.
+        self._count = 0
+        #: Highest transaction id of those records.
+        self._max_txn = 0
+        #: True once a record was logged that the file will never hold
+        #: (closed, crashed or torn): memory then forgets nothing more.
+        self._unfiled = False
         self._next_lsn = 1
         self._path = Path(path) if path is not None else None
         self._fsync = fsync
@@ -192,10 +221,14 @@ class WriteAheadLog:
             self._buffered_lsn = self._durable_lsn = self.last_lsn
 
     def __len__(self) -> int:
-        return len(self._records)
+        """Records the log holds since its checkpoint (or its start),
+        whether memory still holds them or only the file does."""
+        return self._count
 
     def __iter__(self) -> Iterator[LogRecord]:
-        return iter(self._records)
+        """Every record since the checkpoint, oldest first; what memory
+        has dropped is read back from the file."""
+        return iter(self.since(0))
 
     @property
     def last_lsn(self) -> int:
@@ -217,11 +250,9 @@ class WriteAheadLog:
 
         A store reopening this log continues numbering *past* it, so
         replay never sees one id meaning two different transactions.
+        Tracked as records arrive, so it reads no file.
         """
-        return max(
-            (record.txn_id for record in self._records if record.txn_id is not None),
-            default=0,
-        )
+        return self._max_txn
 
     @property
     def durable_lsn(self) -> int:
@@ -341,23 +372,57 @@ class WriteAheadLog:
                 value=value,
             )
             self._next_lsn += 1
-            self._records.append(record)
+            self._hold(record)
+            self._forget_hardened()
             self._since_checkpoint += 1
             if self._handle is not None and not crashed(self._fault_scope):
                 line = record.to_json() + "\n"
                 if should_crash("wal.torn-append", self._fault_scope):
                     # Power loss mid-append: what is pending reaches the
                     # disk, then half of this record.
+                    self._unfiled = True
                     self._buffer(record.lsn, line[: max(1, len(line) // 2)])
                     self._harden(record.lsn, dying=True)
                     raise SimulatedCrash("wal.torn-append")
                 self._buffer(record.lsn, line)
+            else:
+                self._unfiled = True
             if record_type is LogRecordType.CREATE_TABLE or (
                 record_type is LogRecordType.COMMIT and not self.in_request()
             ):
                 self._harden(record.lsn)
             self._notify(record)
             return record
+
+    def _hold(self, record: LogRecord) -> None:
+        """Keep ``record`` in memory and count it (log mutex held)."""
+        self._records.append(record)
+        self._count += 1
+        if record.txn_id is not None and record.txn_id > self._max_txn:
+            self._max_txn = record.txn_id
+
+    def _forget_hardened(self) -> None:
+        """Drop the in-memory prefix the file already holds: the records
+        at or below ``durable_lsn``, but never the newest (log mutex held).
+
+        A new list replaces the old one, so a lock-free :meth:`since`
+        holding the old reference still reads a whole list, and a list
+        is empty only while the log is.  Nothing is dropped without a
+        file, once the log is latched or its scope has crashed, or once
+        it logged a record the file will never hold."""
+        records = self._records
+        durable = self._durable_lsn
+        if (
+            len(records) < 2
+            or records[0].lsn > durable
+            or self._path is None
+            or self._unfiled
+            or self._failure is not None
+            or crashed(self._fault_scope)
+        ):
+            return
+        kept = min(bisect_right(records, durable, key=_lsn_of), len(records) - 1)
+        self._records = records[kept:]
 
     def _buffer(self, lsn: int, line: str) -> None:
         """Queue a line for the next barrier (log mutex held; not once failed)."""
@@ -431,21 +496,101 @@ class WriteAheadLog:
     def since(self, lsn: int) -> list[LogRecord]:
         """Records with an LSN above ``lsn``, oldest first.
 
-        The suffix a replication link that holds ``lsn`` is missing,
-        found by bisection (the log is LSN-ordered), so the cost is the
-        suffix, not the log.  After a checkpoint truncated past ``lsn``
-        that is the whole log, starting with the CHECKPOINT record the
-        receiver applies as a file replace.
+        The suffix a replication link that holds ``lsn`` is missing.
+        When memory still holds the record after ``lsn`` — a link that
+        keeps up — it is found by bisection, so the cost is the suffix,
+        not the log.  Older records, which memory has dropped, are read
+        back from the file.  After a checkpoint truncated past ``lsn``
+        the suffix is the whole log, starting with the CHECKPOINT record
+        the receiver applies as a file replace.
 
         Takes no lock, and must not: the replication sender calls this
         holding its own lock, while its observer runs *under* the log
         mutex — taking the mutex here would invert that order and
         deadlock a gate-path flush against an appending worker.  It
         reads one reference to the record list instead, which is only
-        ever appended to or (by a checkpoint) swapped for a new list.
+        ever appended to or swapped for a new list, and a file that a
+        checkpoint replaces whole.
         """
+        filed, records = self._suffix(lsn)
+        if not filed:
+            return records
+        return [LogRecord.from_json(line) for _, line in filed] + records
+
+    def lines(self) -> list[tuple[int, str]]:
+        """The whole log as ``(lsn, line)`` pairs: what the file holds
+        as it holds it, unparsed, then what only memory holds, rendered."""
+        filed, records = self._suffix(0)
+        return filed + [(record.lsn, record.to_json()) for record in records]
+
+    def _suffix(self, lsn: int) -> tuple[list[tuple[int, str]], list[LogRecord]]:
+        """What :meth:`since` returns, split: the file's lines past
+        ``lsn`` that memory no longer holds, then the records it does.
+
+        The record list is read first, then the file, so the file holds
+        everything below the list's head — unless a checkpoint replaced
+        it in between, and then it starts with a CHECKPOINT newer than
+        that head and is the whole answer."""
         records = self._records
-        return records[bisect_right(records, lsn, key=_lsn_of):]
+        if (
+            not records  # the log is empty
+            or self._path is None
+            or records[0].lsn <= lsn + 1
+            or records[0].lsn == 1
+            or records[0].record_type is LogRecordType.CHECKPOINT
+        ):
+            return [], records[bisect_right(records, lsn, key=_lsn_of):]
+        entries, first = self._filed(lsn)
+        floor = records[0].lsn
+        if first is not None and (
+            first.record_type is LogRecordType.CHECKPOINT and first.lsn >= floor
+        ):
+            return entries[bisect_right(entries, lsn, key=_lsn_at):], []
+        end = bisect_left(entries, floor, key=_lsn_at)
+        if end and entries[end - 1][0] != floor - 1:
+            raise RecoveryError(
+                f"{self._path}: the file ends at lsn {entries[end - 1][0]}, "
+                f"memory starts at {floor}"
+            )
+        filed = entries[bisect_right(entries, lsn, key=_lsn_at) : end]
+        top = filed[-1][0] if filed else lsn
+        return filed, records[bisect_right(records, top, key=_lsn_of):]
+
+    def _filed(self, lsn: int) -> tuple[list[tuple[int, str]], LogRecord | None]:
+        """The file's whole lines from the one after ``lsn`` on — or from
+        its start — as ``(lsn, line)`` pairs, and the first of them parsed.
+
+        Read backward from the end in growing steps until a whole line
+        at or before ``lsn + 1`` is in hand, so a link a few records
+        behind reads a few records, not the file.  One open handle keeps
+        the read on one file should a checkpoint replace it meanwhile,
+        and a line a barrier is still writing is left out.  LSNs in a
+        file run one by one, so only the first and last lines are parsed
+        when their distance says so."""
+        assert self._path is not None
+        with self._path.open("rb") as handle:
+            start = handle.seek(0, os.SEEK_END)
+            data = b""
+            while start:
+                step = min(start, max(_READ_BACK_STEP, len(data)))
+                start -= step
+                handle.seek(start)
+                data = handle.read(step) + data
+                head = data.find(b"\n") + 1  # where the first whole line begins
+                tail = data.find(b"\n", head)
+                if head and tail != -1:
+                    if LogRecord.from_json(data[head:tail].decode()).lsn <= lsn + 1:
+                        data = data[head:]
+                        break
+        text = data[: data.rfind(b"\n") + 1].decode("utf-8")
+        lines = [line for line in text.split("\n") if line]
+        if not lines:
+            return [], None
+        first = LogRecord.from_json(lines[0])
+        last = LogRecord.from_json(lines[-1]).lsn
+        if last - first.lsn == len(lines) - 1:
+            return list(zip(range(first.lsn, last + 1), lines)), first
+        return [(LogRecord.from_json(line).lsn, line) for line in lines], first
 
     def ingest(self, record: LogRecord) -> bool:
         """Apply one record shipped from a replication primary: the
@@ -479,6 +624,7 @@ class WriteAheadLog:
             return self._ingest_locked(entries)
 
     def _ingest_locked(self, entries: list[tuple[LogRecord, str]]) -> int:
+        self._forget_hardened()
         applied = 0
         for record, line in entries:
             if record.lsn <= self.last_lsn:
@@ -486,10 +632,12 @@ class WriteAheadLog:
             if record.record_type is LogRecordType.CHECKPOINT:
                 self._swap_in(record, line + "\n")
             else:
-                self._records.append(record)
+                self._hold(record)
                 self._since_checkpoint += 1
                 if self._handle is not None and not crashed(self._fault_scope):
                     self._buffer(record.lsn, line + "\n")
+                else:
+                    self._unfiled = True
             self._next_lsn = record.lsn + 1
             applied += 1
         self._harden(self.last_lsn)
@@ -521,7 +669,8 @@ class WriteAheadLog:
         waiters' LSNs predate the checkpoint and must not be left
         pointing at lines that never reached any disk."""
         self._harden(record.lsn - 1)
-        if self._path is not None and not crashed(self._fault_scope):
+        filed = self._path is not None and not crashed(self._fault_scope)
+        if filed:
             tmp = self._tmp_path()
             with tmp.open("w", encoding="utf-8") as handle:
                 handle.write(line)
@@ -547,7 +696,9 @@ class WriteAheadLog:
             self._handle = self._path.open("a", encoding="utf-8")
             with self._barrier:
                 self._buffered_lsn = self._durable_lsn = record.lsn
+        self._unfiled = not filed
         self._records = [record]
+        self._count, self._max_txn = 1, 0
         self._since_checkpoint = 0
 
     def replay(self) -> dict[str, dict[str, object]]:
@@ -559,7 +710,7 @@ class WriteAheadLog:
         per-request transaction depends on.
         """
         state: dict[str, dict[str, object]] = {}
-        for record, ops in committed(self._records):
+        for record, ops in committed(self):
             if record.record_type is LogRecordType.CREATE_TABLE:
                 state.setdefault(record.table or "", {})
             elif record.record_type is LogRecordType.CHECKPOINT:
@@ -609,7 +760,7 @@ class WriteAheadLog:
                         ) from exc
                     truncate_at = pos
                     break
-                self._records.append(record)
+                self._hold(record)
                 self._next_lsn = max(self._next_lsn, record.lsn + 1)
                 if record.record_type is LogRecordType.CHECKPOINT:
                     self._since_checkpoint = 0

@@ -114,3 +114,74 @@ class TestFullyCombinedMessage:
         # as its own atomic unit, not the whole message.
         granted = next(r for r in reply.promise_responses if r.accepted)
         assert shop.manager.is_promise_active(granted.promise_id)
+
+
+class TestDispatchKeyMemo:
+    """The endpoint remembers a promise's resources from its grant to
+    its release, so :meth:`dispatch_keys` can key what names it — and
+    no longer, so the memo does not grow with every grant."""
+
+    def grant(self, shop, number: int) -> str:
+        reply = shop.endpoint.handle(
+            Message(
+                message_id=f"g-{number}",
+                sender="alice",
+                recipient="shop",
+                promise_requests=(
+                    PromiseRequest(
+                        f"req-{number}", (P("quantity('widgets') >= 1"),), 30,
+                        client_id="alice",
+                    ),
+                ),
+            )
+        )
+        promise_id = reply.promise_responses[0].promise_id
+        assert promise_id is not None
+        return promise_id
+
+    def release(self, promise_id: str, number: int) -> Message:
+        return Message(
+            message_id=f"r-{number}",
+            sender="alice",
+            recipient="shop",
+            environment=Environment.of(promise_id, release=[promise_id]),
+        )
+
+    def test_a_released_promise_is_forgotten(self, shop):
+        endpoint = shop.endpoint
+        for number in range(1000):
+            promise_id = self.grant(shop, number)
+            release = self.release(promise_id, number)
+            assert endpoint.dispatch_keys(release) == frozenset({"widgets"})
+            reply = endpoint.handle(release)
+            assert not reply.faults
+            assert endpoint.dispatch_keys(release) is None
+        assert endpoint._promise_resources == {}
+
+    def test_a_live_promise_keeps_its_keys(self, shop):
+        endpoint = shop.endpoint
+        live = self.grant(shop, 0)
+        for number in range(1, 50):
+            endpoint.handle(self.release(self.grant(shop, number), number))
+        assert endpoint.dispatch_keys(self.release(live, 0)) == frozenset(
+            {"widgets"}
+        )
+        assert list(endpoint._promise_resources) == [live]
+
+    def test_an_action_that_releases_forgets(self, shop):
+        endpoint = shop.endpoint
+        promise_id = self.grant(shop, 0)
+        message = Message(
+            message_id="act-0",
+            sender="alice",
+            recipient="shop",
+            environment=Environment.of(promise_id, release=[promise_id]),
+            action=ActionPayload(
+                "merchant", "place_order",
+                {"customer": "alice", "product": "widgets", "quantity": 1},
+            ),
+        )
+        assert endpoint.dispatch_keys(message) == frozenset({"widgets"})
+        outcome = endpoint.handle(message).action_outcome
+        assert outcome is not None and promise_id in outcome.released
+        assert endpoint._promise_resources == {}

@@ -9,6 +9,7 @@ and by the fleet failover tests.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 
@@ -445,3 +446,25 @@ def test_a_lost_ack_drops_the_connection_and_the_next_flush_reconnects(
         sender.close()
         runner.stop()
         receiver.close()
+
+
+def test_stopping_a_listener_with_a_live_link_logs_no_error(tmp_path, wal, caplog):
+    """``stop()`` ends the frame connections the sender still holds open;
+    the loop must not report that as an unhandled ``CancelledError``."""
+    receiver = make_receiver(tmp_path)
+    runner = ThreadedServer(PromiseServer())
+    runner.start()
+    sender = ReplicationSender(GROUP, 0, wal, timeout=1.0)
+    try:
+        link = sender.add_follower(
+            runner.serve_frames(lambda frame: receiver.handle(frame)), "f0"
+        )
+        commit_txn(wal, 1)
+        assert sender.flush() and link.acked_lsn == receiver.applied_lsn == 1
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            runner.stop()  # the link's connection is still open
+    finally:
+        sender.close()
+        runner.stop()
+        receiver.close()
+    assert [r for r in caplog.records if r.name == "asyncio"] == []
