@@ -90,12 +90,14 @@ def test_report_f2_network(benchmark):
                 for __ in range(count):
                     drive(client, kind, deployment)
                 elapsed = time.perf_counter() - start
-                stats = deployment.transport.stats
+                metrics = deployment.transport.metrics
+                sent = metrics.value("transport.sent")
                 rows[kind] = {
-                    "msg/s": stats.sent / elapsed,
+                    "msg/s": sent / elapsed,
                     "latency (ms)": elapsed / count * 1e3,
                     "avg bytes/envelope":
-                        stats.bytes_on_wire / max(1, 2 * stats.sent),
+                        metrics.value("transport.bytes_on_wire")
+                        / max(1, 2 * sent),
                 }
             finally:
                 cleanup()
@@ -155,8 +157,12 @@ def test_report_f2_network(benchmark):
             return {
                 "requests": requests,
                 "granted": granted,
-                "dropped replies": transport.stats.dropped_replies,
-                "duplicates served": server.stats.duplicates_served,
+                "dropped replies": transport.metrics.value(
+                    "transport.dropped_replies"
+                ),
+                "duplicates served": server.metrics.value(
+                    "server.duplicates_served"
+                ),
                 "active promises left": len(
                     deployment.manager.active_promises()
                 ),

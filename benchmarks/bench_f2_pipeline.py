@@ -126,13 +126,15 @@ def test_report_f2(benchmark):
                     client.release("pm", response.promise_id)
                 deployment.manager.vacuum()
             elapsed = time.perf_counter() - start
-            stats = deployment.transport.stats
+            metrics = deployment.transport.metrics
+            sent = metrics.value("transport.sent")
             rows.append(
                 {
                     "message kind": kind,
                     "requests": count,
-                    "msg/s": stats.sent / elapsed,
-                    "avg bytes/envelope": stats.bytes_on_wire / max(1, 2 * stats.sent),
+                    "msg/s": sent / elapsed,
+                    "avg bytes/envelope": metrics.value("transport.bytes_on_wire")
+                    / max(1, 2 * sent),
                 }
             )
         return rows

@@ -209,7 +209,9 @@ def cross_fraction_sweep(
             rows.append({
                 "shards": shards,
                 "cross_fraction": fraction,
-                "composite_grants": gateway.stats.composite_grants,
+                "composite_grants": gateway.metrics.value(
+                    "gateway.composite_grants"
+                ),
                 **row,
             })
         finally:

@@ -222,8 +222,10 @@ def overload_run(
         "shed_faults": totals["shed_faults"],
         "timeouts": totals["timeouts"],
         "rejected": totals["rejected"],
-        "server_shed": server.stats.shed,
-        "server_deadline_rejected": server.stats.deadline_rejected,
+        "server_shed": server.metrics.value("server.shed"),
+        "server_deadline_rejected": server.metrics.value(
+            "server.deadline_rejected"
+        ),
     }
 
 
@@ -310,7 +312,9 @@ def breaker_run(use_breaker: bool) -> dict[str, object]:
             "failures": failures,
             "elapsed_s": elapsed,
             "dead_shard_attempts": dead_attempts,
-            "fast_failures": gateway.stats.breaker_fast_failures,
+            "fast_failures": gateway.metrics.value(
+                "gateway.breaker_fast_failures"
+            ),
         }
         for transport in transports:
             transport.close()

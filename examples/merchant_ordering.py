@@ -71,8 +71,10 @@ def main() -> None:
     print("order process terminates, telling the customer goods are unavailable")
 
     banner("What actually went over the wire")
-    stats = shop.transport.stats
-    print(f"{stats.sent} request messages, {stats.bytes_on_wire} bytes of XML")
+    metrics = shop.transport.metrics
+    sent = metrics.value("transport.sent")
+    wire_bytes = metrics.value("transport.bytes_on_wire")
+    print(f"{sent} request messages, {wire_bytes} bytes of XML")
     print("first envelope:")
     print(shop.transport.wire_log[0])
 

@@ -25,14 +25,13 @@ The fleet that boots, kills, restarts and audits the shards is
 that class with ``replicas=0``.
 """
 
-from .gateway import ClusterGateway, GatewayStats
+from .gateway import ClusterGateway
 from .partition import CrossShardPredicate, PartitionError, PartitionMap
 from .provision import host_deployment, provision_products
 
 __all__ = [
     "ClusterGateway",
     "CrossShardPredicate",
-    "GatewayStats",
     "PartitionError",
     "PartitionMap",
     "host_deployment",

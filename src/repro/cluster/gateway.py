@@ -42,7 +42,7 @@ from typing import Callable, Mapping, Sequence
 from ..core.environment import Environment
 from ..core.promise import PromiseRequest, PromiseResponse, PromiseResult
 from ..net.server import METRICS_ENDPOINT, SPANS_ENDPOINT
-from ..obs.metrics import MetricsRegistry, StatsView
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import ActiveSpan, SpanRecorder
 from ..protocol.client import MessageTransport
 from ..protocol.errors import ProtocolError, RequestTimeout, TransportFailure
@@ -63,34 +63,6 @@ ACTION_RESOURCE_PARAMS = (
     "collection",
     "collection_id",
 )
-
-
-class GatewayStats(StatsView):
-    """Counters describing how requests moved through the gateway.
-
-    A view over ``gateway.*`` registry metrics; the scatter pool means
-    several threads bump these concurrently, so every increment goes
-    through the registry's lock rather than a bare ``+=``.
-    """
-
-    _prefix = "gateway"
-    _fields = (
-        "requests",
-        "forwarded",
-        "scattered",
-        "composite_grants",
-        "composite_rejections",
-        "compensations",
-        "pending_compensations",
-        "releases_routed",
-        "actions_routed",
-        "shard_errors",
-        "breaker_fast_failures",
-        "pending_dropped",
-        "remaps",
-        "breaker_resets",
-        "stale_acks_discarded",
-    )
 
 
 @dataclass
@@ -124,7 +96,7 @@ class ClusterGateway:
     time-bounded by its own duration — the paper's backstop against
     every orphan — so the bound trades a transient over-reservation for
     a gateway whose memory cannot grow without limit while a shard
-    stays dead.  Drops are counted in ``stats.pending_dropped``.
+    stays dead.  Drops are counted in ``gateway.pending_dropped``.
     """
 
     def __init__(
@@ -162,7 +134,6 @@ class ClusterGateway:
         self._clock = clock
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
-        self.stats = GatewayStats(self.metrics)
         self._scrape_counter = 0
         # composite promise id -> {shard: sub promise id}
         self._composites: dict[str, dict[int, str]] = {}

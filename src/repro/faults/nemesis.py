@@ -294,12 +294,13 @@ class ChaosNemesis:
             self._ensure_fired(fleet, gateway, client)
             self._drain(fleet, gateway, client)
             self._audit(fleet, gateway)
+            servers = [fleet.shard(i).server for i in range(self.shards)]
             self.report.duplicates_served = sum(
-                fleet.shard(i).server.stats.duplicates_served
-                for i in range(self.shards)
+                server.metrics.value("server.duplicates_served")
+                for server in servers
             )
             self.report.shed = sum(
-                fleet.shard(i).server.stats.shed for i in range(self.shards)
+                server.metrics.value("server.shed") for server in servers
             )
         finally:
             clear()
@@ -429,17 +430,19 @@ class ChaosNemesis:
         # Read the victim's transport *through* the gateway: a replica
         # failover remaps it, and the constructor-time list goes stale.
         transport = gateway.transport(victim)
-        stats = transport.stats
-        before = stats.dropped_replies if reply else stats.dropped_requests
-        if reply:
-            transport.plan_reply_drop(stats.sent + 1)
-        else:
-            transport.plan_request_drop(stats.sent + 1)
+        metrics = transport.metrics
+        dropped = (
+            "transport.dropped_replies" if reply else "transport.dropped_requests"
+        )
+        before = metrics.value(dropped)
+        plan = (
+            transport.plan_reply_drop if reply else transport.plan_request_drop
+        )
+        plan(int(metrics.value("transport.sent")) + 1)
         # A grant homed on the victim consumes the plan; the client's
         # redelivery (same message id) is what §6 exists for.
         self._grant(client, [self._pick_product(shard=victim)])
-        after = stats.dropped_replies if reply else stats.dropped_requests
-        if after > before:
+        if metrics.value(dropped) > before:
             self.report.fired[fault] += 1
 
     def _inject_crash(
@@ -483,15 +486,15 @@ class ChaosNemesis:
         self, victim: int, fleet: ReplicatedFleet, client: PromiseClient
     ) -> None:
         admission = self._admissions.get(victim)
-        server_stats = fleet.shard(victim).server.stats
-        before = server_stats.shed
+        server_metrics = fleet.shard(victim).server.metrics
+        before = server_metrics.value("server.shed")
         if admission is not None:
             # Drain the victim's bucket so the next real check sheds.
             for _ in range(int(admission.burst) + 1):
                 if not admission.admit(KIND_CHECK):
                     break
         self._grant(client, [self._pick_product(shard=victim)])
-        if server_stats.shed > before:
+        if server_metrics.value("server.shed") > before:
             self.report.fired[FAULT_OVERLOAD_BURST] += 1
 
     def _inject_kill_primary(

@@ -36,7 +36,6 @@ from .framing import (
 from .server import (
     TRANSPORT_FAULT_PREFIX,
     PromiseServer,
-    ServerStats,
     ThreadedServer,
 )
 from .transport import NetworkTransport
@@ -50,7 +49,6 @@ __all__ = [
     "FrameTooLarge",
     "NetworkTransport",
     "PromiseServer",
-    "ServerStats",
     "TRANSPORT_FAULT_PREFIX",
     "ThreadedServer",
     "TruncatedFrame",

@@ -60,7 +60,7 @@ from dataclasses import replace as dc_replace
 from typing import TYPE_CHECKING, Callable
 
 from ..faults.crashpoints import SimulatedCrash
-from ..obs.metrics import MetricsRegistry, StatsView
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import ActiveSpan, SpanRecorder
 from ..protocol.correlation import ReplyCache
 from ..protocol.messages import ActionOutcomePayload, Message
@@ -110,33 +110,6 @@ METRICS_ENDPOINT = "_metrics"
 #: Reserved recipient returning this server's recorded spans (optionally
 #: filtered by trace id).  Same bypass rules as ``_metrics``.
 SPANS_ENDPOINT = "_spans"
-
-
-class ServerStats(StatsView):
-    """Counters exposed for benchmarks and the CLI (``server.*`` metrics).
-
-    Increments used to be plain ``+=`` on dataclass fields — safe only
-    while the asyncio loop was the sole writer, which stopped being
-    true the moment anything off-loop read-modified them.  All writes
-    now go through the registry's lock.
-    """
-
-    _prefix = "server"
-    _fields = (
-        "connections",
-        "requests",
-        "replies",
-        "duplicates_served",
-        "malformed",
-        "transport_faults",
-        "shed",
-        "deadline_rejected",
-        "fenced",
-        "pings",
-        "scrapes",
-        "bytes_in",
-        "bytes_out",
-    )
 
 
 class PromiseServer:
@@ -196,7 +169,6 @@ class PromiseServer:
         # itertools.count: a single opcode per draw, so worker threads
         # and the event loop can mint fault/scrape ids without a lock.
         self._reply_ids = itertools.count(1)
-        self.stats = ServerStats(self.metrics)
         #: Replica-group fencing token.  ``None`` (standalone servers)
         #: disables epoch checks entirely; a replicated fleet sets it and
         #: bumps it on promotion.  A request stamped with a *newer* epoch

@@ -2,12 +2,14 @@
 
 :class:`NetworkTransport` exposes exactly the contract of
 :class:`~repro.protocol.transport.InProcessTransport` — ``send(Message)
--> Message``, ``register()``, ``stats``, ``wire_log`` and the
-deterministic fault plans — so every existing service wiring, baseline
-and benchmark can run over real sockets unchanged: hand a
-``Deployment`` a ``NetworkTransport`` bound to a local
-:class:`~repro.net.server.PromiseServer` and the Figure-2 pipeline
-spans an actual TCP hop.
+-> Message``, ``register()``, ``metrics`` (the ``transport.*``
+counters), ``wire_log`` and the deterministic fault plans — so every
+existing service wiring, baseline and benchmark can run over real
+sockets unchanged: hand a ``Deployment`` a ``NetworkTransport`` bound
+to a local :class:`~repro.net.server.PromiseServer` and the Figure-2
+pipeline spans an actual TCP hop.  Each send takes its delivery number
+from the ``transport.sent`` increment itself, so threads sharing one
+transport never share a number and a planned drop fires exactly once.
 
 The fault plans are reimplemented at the socket layer: a *request drop*
 never writes to the socket, a *reply drop* writes the request on a
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from types import SimpleNamespace
 from typing import Callable
 
 from ..protocol.errors import (
@@ -33,12 +36,7 @@ from ..protocol.errors import (
 from ..protocol.messages import Message
 from ..protocol.retry import RetryPolicy
 from ..protocol.soap import SoapCodec
-from ..protocol.transport import (
-    DEFAULT_LOG_LIMIT,
-    Handler,
-    TransportStats,
-    _FaultPlan,
-)
+from ..protocol.transport import DEFAULT_LOG_LIMIT, Handler, _FaultPlan
 from ..resilience.breaker import CircuitBreaker
 from .framing import DEFAULT_MAX_FRAME_SIZE
 from .pipeline import PipelinedClient
@@ -88,7 +86,17 @@ class NetworkTransport:
         # ``transport.*`` counts on the client's registry, beside its
         # ``client.*`` / ``pipeline.*`` — one scrape sees the whole leg.
         self.metrics = self.client.metrics
-        self.stats = TransportStats(self.metrics)
+
+    @property
+    def stats(self) -> SimpleNamespace:
+        """Read-only ``.sent``: this transport's ``transport.sent`` count.
+
+        Kept for one reader, ``benchmarks/perf/layers.py``, which sums it
+        over the shard transports for ``cluster.gateway.legs_per_pair``;
+        every other caller reads ``metrics.value("transport.<name>")``.
+        ROADMAP item 0(c) re-hooks that reader and deletes this property.
+        """
+        return SimpleNamespace(sent=int(self.metrics.value("transport.sent")))
 
     # ------------------------------------------------------------- surface
 
@@ -183,8 +191,7 @@ class NetworkTransport:
 
     def _outbound(self, message: Message) -> bytes:
         """The sending half: encode, count, log, apply the fault plan."""
-        self.metrics.inc("transport.sent")
-        delivery = self.stats.sent
+        delivery = self.metrics.inc("transport.sent")
 
         encoded = self._codec.encode(message)
         payload = encoded.encode("utf-8")

@@ -18,7 +18,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    StatsView,
     merge_counters,
     snapshot_delta,
     wal_observer,
@@ -40,7 +39,6 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
-    "StatsView",
     "DEFAULT_LATENCY_BUCKETS",
     "merge_counters",
     "snapshot_delta",

@@ -22,10 +22,8 @@ replaces them all with one primitive:
   nothing, so a benchmark can measure the instrumented pipeline with
   observability priced at (almost) zero.
 
-The old ``stats`` attributes survive as :class:`StatsView` subclasses:
-attribute reads pass through to the registry, so every pre-existing
-``server.stats.shed`` call site keeps working — now backed by an
-atomic counter instead of a racy field.
+There is one tally: a component's counters live in its registry, and
+callers read them by name (``server.metrics.value("server.shed")``).
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
-    "StatsView",
     "DEFAULT_LATENCY_BUCKETS",
     "merge_counters",
 ]
@@ -65,10 +62,15 @@ class Counter:
         self._value = 0
         self._lock = lock
 
-    def inc(self, amount: int = 1) -> None:
-        """Atomically add ``amount`` (must be >= 0)."""
+    def inc(self, amount: int = 1) -> int:
+        """Atomically add ``amount`` (must be >= 0); the new count.
+
+        The return value is this increment's own number: two threads
+        incrementing at once never both see the same one.
+        """
         with self._lock:
             self._value += amount
+            return self._value
 
     @property
     def value(self) -> int:
@@ -203,9 +205,9 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------- shortcuts
 
-    def inc(self, name: str, amount: int = 1) -> None:
-        """Atomically increment the counter called ``name``."""
-        self.counter(name).inc(amount)
+    def inc(self, name: str, amount: int = 1) -> int:
+        """Atomically increment the counter called ``name``; the new count."""
+        return self.counter(name).inc(amount)
 
     def set_gauge(self, name: str, value: float) -> None:
         """Set the gauge called ``name``."""
@@ -310,8 +312,8 @@ class _NullInstrument:
     total = 0.0
     buckets: tuple[float, ...] = ()
 
-    def inc(self, amount: int = 1) -> None:
-        pass
+    def inc(self, amount: int = 1) -> int:
+        return 0
 
     def set(self, value: float) -> None:
         pass
@@ -349,8 +351,8 @@ class NullRegistry(MetricsRegistry):
     def histogram(self, name: str, buckets=DEFAULT_LATENCY_BUCKETS):  # type: ignore[override]
         return _NULL_INSTRUMENT
 
-    def inc(self, name: str, amount: int = 1) -> None:
-        pass
+    def inc(self, name: str, amount: int = 1) -> int:
+        return 0
 
     def set_gauge(self, name: str, value: float) -> None:
         pass
@@ -361,44 +363,6 @@ class NullRegistry(MetricsRegistry):
 
 #: Shared no-op registry for callers that just want metrics switched off.
 NULL_REGISTRY = NullRegistry()
-
-
-class StatsView:
-    """Attribute-compatible facade over a registry's counters.
-
-    Subclasses declare ``_prefix`` and ``_fields``; reading
-    ``view.<field>`` returns the live value of the counter
-    ``"<prefix>.<field>"``.  This is what keeps five PRs' worth of
-    ``server.stats.shed`` / ``gateway.stats.compensations`` call sites
-    working after the migration — the numbers now come from atomic
-    registry counters instead of racy dataclass fields.
-    """
-
-    _prefix: str = ""
-    _fields: tuple[str, ...] = ()
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        # A standalone view (no registry supplied) gets its own private
-        # registry, so ``ServerStats()`` still constructs and reads as
-        # all-zeros exactly like the old dataclass default.
-        self.registry = registry if registry is not None else MetricsRegistry()
-
-    def __getattr__(self, name: str):
-        if name in type(self)._fields:
-            return int(self.registry.value(f"{type(self)._prefix}.{name}"))
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def as_dict(self) -> dict[str, int]:
-        """All fields at once (handy for logs and tests)."""
-        return {name: getattr(self, name) for name in type(self)._fields}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        fields = ", ".join(
-            f"{name}={getattr(self, name)}" for name in type(self)._fields
-        )
-        return f"{type(self).__name__}({fields})"
 
 
 def wal_observer(registry: MetricsRegistry) -> Callable[[object], None]:

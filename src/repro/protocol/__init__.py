@@ -10,10 +10,9 @@ separate processes.
 """
 
 from .client import MessageTransport, PromiseClient
-from .correlation import CorrelationTracker, MatchedExchange, ReplyCache
+from .correlation import ReplyCache
 from .endpoint import ActionResolver, PromiseEndpoint
 from .errors import (
-    CorrelationError,
     MalformedMessage,
     Overloaded,
     ProtocolError,
@@ -24,7 +23,7 @@ from .errors import (
 from .messages import ActionOutcomePayload, ActionPayload, Message
 from .retry import RetryPolicy
 from .soap import PROMISE_NS, SOAP_NS, SoapCodec
-from .transport import InProcessTransport, TransportStats
+from .transport import InProcessTransport
 
 # Networked counterparts, re-exported lazily: repro.net imports this
 # package's submodules, so an eager import here would be circular.
@@ -38,11 +37,8 @@ __all__ = [
     "ActionOutcomePayload",
     "ActionPayload",
     "ActionResolver",
-    "CorrelationError",
-    "CorrelationTracker",
     "InProcessTransport",
     "MalformedMessage",
-    "MatchedExchange",
     "Message",
     "MessageTransport",
     "NetworkTransport",
@@ -59,7 +55,6 @@ __all__ = [
     "SoapCodec",
     "ThreadedServer",
     "TransportFailure",
-    "TransportStats",
     "UnknownEndpoint",
 ]
 

@@ -1,80 +1,19 @@
-"""Correlation tracking for promise requests and responses.
+"""At-most-once reply caching (paper, Section 6).
 
-Section 6: "A request identifier ... is used to correlate promise-requests
-and promise-responses", and a reply may carry "a piggybacked response
-reporting on the outcome of a previous request".  The tracker keeps the
-set of outstanding request ids and matches responses as they arrive — in
-any order, possibly piggybacked on unrelated messages.
-
-This module also houses :class:`ReplyCache`, the server-side half of
-§6's atomic message processing: replies are remembered by message id so
-a redelivered request (a client retrying after a lost reply) gets the
-original reply back instead of being executed a second time.  Both the
-in-process transport and the networked server use it.
+:class:`ReplyCache` is the server-side half of §6's atomic message
+processing: replies are remembered by message id so a redelivered
+request (a client retrying after a lost reply) gets the original reply
+back instead of being executed a second time.  Both the in-process
+transport and the networked server use it.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Generic, TypeVar
 
-from ..core.promise import PromiseRequest, PromiseResponse
-from .errors import CorrelationError
-
 ReplyT = TypeVar("ReplyT")
-
-
-@dataclass(frozen=True)
-class MatchedExchange:
-    """A request paired with its response."""
-
-    request: PromiseRequest
-    response: PromiseResponse
-
-
-class CorrelationTracker:
-    """Matches promise responses to their outstanding requests."""
-
-    def __init__(self) -> None:
-        self._pending: dict[str, PromiseRequest] = {}
-        self._matched: list[MatchedExchange] = []
-
-    def sent(self, request: PromiseRequest) -> None:
-        """Record an outgoing request as awaiting its response."""
-        if request.request_id in self._pending:
-            raise CorrelationError(
-                f"request id {request.request_id!r} already outstanding"
-            )
-        self._pending[request.request_id] = request
-
-    def received(self, response: PromiseResponse) -> MatchedExchange:
-        """Match an incoming response; raises when nothing is waiting."""
-        request = self._pending.pop(response.correlation, None)
-        if request is None:
-            raise CorrelationError(
-                f"response correlates to unknown request "
-                f"{response.correlation!r}"
-            )
-        exchange = MatchedExchange(request=request, response=response)
-        self._matched.append(exchange)
-        return exchange
-
-    def outstanding(self) -> list[str]:
-        """Request ids still awaiting responses."""
-        return sorted(self._pending)
-
-    def history(self) -> list[MatchedExchange]:
-        """All matched exchanges, oldest first."""
-        return list(self._matched)
-
-    def abandon(self, request_id: str) -> PromiseRequest:
-        """Give up on an outstanding request (e.g. transport failure)."""
-        request = self._pending.pop(request_id, None)
-        if request is None:
-            raise CorrelationError(f"no outstanding request {request_id!r}")
-        return request
 
 
 class ReplyCache(Generic[ReplyT]):
@@ -125,8 +64,6 @@ class ReplyCache(Generic[ReplyT]):
         self._sizes: dict[str, int] = {}
         self._pinned: set[str] = set()
         self.bytes_used = 0
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
 
     @staticmethod
@@ -139,11 +76,8 @@ class ReplyCache(Generic[ReplyT]):
         """The cached reply for ``message_id``, or None if unseen."""
         with self._lock:
             reply = self._replies.get(message_id)
-            if reply is None:
-                self.misses += 1
-                return None
-            self._replies.move_to_end(message_id)
-            self.hits += 1
+            if reply is not None:
+                self._replies.move_to_end(message_id)
             return reply
 
     def put(

@@ -40,7 +40,3 @@ class Overloaded(TransportFailure):
     the correct client reaction is exactly a retry with backoff, and
     redelivery is safe — the server sheds *before* executing or caching
     anything, so the retried message id is brand new to it."""
-
-
-class CorrelationError(ProtocolError):
-    """A response arrived that matches no outstanding request."""

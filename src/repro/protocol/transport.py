@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from ..obs.metrics import MetricsRegistry, StatsView
+from ..obs.metrics import MetricsRegistry
 from .correlation import ReplyCache
 from .errors import TransportFailure, UnknownEndpoint
 from .messages import Message
@@ -36,20 +36,6 @@ DEFAULT_LOG_LIMIT = 1024
 
 #: Default capacity of the at-most-once reply cache.
 DEFAULT_DEDUP_CAPACITY = 1024
-
-
-class TransportStats(StatsView):
-    """Counters the benchmarks read (view over ``transport.*`` metrics)."""
-
-    _prefix = "transport"
-    _fields = (
-        "sent",
-        "delivered",
-        "dropped_requests",
-        "dropped_replies",
-        "duplicates_served",
-        "bytes_on_wire",
-    )
 
 
 @dataclass
@@ -82,7 +68,6 @@ class InProcessTransport:
         self._wire_format = wire_format
         self._faults = _FaultPlan()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.stats = TransportStats(self.metrics)
         self._log: deque[str] = deque(maxlen=log_limit)
         self._replies: ReplyCache[object] | None = (
             ReplyCache(dedup_capacity) if dedup_capacity else None
@@ -113,8 +98,7 @@ class InProcessTransport:
         cache without re-invoking the handler (§6 atomic processing) —
         that is what makes redelivery after a lost reply safe.
         """
-        self.metrics.inc("transport.sent")
-        delivery = self.stats.sent
+        delivery = self.metrics.inc("transport.sent")
         handler = self._handlers.get(message.recipient)
         if handler is None:
             raise UnknownEndpoint(message.recipient)

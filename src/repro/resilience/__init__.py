@@ -20,7 +20,6 @@ from .admission import (
     KIND_CHECK,
     KIND_RELEASE,
     AdmissionController,
-    AdmissionStats,
     classify,
 )
 from .breaker import BreakerState, CircuitBreaker, CircuitOpen
@@ -28,7 +27,6 @@ from .deadline import Deadline, remaining_budget
 
 __all__ = [
     "AdmissionController",
-    "AdmissionStats",
     "BreakerState",
     "CircuitBreaker",
     "CircuitOpen",

@@ -32,7 +32,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
-from ..obs.metrics import MetricsRegistry, StatsView
+from ..obs.metrics import MetricsRegistry
 
 #: Request kinds, in shed order (first shed first).
 KIND_CHECK = "check"
@@ -55,23 +55,6 @@ def classify(message: object) -> str:
     if getattr(message, "action", None) is not None:
         return KIND_ACTION
     return KIND_RELEASE
-
-
-class AdmissionStats(StatsView):
-    """What the controller admitted and what it turned away.
-
-    A registry view over ``admission.*`` metrics; the shed decision runs
-    on the server's event loop while scrapes read from other threads, so
-    counting goes through the registry's lock.
-    """
-
-    _prefix = "admission"
-    _fields = ("admitted", "shed_checks", "shed_actions", "shed_releases")
-
-    @property
-    def shed(self) -> int:
-        """Total requests shed across every class."""
-        return self.shed_checks + self.shed_actions + self.shed_releases
 
 
 class AdmissionController:
@@ -111,11 +94,6 @@ class AdmissionController:
         #: Where the ``admission.*`` counters go; a server the
         #: controller is attached to rebinds it to its own registry.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-
-    @property
-    def stats(self) -> AdmissionStats:
-        """A view over :attr:`metrics`, wherever it is bound now."""
-        return AdmissionStats(self.metrics)
 
     # ------------------------------------------------------------ decisions
 

@@ -10,7 +10,6 @@ from .errors import (
     DuplicateKey,
     DurabilityError,
     KeyNotFound,
-    LockTimeout,
     RecoveryError,
     StorageError,
     TableNotFound,
@@ -31,7 +30,6 @@ __all__ = [
     "LockManager",
     "LockMode",
     "LockStatus",
-    "LockTimeout",
     "LogRecord",
     "LogRecordType",
     "RecoveryError",

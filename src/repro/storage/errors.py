@@ -35,10 +35,6 @@ class DeadlockDetected(TransactionAborted):
     """
 
 
-class LockTimeout(TransactionError):
-    """A lock request waited longer than the caller allowed."""
-
-
 class TransactionStateError(TransactionError):
     """Operation attempted on a transaction in an incompatible state."""
 

@@ -257,7 +257,7 @@ class TestShardCrashMidScatter:
                     client.request_promise(
                         "shop", [P(f"quantity('{product}') >= 1")], 30
                     )
-            assert gateway.stats.breaker_fast_failures > 0
+            assert gateway.metrics.value("gateway.breaker_fast_failures") > 0
 
             fleet.restart(victim)
             # No hour-long wait: the very next request is the probe.

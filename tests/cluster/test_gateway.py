@@ -79,8 +79,8 @@ class TestFastPath:
             "shop", [P("quantity('product-0') >= 5")], 30
         )
         assert response.accepted
-        assert gateway.stats.forwarded == 1
-        assert gateway.stats.scattered == 0
+        assert gateway.metrics.value("gateway.forwarded") == 1
+        assert gateway.metrics.value("gateway.scattered") == 0
         # The grant landed on (exactly) the ring's shard for the pool.
         home = ring.shard_of("product-0")
         assert live_counts(deployments) == [
@@ -94,7 +94,7 @@ class TestFastPath:
         # retries the same message id and must get the original grant,
         # not a second promise.
         transport = deployments[home].transport
-        transport.plan_reply_drop(transport.stats.sent + 1)
+        transport.plan_reply_drop(transport.metrics.value("transport.sent") + 1)
         client = PromiseClient("bob", gateway, retry=RetryPolicy.fast())
         response = client.request_promise(
             "shop", [P("quantity('product-0') >= 5")], 30
@@ -127,7 +127,7 @@ class TestScatterGather:
         )
         assert response.accepted
         assert response.promise_id.startswith("cluster/")
-        assert gateway.stats.composite_grants == 1
+        assert gateway.metrics.value("gateway.composite_grants") == 1
         assert sum(live_counts(deployments)) == 2
 
     def test_composite_release_fans_out(self, cluster):
@@ -153,7 +153,7 @@ class TestScatterGather:
             30,
         )
         assert not response.accepted
-        assert gateway.stats.composite_rejections == 1
+        assert gateway.metrics.value("gateway.composite_rejections") == 1
         # The shard that said yes must have been compensated.
         assert live_counts(deployments) == [0] * len(deployments)
 
@@ -163,7 +163,7 @@ class TestScatterGather:
         victim = ring.shard_of(b)
         transport = deployments[victim].transport
         # The shard executes the grant but the gateway never hears back.
-        transport.plan_reply_drop(transport.stats.sent + 1)
+        transport.plan_reply_drop(transport.metrics.value("transport.sent") + 1)
         client = PromiseClient("alice", gateway, retry=RetryPolicy.none())
         response = client.request_promise(
             "shop",
@@ -181,7 +181,7 @@ class TestScatterGather:
         a, b = cross_pair(ring)
         victim = ring.shard_of(b)
         transport = deployments[victim].transport
-        transport.plan_request_drop(transport.stats.sent + 1)
+        transport.plan_request_drop(transport.metrics.value("transport.sent") + 1)
         client = PromiseClient("alice", gateway, retry=RetryPolicy.none())
         response = client.request_promise(
             "shop",

@@ -124,7 +124,7 @@ class TestGatewayBreakers:
         # everything after the trip failed fast at the gateway.
         assert breakers[dead_shard].trips >= 1
         assert dead.calls <= 2
-        assert gateway.stats.breaker_fast_failures > 0
+        assert gateway.metrics.value("gateway.breaker_fast_failures") > 0
         for deployment in deployments:
             deployment.close()
 
@@ -169,10 +169,10 @@ class TestGatewayBreakers:
         assert gateway.pending_compensations == 1
         assert breakers[down].trips >= 1
 
-        fast_before = gateway.stats.breaker_fast_failures
+        fast_before = gateway.metrics.value("gateway.breaker_fast_failures")
         assert gateway.flush_pending() == 0
         assert gateway.pending_compensations == 1  # kept, not dropped
-        assert gateway.stats.breaker_fast_failures > fast_before
+        assert gateway.metrics.value("gateway.breaker_fast_failures") > fast_before
 
         # Shard healed and breaker nudged half-open: the flush clears.
         toggles[down].dead = False
@@ -197,7 +197,7 @@ class TestGatewayBreakers:
         response = client.request_promise("shop", cross_predicates(ring), 30)
         assert response.accepted
         assert all(b.trips == 0 for b in breakers)
-        assert gateway.stats.breaker_fast_failures == 0
+        assert gateway.metrics.value("gateway.breaker_fast_failures") == 0
         for deployment in deployments:
             deployment.close()
 
@@ -226,7 +226,7 @@ class TestPendingQueueBounds:
         # Each failed scatter queues one redeliver-and-release for the
         # unreachable shard; the bound keeps only the newest three.
         assert gateway.pending_compensations == 3
-        assert gateway.stats.pending_dropped == 2
+        assert gateway.metrics.value("gateway.pending_dropped") == 2
         for deployment in deployments:
             deployment.close()
 
@@ -244,7 +244,7 @@ class TestPendingQueueBounds:
         cleared = gateway.flush_pending()
         assert cleared == 0
         assert gateway.pending_compensations == 0
-        assert gateway.stats.pending_dropped == 2
+        assert gateway.metrics.value("gateway.pending_dropped") == 2
         for deployment in deployments:
             deployment.close()
 
@@ -257,7 +257,7 @@ class TestPendingQueueBounds:
         for _ in range(5):
             client.request_promise("shop", predicates, 30)
         assert gateway.pending_compensations == 5
-        assert gateway.stats.pending_dropped == 0
+        assert gateway.metrics.value("gateway.pending_dropped") == 0
         for deployment in deployments:
             deployment.close()
 

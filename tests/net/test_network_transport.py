@@ -92,9 +92,9 @@ class TestDeploymentOverTcp:
         deployment, __, transport = served
         client = deployment.client("alice")
         client.call("shop", "merchant", "stock_level", {"product": "widgets"})
-        assert transport.stats.sent == 1
-        assert transport.stats.delivered == 1
-        assert transport.stats.bytes_on_wire > 0
+        assert transport.metrics.value("transport.sent") == 1
+        assert transport.metrics.value("transport.delivered") == 1
+        assert transport.metrics.value("transport.bytes_on_wire") > 0
         assert len(transport.wire_log) == 2  # request + reply
 
 
@@ -110,11 +110,18 @@ class TestBegin:
         ]
         replies = [transport.begin(probe) for probe in probes]
         deadline = time.monotonic() + 5.0
-        while server.stats.replies < 2 and time.monotonic() < deadline:
+        served = server.metrics
+        while (
+            served.value("server.replies") < 2
+            and time.monotonic() < deadline
+        ):
             time.sleep(0.01)
-        assert server.stats.replies == 2  # answered; nobody has waited yet
+        # answered; nobody has waited yet
+        assert served.value("server.replies") == 2
         assert [reply().correlation for reply in replies] == ["m1", "m2"]
-        assert transport.stats.sent == transport.stats.delivered == 2
+        sent = transport.metrics
+        assert sent.value("transport.sent") == 2
+        assert sent.value("transport.delivered") == 2
         assert len(transport.wire_log) == 4
 
     def test_faults_surface_as_they_do_from_send(self, served):
@@ -125,14 +132,14 @@ class TestBegin:
         transport.plan_request_drop(2)
         with pytest.raises(TransportFailure):
             transport.begin(Message("m2", "a", "shop"))
-        assert server.stats.requests == 1
+        assert server.metrics.value("server.requests") == 1
 
     def test_in_process_transport_has_the_same_shape(self):
         deployment = Deployment(name="shop")
         probe = Message("m1", "a", "shop", promise_requests=())
         reply = deployment.transport.begin(probe)
         assert reply().correlation == "m1"
-        assert deployment.transport.stats.delivered == 1
+        assert deployment.transport.metrics.value("transport.delivered") == 1
 
 
 class TestSocketFaultPlans:
@@ -144,9 +151,9 @@ class TestSocketFaultPlans:
                 Message("m1", "a", "shop",
                         promise_requests=())
             )
-        assert transport.stats.dropped_requests == 1
+        assert transport.metrics.value("transport.dropped_requests") == 1
         # Nothing reached the server.
-        assert server.stats.requests == 0
+        assert server.metrics.value("server.requests") == 0
 
     def test_reply_drop_after_server_executed(self, served):
         deployment, server, transport = served
@@ -158,7 +165,7 @@ class TestSocketFaultPlans:
             client.request_promise(
                 "shop", [P("quantity('widgets') >= 5")], 10
             )
-        assert transport.stats.dropped_replies == 1
+        assert transport.metrics.value("transport.dropped_replies") == 1
 
     def test_retrying_client_completes_through_reply_drops(self, served):
         deployment, server, transport = served

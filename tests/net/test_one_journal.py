@@ -306,7 +306,7 @@ def test_a_post_restart_duplicate_shows_as_a_journal_replay(tmp_path):
     wire = Wire(build_shop(wal))
     wire.send(grant("m1"))
     wire.send(grant("m1"))  # same life: the server's cache answers
-    assert wire.server.stats.duplicates_served == 1
+    assert wire.server.metrics.value("server.duplicates_served") == 1
     assert wire.server.metrics.value("manager.journal.replays") == 0
     wire.close()
 

@@ -56,15 +56,15 @@ class TestRoundTrip:
         reply = decode(client.request(encode(Message("m1", "a", "echo"))))
         assert reply.correlation == "m1"
         assert reply.sender == "echo" and reply.recipient == "a"
-        assert server.stats.requests == 1
-        assert server.stats.replies == 1
+        assert server.metrics.value("server.requests") == 1
+        assert server.metrics.value("server.replies") == 1
 
     def test_one_connection_serves_every_request(self, running_echo):
         server, client = running_echo
         for n in range(5):
             client.request(encode(Message(f"m{n}", "a", "echo")))
         assert client.metrics.value("client.connections_opened") == 1
-        assert server.stats.connections == 1
+        assert server.metrics.value("server.connections") == 1
 
     def test_concurrent_clients(self):
         server = echo_server()
@@ -93,7 +93,7 @@ class TestRoundTrip:
                 thread.join()
             assert errors == []
             assert len(replies) == 80
-            assert server.stats.requests == 80
+            assert server.metrics.value("server.requests") == 80
 
 
 class TestFaults:
@@ -156,7 +156,7 @@ class TestFaults:
         first = client.request(payload)
         second = client.request(payload)
         assert first == second  # byte-identical redelivery reply
-        assert server.stats.duplicates_served == 1
+        assert server.metrics.value("server.duplicates_served") == 1
 
     def test_a_failed_original_tells_the_waiting_duplicate_to_retry(self):
         """``_process`` raising (here: the durability barrier) drops the
@@ -201,7 +201,7 @@ class TestFaults:
                 assert entered.wait(5.0)
                 second = threading.Thread(target=deliver, args=("duplicate", duplicate))
                 second.start()
-                wait_for(lambda: server.stats.duplicates_served == 1)
+                wait_for(lambda: server.metrics.value("server.duplicates_served") == 1)
                 proceed.set()
                 first.join(5.0)
                 second.join(5.0)
@@ -272,7 +272,7 @@ class TestFrameLimits:
                     data = b""
                 assert data == b""
             deadline = time.monotonic() + 5.0
-            while server.stats.malformed < 1:
+            while server.metrics.value("server.malformed") < 1:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
 
@@ -289,7 +289,7 @@ class TestFrameLimits:
             sock.sendall(HEADER.pack(100) + b"only half")  # then vanish
             sock.close()
             deadline = time.monotonic() + 5.0
-            while server.stats.malformed < 1:
+            while server.metrics.value("server.malformed") < 1:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             # The next well-formed request still succeeds.

@@ -86,7 +86,7 @@ class TestServerRestart:
         # came from the manager's journal row — a cache miss in the new
         # process, not a duplicate the server recognised.
         assert server2.metrics.value("manager.journal.replays") == 1
-        assert server2.stats.duplicates_served == 0
+        assert server2.metrics.value("server.duplicates_served") == 0
         assert len(revived.manager.active_promises()) == 1
         with revived.store.begin() as txn:
             pool = revived.resources.pool(txn, "widgets")

@@ -75,7 +75,9 @@ def test_metrics_endpoint_returns_snapshot(served):
     assert counters["server.scrapes"] == 1
     assert "server.dispatch_seconds" in snapshot["histograms"]
     # Live view and scrape agree.
-    assert counters["server.requests"] == server.stats.requests
+    assert counters["server.requests"] == server.metrics.value(
+        "server.requests"
+    )
 
 
 def test_scrapes_bypass_the_dedup_cache(served):
@@ -85,7 +87,7 @@ def test_scrapes_bypass_the_dedup_cache(served):
     # Same message id, yet both executed: scrape #2 sees scrape #1.
     assert first["counters"]["server.scrapes"] == 1
     assert second["counters"]["server.scrapes"] == 2
-    assert server.stats.duplicates_served == 0
+    assert server.metrics.value("server.duplicates_served") == 0
 
 
 def test_spans_endpoint_filters_by_trace_id(served):
@@ -139,7 +141,7 @@ def test_scrapes_bypass_admission_control():
                 counters = snapshot["counters"]
                 assert counters["admission.shed_checks"] == 1
                 assert counters["server.shed"] == 1
-                assert server.stats.shed == 1  # StatsView read-through
+                assert server.metrics.value("server.shed") == 1
     finally:
         deployment.close()
 

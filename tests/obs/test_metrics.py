@@ -1,4 +1,4 @@
-"""Metrics registry: instruments, export, views — and the race fix.
+"""Metrics registry: instruments, export — and the race fixes.
 
 The registry replaced every ad-hoc ``stats`` dataclass whose plain
 ``+=`` increments could lose updates across threads; the hammer test
@@ -15,18 +15,15 @@ import threading
 
 import pytest
 
-from repro.net.server import ServerStats
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     NULL_REGISTRY,
     MetricsRegistry,
     NullRegistry,
-    StatsView,
     merge_counters,
     snapshot_delta,
     wal_observer,
 )
-from repro.protocol.transport import TransportStats
 
 pytestmark = pytest.mark.obs
 
@@ -94,7 +91,8 @@ def test_merge_counters_sums_fleet_scrapes():
 
 def test_null_registry_is_inert():
     assert NULL_REGISTRY.enabled is False
-    NULL_REGISTRY.inc("anything", 100)
+    assert NULL_REGISTRY.inc("anything", 100) == 0
+    assert NULL_REGISTRY.counter("anything").inc() == 0
     NULL_REGISTRY.set_gauge("anything", 1.0)
     NULL_REGISTRY.observe("anything", 1.0)
     assert NULL_REGISTRY.value("anything") == 0
@@ -155,39 +153,90 @@ def test_transport_counters_survive_a_sixteen_thread_hammer():
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
                 total = threads_n * per_thread
-                assert transport.stats.sent == total
-                assert transport.stats.delivered == total
                 counters = transport.client.metrics.snapshot()["counters"]
                 assert counters["transport.sent"] == total
+                assert counters["transport.delivered"] == total
                 assert counters["client.requests"] == total
                 assert counters["client.connections_opened"] == 1
-                assert vars(transport.stats) == {"registry": transport.metrics}
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_stats_view_reads_through_registry():
-    class DemoStats(StatsView):
-        _prefix = "demo"
-        _fields = ("sent", "lost")
-
+def test_increments_return_distinct_numbers_across_threads():
+    """Each ``inc`` returns the count it made: N threads incrementing
+    one counter at once get exactly ``1..N`` back — what a transport
+    numbers its deliveries by."""
     registry = MetricsRegistry()
-    view = DemoStats(registry)
-    assert (view.sent, view.lost) == (0, 0)
-    registry.inc("demo.sent", 3)
-    assert view.sent == 3
-    assert view.as_dict() == {"sent": 3, "lost": 0}
-    with pytest.raises(AttributeError):
-        view.nonexistent
-    # No-arg construction still reads all-zeros, like the old dataclass.
-    assert DemoStats().sent == 0
+    threads_n, per_thread = 8, 500
+    numbers: list[int] = []
+    start = threading.Barrier(threads_n)
+
+    def hammer():
+        start.wait(timeout=60)
+        numbers.extend(
+            [registry.inc("transport.sent") for __ in range(per_thread)]
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=hammer) for __ in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    total = threads_n * per_thread
+    assert sorted(numbers) == list(range(1, total + 1))
+    assert registry.value("transport.sent") == total
 
 
-def test_legacy_stats_classes_are_views():
-    """The pre-obs ``stats`` types still construct bare and read zeros."""
-    for stats_type in (TransportStats, ServerStats):
-        view = stats_type()
-        assert all(value == 0 for value in view.as_dict().values())
+def test_a_planned_drop_fires_once_under_concurrent_sends():
+    """Threads sharing one transport (the gateway's scatter pool, the
+    nemesis) each get their own delivery number, so a planned drop
+    fires exactly once — never twice, never skipped."""
+    from repro.protocol.errors import TransportFailure
+    from repro.protocol.messages import Message
+    from repro.protocol.transport import InProcessTransport
+
+    transport = InProcessTransport(wire_format=False, dedup_capacity=None)
+    transport.register("echo", lambda m: m.reply("ok"))
+    threads_n, per_thread = 8, 50
+    planned = range(25, threads_n * per_thread + 1, 50)
+    for delivery in planned:
+        transport.plan_request_drop(delivery)
+    failures: list[int] = []
+
+    def hammer(name: int):
+        for n in range(per_thread):
+            try:
+                transport.send(Message(f"t{name}:m{n}", "hammer", "echo"))
+            except TransportFailure:
+                failures.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=hammer, args=(name,))
+            for name in range(threads_n)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(failures) == len(planned)
+    assert transport.metrics.value("transport.dropped_requests") == len(
+        planned
+    )
+    assert transport.metrics.value("transport.delivered") == (
+        threads_n * per_thread - len(planned)
+    )
 
 
 def test_wal_observer_counts_appends(tmp_path):

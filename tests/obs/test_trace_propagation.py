@@ -54,7 +54,7 @@ def test_retry_after_reply_drop_stays_one_trace():
                     "alice", transport, tracer=recorder,
                     retry=RetryPolicy(max_attempts=3, base_delay=0.01),
                 )
-                transport.plan_reply_drop(transport.stats.sent + 1)
+                transport.plan_reply_drop(transport.metrics.value("transport.sent") + 1)
                 response = client.request_promise(
                     "shop", [P("quantity('widgets') >= 1")], 30
                 )

@@ -108,7 +108,7 @@ def test_transport_pipelined_mode_keeps_at_most_once(tmp_path):
             again = transport.send(message)  # redelivery, same id
     assert first.promise_responses[0].accepted
     assert again == first
-    assert server.stats.duplicates_served == 1
+    assert server.metrics.value("server.duplicates_served") == 1
     shop.close()
 
 
@@ -407,7 +407,7 @@ def test_late_answer_reaches_the_retry_and_the_handler_runs_once():
             # attempt's is the orphan.
             wait_until(lambda: metrics.value("pipeline.orphan_replies") == 1)
     assert ran == ["m-1"]
-    assert server.stats.duplicates_served == 1
+    assert server.metrics.value("server.duplicates_served") == 1
 
 
 def test_timed_out_request_forgets_its_id_and_frees_its_slot():
@@ -506,7 +506,8 @@ def test_transport_counts_on_the_clients_registry(frame_server):
     with NetworkTransport(frame_server.address) as transport:
         transport.send(Message(message_id="m-1", sender="cli", recipient="stub"))
         assert transport.metrics is transport.client.metrics
-        assert transport.stats.sent == 1
+        assert transport.metrics.value("transport.sent") == 1
         assert transport.metrics.value("transport.delivered") == 1
         assert transport.metrics.value("client.requests") == 1
-        assert "sent" not in vars(transport.stats)  # a view, not a tally
+        # The one ``stats`` read left (the perf harness's leg count).
+        assert transport.stats.sent == 1

@@ -6,10 +6,7 @@ import pytest
 
 from repro.core.environment import Environment
 from repro.core.parser import P
-from repro.core.promise import PromiseRequest
-from repro.protocol.correlation import CorrelationTracker
 from repro.protocol.errors import (
-    CorrelationError,
     ProtocolError,
     TransportFailure,
     UnknownEndpoint,
@@ -47,9 +44,9 @@ class TestTransport:
         transport = InProcessTransport()
         transport.register("echo", lambda m: m.reply("r1"))
         transport.send(Message("m1", "a", "echo"))
-        assert transport.stats.sent == 1
-        assert transport.stats.delivered == 1
-        assert transport.stats.bytes_on_wire > 0
+        assert transport.metrics.value("transport.sent") == 1
+        assert transport.metrics.value("transport.delivered") == 1
+        assert transport.metrics.value("transport.bytes_on_wire") > 0
         assert len(transport.wire_log) == 2  # request + reply
 
     def test_request_drop(self):
@@ -58,7 +55,7 @@ class TestTransport:
         transport.plan_request_drop(1)
         with pytest.raises(TransportFailure):
             transport.send(Message("m1", "a", "echo"))
-        assert transport.stats.dropped_requests == 1
+        assert transport.metrics.value("transport.dropped_requests") == 1
         # Next delivery goes through.
         transport.send(Message("m2", "a", "echo"))
 
@@ -77,7 +74,7 @@ class TestTransport:
         transport = InProcessTransport(wire_format=False)
         transport.register("echo", lambda m: m.reply("r1"))
         transport.send(Message("m1", "a", "echo"))
-        assert transport.stats.bytes_on_wire == 0
+        assert transport.metrics.value("transport.bytes_on_wire") == 0
 
 
 class TestEndpoint:
@@ -180,40 +177,3 @@ class TestRequirePromise:
         client = shop.client("alice")
         with pytest.raises(PromiseRejected):
             client.require_promise("shop", [P("quantity('widgets') >= 500")], 10)
-
-
-class TestCorrelationTracker:
-    def _request(self, request_id="req-1"):
-        return PromiseRequest(request_id, (P("quantity('w') >= 1"),), 5)
-
-    def test_match(self):
-        tracker = CorrelationTracker()
-        request = self._request()
-        tracker.sent(request)
-        from repro.core.promise import PromiseResponse
-
-        exchange = tracker.received(PromiseResponse.rejected("req-1", "no"))
-        assert exchange.request is request
-        assert tracker.outstanding() == []
-        assert len(tracker.history()) == 1
-
-    def test_duplicate_send_rejected(self):
-        tracker = CorrelationTracker()
-        tracker.sent(self._request())
-        with pytest.raises(CorrelationError):
-            tracker.sent(self._request())
-
-    def test_unmatched_response_rejected(self):
-        from repro.core.promise import PromiseResponse
-
-        tracker = CorrelationTracker()
-        with pytest.raises(CorrelationError):
-            tracker.received(PromiseResponse.rejected("ghost", "no"))
-
-    def test_abandon(self):
-        tracker = CorrelationTracker()
-        tracker.sent(self._request())
-        tracker.abandon("req-1")
-        assert tracker.outstanding() == []
-        with pytest.raises(CorrelationError):
-            tracker.abandon("req-1")

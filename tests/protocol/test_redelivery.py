@@ -49,7 +49,7 @@ class TestInProcessRedelivery:
         second = shop.transport.send(message)
 
         assert len(shop.manager.active_promises()) == 1
-        assert shop.transport.stats.duplicates_served == 1
+        assert shop.transport.metrics.value("transport.duplicates_served") == 1
         # Byte-identical replies: the cached envelope is replayed.
         log = shop.transport.wire_log
         first_reply_xml, second_reply_xml = log[1], log[3]
@@ -60,9 +60,10 @@ class TestInProcessRedelivery:
         shop = build_shop()
         message = promise_request_message()
         shop.transport.send(message)
-        bytes_after_first = shop.transport.stats.bytes_on_wire
+        metrics = shop.transport.metrics
+        bytes_after_first = metrics.value("transport.bytes_on_wire")
         shop.transport.send(message)
-        assert shop.transport.stats.bytes_on_wire > bytes_after_first
+        assert metrics.value("transport.bytes_on_wire") > bytes_after_first
 
     def test_dedup_can_be_disabled(self):
         from repro.protocol.transport import InProcessTransport
@@ -97,7 +98,7 @@ class TestNetworkRedelivery:
         second = transport.send(message)
 
         assert len(shop.manager.active_promises()) == 1
-        assert server.stats.duplicates_served == 1
+        assert server.metrics.value("server.duplicates_served") == 1
         # Byte-identical reply envelopes over the wire.
         assert transport.wire_log[1] == transport.wire_log[3]
         assert first == second

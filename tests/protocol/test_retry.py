@@ -208,7 +208,7 @@ class TestClientRetries:
         )
         assert outcome.success
         # The retry was served from the reply cache: one sale, not two.
-        assert shop.transport.stats.duplicates_served == 1
+        assert shop.transport.metrics.value("transport.duplicates_served") == 1
         level = client.call(
             "shop", "merchant", "stock_level", {"product": "widgets"}
         )
@@ -222,8 +222,8 @@ class TestClientRetries:
         )
         assert outcome.success
         # Request never reached the endpoint, so the retry executed fresh.
-        assert shop.transport.stats.duplicates_served == 0
-        assert shop.transport.stats.dropped_requests == 1
+        assert shop.transport.metrics.value("transport.duplicates_served") == 0
+        assert shop.transport.metrics.value("transport.dropped_requests") == 1
 
     def test_retry_opt_out_surfaces_the_fault(self, shop):
         client = PromiseClient("bob", shop.transport, retry=RetryPolicy.none())

@@ -161,7 +161,7 @@ def test_a_pre_upgrade_message_gets_its_original_envelope(wal):
     assert old.message_id == "shop:msg-1"
     assert old.promise_responses[0].promise_id == "shop:prm-1"
     assert handled == ["new:m1"]
-    assert server.stats.duplicates_served == 1
+    assert server.metrics.value("server.duplicates_served") == 1
     assert server.metrics.value("manager.journal.replays") == 0
     # The new request is written the new way, after the old ones' ids.
     assert new.message_id == "shop:re:new:m1"

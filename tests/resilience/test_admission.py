@@ -100,7 +100,7 @@ class TestBoundedQueue:
             slot.__enter__()
         try:
             assert not controller.admit(KIND_RELEASE)
-            assert controller.stats.shed_releases == 1
+            assert controller.metrics.value("admission.shed_releases") == 1
         finally:
             for slot in slots:
                 slot.__exit__(None, None, None)
@@ -111,13 +111,16 @@ class TestTokenBucket:
         controller, _ = make_controller(max_queue=100)
         for _ in range(50):
             assert controller.admit(KIND_CHECK)
-        assert controller.stats.shed == 0
+        assert sum(
+            controller.metrics.value(f"admission.shed_{kind}")
+            for kind in ("checks", "actions", "releases")
+        ) == 0
 
     def test_burst_then_shed(self):
         controller, _ = make_controller(max_queue=100, rate=10.0, reserve=0.0)
         admitted = sum(controller.admit(KIND_ACTION) for _ in range(20))
         assert admitted == 10  # burst defaults to one second of rate
-        assert controller.stats.shed_actions == 10
+        assert controller.metrics.value("admission.shed_actions") == 10
 
     def test_tokens_refill_with_time(self):
         controller, clock = make_controller(max_queue=100, rate=10.0, reserve=0.0)
@@ -146,9 +149,9 @@ class TestTokenBucket:
         assert controller.admit(KIND_ACTION)
         assert not controller.admit(KIND_ACTION)
         assert controller.admit(KIND_RELEASE)  # releases never pay tokens
-        assert controller.stats.shed_checks == 12
-        assert controller.stats.shed_actions == 1
-        assert controller.stats.shed_releases == 0
+        assert controller.metrics.value("admission.shed_checks") == 12
+        assert controller.metrics.value("admission.shed_actions") == 1
+        assert controller.metrics.value("admission.shed_releases") == 0
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError):

@@ -179,7 +179,7 @@ class TestDeployment:
         deployment.add_service(EchoService())
         client = deployment.client("tester")
         client.call("dep", "echo", "say", {"text": "x"})
-        assert deployment.transport.stats.bytes_on_wire == 0
+        assert deployment.transport.metrics.value("transport.bytes_on_wire") == 0
 
     def test_max_duration_propagates(self):
         from repro.core.parser import P
