@@ -23,21 +23,27 @@ exactly as it talks to one manager.  Three request shapes pass through:
   that shard's sub-promise, and release-on-success fans out to the
   remaining shards afterwards.
 
-Compensation for an *unreachable* shard uses redeliver-then-release: the
-gateway re-sends the identical sub-message (the shard's reply cache makes
-that a read, not a second grant), and releases whatever that reveals was
-granted.  A shard that stays down gets the pair queued; call
-:meth:`ClusterGateway.flush_pending` once it is back — until the queue
-drains, the grant is time-bounded by its duration anyway, the paper's
-backstop against every orphaned promise.
+Compensation has one path.  A reached shard that granted a rejected
+request gets a release; an unreached one gets the sub-message the
+scatter sent it redelivered under the same id, deadline and swap
+``releases`` stripped — a read of its reply cache if it did execute it,
+and if it did not, the rejected swap's old promise stays (§6) — and
+whatever that reveals granted is released.  Every such release, the
+swap and release-on-success fan-outs included, is sent or — when its
+shard cannot be reached — queued, and
+:meth:`ClusterGateway.flush_pending` re-sends the queue once the shard
+is back; until then the grant is time-bounded by its duration anyway,
+the paper's backstop against every orphaned promise.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..core.environment import Environment
 from ..core.promise import PromiseRequest, PromiseResponse, PromiseResult
@@ -65,14 +71,13 @@ ACTION_RESOURCE_PARAMS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class _PendingCompensation:
-    """A sub-promise whose releasing shard was unreachable."""
+    """A message an unreachable shard must still get: a release, or a
+    grant sub-message to redeliver and release what it reveals."""
 
     shard: int
-    recipient: str
-    sub_message: Message = field(repr=False)
-    queued_at: float = 0.0
+    message: Message = field(repr=False)
 
 
 class ClusterGateway:
@@ -90,13 +95,14 @@ class ClusterGateway:
     consuming retry budget across scatter-gathers — it fails fast as
     unreachable until its breaker half-opens and a probe succeeds.
 
-    ``pending_limit`` / ``pending_max_age`` bound the dead-shard
-    compensation queue by depth and seconds queued.  Dropping a queued
-    compensation is safe, just not free: the orphaned sub-promise is
-    time-bounded by its own duration — the paper's backstop against
-    every orphan — so the bound trades a transient over-reservation for
-    a gateway whose memory cannot grow without limit while a shard
-    stays dead.  Drops are counted in ``gateway.pending_dropped``.
+    ``pending_limit`` bounds the dead-shard queue (``None``: no bound);
+    past it the oldest entry is dropped.  Dropping is safe, just not
+    free: the orphaned sub-promise is time-bounded by its own duration —
+    the paper's backstop against every orphan — so the bound trades a
+    transient over-reservation for a gateway whose memory cannot grow
+    without limit while a shard stays dead.  Drops are counted in
+    ``gateway.pending_dropped``; the queue's depth is the
+    ``gateway.pending_compensations`` gauge.
     """
 
     def __init__(
@@ -106,8 +112,6 @@ class ClusterGateway:
         name: str = "cluster",
         breakers: Sequence[CircuitBreaker] | None = None,
         pending_limit: int | None = 256,
-        pending_max_age: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
         metrics: MetricsRegistry | None = None,
         tracer: SpanRecorder | None = None,
     ) -> None:
@@ -129,9 +133,6 @@ class ClusterGateway:
                 f"{len(self._transports)} shard transports"
             )
         self.name = name
-        self.pending_limit = pending_limit
-        self.pending_max_age = pending_max_age
-        self._clock = clock
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
         self._scrape_counter = 0
@@ -139,7 +140,11 @@ class ClusterGateway:
         self._composites: dict[str, dict[int, str]] = {}
         # plain (single-shard) promise id -> home shard
         self._homes: dict[str, int] = {}
-        self._pending: list[_PendingCompensation] = []
+        self._pending: deque[_PendingCompensation] = deque(
+            maxlen=pending_limit
+        )
+        # One lock over the queue's bound check, append/pop and gauge.
+        self._pending_lock = threading.Lock()
         # Per-shard transport generation, bumped by remap(): a reply
         # that arrives bearing an older generation is an ack from a
         # deposed primary and is discarded, never surfaced to callers.
@@ -352,19 +357,16 @@ class ClusterGateway:
         """
         faults: list[str] = []
 
-        grant_shards = {shard for shard, parts in plan.items() if parts}
-        grant_replies = self._broadcast(
-            message,
-            {
-                shard: self._sub_grant_message(
-                    message, shard, plan[shard], expires_at
-                )
-                for shard in sorted(grant_shards)
-            },
-            faults,
-        )
+        sub_grants = {
+            shard: self._sub_grant_message(
+                message, shard, plan[shard], expires_at
+            )
+            for shard in sorted(plan)
+            if plan[shard]
+        }
+        grant_replies = self._broadcast(message, sub_grants, faults)
         responses, all_granted = self._merge_grants(
-            message, plan, grant_shards, grant_replies, faults
+            message, plan, sub_grants, grant_replies, faults
         )
 
         outcome: ActionOutcomePayload | None = None
@@ -468,7 +470,7 @@ class ClusterGateway:
         self,
         message: Message,
         plan: dict,
-        grant_shards: set[int],
+        sub_grants: dict[int, Message],
         replies: dict[int, Message],
         faults: list[str],
     ) -> tuple[list[PromiseResponse], bool]:
@@ -476,10 +478,12 @@ class ClusterGateway:
         partial success."""
         responses: list[PromiseResponse] = []
         all_granted = True
+        # shard -> accepted sub-responses of rejected requests there
+        doomed: dict[int, list[PromiseResponse]] = {}
         for request in message.promise_requests:
             shards = sorted(
                 shard
-                for shard in grant_shards
+                for shard in sub_grants
                 if any(original is request for original, __ in plan[shard])
             )
             subs: dict[int, PromiseResponse] = {}
@@ -507,7 +511,10 @@ class ClusterGateway:
                 continue
             all_granted = False
             self.metrics.inc("gateway.composite_rejections")
-            self._compensate(message, request, subs, shards, faults)
+            for shard in shards:
+                granted = doomed.setdefault(shard, [])
+                if shard in subs:
+                    granted.append(subs[shard])
             reason = (
                 rejection.reason
                 if rejection is not None
@@ -522,6 +529,8 @@ class ClusterGateway:
                     counter=rejection.counter if rejection is not None else None,
                 )
             )
+        if doomed:
+            self._compensate(sub_grants, replies, doomed, faults)
         return responses, all_granted
 
     def _mint_composite(
@@ -551,14 +560,18 @@ class ClusterGateway:
             if old is not None:
                 for shard, sub_id in old.items():
                     if shard not in granted_shards:
-                        self._release_sub(message, shard, sub_id, faults)
+                        release = self._release_message(message, sub_id)
+                        self._send_or_queue(shard, release, faults)
                 self._composites.pop(promise_id, None)
                 continue
             home = self._homes.get(promise_id)
             if home is None:
-                self._release_everywhere(message, promise_id, faults)
+                release = self._release_message(message, promise_id)
+                for shard in self._shards_of_promise(promise_id):
+                    self._send_or_queue(shard, release, faults)
             elif home not in granted_shards:
-                self._release_sub(message, home, promise_id, faults)
+                release = self._release_message(message, promise_id)
+                self._send_or_queue(home, release, faults)
                 self._homes.pop(promise_id, None)
             else:
                 self._homes.pop(promise_id, None)
@@ -571,77 +584,34 @@ class ClusterGateway:
 
     def _compensate(
         self,
-        message: Message,
-        request: PromiseRequest,
-        granted: dict[int, PromiseResponse],
-        shards: list[int],
+        sub_grants: dict[int, Message],
+        replies: dict[int, Message],
+        doomed: dict[int, list[PromiseResponse]],
         faults: list[str],
     ) -> None:
-        """Undo a partially granted cross-shard request.
+        """Undo what rejected cross-shard requests were granted.
 
-        Reached shards that granted get a release; unreached shards get
-        the identical sub-message redelivered (a cache read when it did
-        execute) and a release for whatever that uncovers.
+        A shard that answered gets its accepted sub-promises of those
+        requests released.  A shard that never answered gets its
+        sub-message redelivered (see the module docstring), and all it
+        reveals granted is released: every request there was rejected.
         """
-        for shard, sub in granted.items():
-            if sub.promise_id is not None:
-                self._release_sub(message, shard, sub.promise_id, faults)
-        for shard in shards:
-            if shard in granted:
-                continue
-            self._redeliver_and_release(message, request, shard, faults)
-
-    def _redeliver_and_release(
-        self,
-        message: Message,
-        request: PromiseRequest,
-        shard: int,
-        faults: list[str],
-    ) -> None:
-        sub_message = Message(
-            message_id=f"{message.message_id}/s{shard}",
-            sender=message.sender,
-            recipient=message.recipient,
-            promise_requests=(
-                PromiseRequest(
-                    request_id=f"{request.request_id}/s{shard}",
-                    client_id=request.client_id,
-                    predicates=request.predicates,
-                    duration=request.duration,
-                ),
-            ),
-            trace=message.trace,
-        )
-        try:
-            reply = self._shard_send(shard, sub_message)
-        except (TransportFailure, RequestTimeout, ProtocolError):
-            self._queue_pending(shard, message.recipient, sub_message)
-            faults.append(
-                f"cluster-compensation-pending: shard-{shard} unreachable"
-            )
-            return
-        sub = self._find_response(reply, f"{request.request_id}/s{shard}")
-        if sub is not None and sub.accepted and sub.promise_id is not None:
-            self._release_sub(message, shard, sub.promise_id, faults)
-
-    def _release_sub(
-        self, message: Message, shard: int, sub_promise_id: str, faults: list[str]
-    ) -> None:
-        release = Message(
-            message_id=f"{message.message_id}/rel-{shard}-{sub_promise_id}",
-            sender=message.sender,
-            recipient=message.recipient,
-            environment=Environment.of(sub_promise_id, release=[sub_promise_id]),
-            trace=message.trace,
-        )
-        try:
-            self._shard_send(shard, release)
-            self.metrics.inc("gateway.compensations")
-        except (TransportFailure, RequestTimeout, ProtocolError):
-            self._queue_pending(shard, message.recipient, release)
-            faults.append(
-                f"cluster-compensation-pending: shard-{shard} unreachable"
-            )
+        for shard, granted in sorted(doomed.items()):
+            sub_grant = sub_grants[shard]
+            if shard not in replies:
+                redelivery = replace(
+                    sub_grant,
+                    deadline=None,
+                    promise_requests=tuple(
+                        replace(request, releases=())
+                        for request in sub_grant.promise_requests
+                    ),
+                )
+                reply = self._send_or_queue(shard, redelivery, faults)
+                if reply is None:
+                    continue
+                granted = list(reply.promise_responses)
+            self._release_granted(shard, sub_grant, granted, faults)
 
     # ------------------------------------------------------ actions/releases
 
@@ -685,7 +655,8 @@ class ClusterGateway:
             # already released its member atomically with the action).
             for composite_id, sub_ids in companions.items():
                 for other_shard, sub_id in sub_ids.items():
-                    self._release_sub(message, other_shard, sub_id, faults)
+                    release = self._release_message(message, sub_id)
+                    self._send_or_queue(other_shard, release, faults)
                 self._composites.pop(composite_id, None)
         return ActionOutcomePayload(
             success=outcome.success,
@@ -798,11 +769,7 @@ class ClusterGateway:
             # once the shard is back.
             __, rel = per_shard[shard]
             if shard not in replies and rel:
-                self._queue_pending(
-                    shard,
-                    message.recipient,
-                    replace(sub_message, deadline=None),
-                )
+                self._queue(shard, replace(sub_message, deadline=None), faults)
         for reply in replies.values():
             for fault in reply.faults:
                 # A broadcast probes shards that never saw the promise;
@@ -814,119 +781,101 @@ class ClusterGateway:
         for composite_id in dropped_composites:
             self._composites.pop(composite_id, None)
 
-    def _release_everywhere(
-        self, message: Message, promise_id: str, faults: list[str]
-    ) -> None:
-        """Release a plain promise whose home shard is unknown."""
-        shards = self._shards_of_promise(promise_id)
-        for shard in shards:
-            release = Message(
-                message_id=f"{message.message_id}/rel-{shard}-{promise_id}",
-                sender=message.sender,
-                recipient=message.recipient,
-                environment=Environment.of(promise_id, release=[promise_id]),
-                trace=message.trace,
-            )
-            try:
-                self._shard_send(shard, release)
-            except (TransportFailure, RequestTimeout, ProtocolError):
-                self._queue_pending(shard, message.recipient, release)
+    # ------------------------------------------------------- compensation
 
-    # ------------------------------------------------------------- pending
+    def _release_granted(
+        self,
+        shard: int,
+        grant: Message,
+        responses: Iterable[PromiseResponse],
+        faults: list[str],
+    ) -> bool:
+        """Compensate: release on ``shard`` every sub-promise
+        ``responses`` (replies to the sub-message ``grant``) show
+        granted.  Each counts once in ``gateway.compensations``, sent at
+        once or queued.  Returns whether every release went out."""
+        sent = True
+        for response in responses:
+            if response.accepted and response.promise_id is not None:
+                self.metrics.inc("gateway.compensations")
+                release = self._release_message(grant, response.promise_id)
+                if self._send_or_queue(shard, release, faults) is None:
+                    sent = False
+        return sent
+
+    def _send_or_queue(
+        self, shard: int, message: Message, faults: list[str]
+    ) -> Message | None:
+        """Send ``message`` to ``shard``; if the shard cannot be reached,
+        queue it for :meth:`flush_pending` and return ``None``."""
+        try:
+            return self._shard_send(shard, message)
+        except (TransportFailure, RequestTimeout, ProtocolError):
+            self._queue(shard, message, faults)
+            return None
+
+    def _queue(self, shard: int, message: Message, faults: list[str]) -> None:
+        """Queue ``message`` for ``shard``; past ``pending_limit`` the
+        oldest entry goes — it is the closest to its promise-duration
+        backstop expiring on the shard anyway."""
+        with self._pending_lock:
+            if len(self._pending) == self._pending.maxlen:
+                self.metrics.inc("gateway.pending_dropped")
+            self._pending.append(_PendingCompensation(shard, message))
+            self.metrics.set_gauge(
+                "gateway.pending_compensations", len(self._pending)
+            )
+        faults.append(
+            f"cluster-compensation-pending: shard-{shard} unreachable"
+        )
+
+    @staticmethod
+    def _release_message(origin: Message, promise_id: str) -> Message:
+        """The release of ``promise_id`` that follows from ``origin``.
+
+        Named ``{origin}/rel-{promise_id}`` — after the sub-message for
+        a compensation (``mid/s3/rel-…``), after the client's message
+        for a swap or a release-on-success — so however often it is
+        re-sent, its shard's reply cache sees one id.  No deadline: it
+        must run even though nobody is waiting.
+        """
+        return Message(
+            message_id=f"{origin.message_id}/rel-{promise_id}",
+            sender=origin.sender,
+            recipient=origin.recipient,
+            environment=Environment.of(promise_id, release=[promise_id]),
+            trace=origin.trace,
+        )
 
     @property
     def pending_compensations(self) -> int:
-        """Sub-promise compensations waiting for a shard to come back."""
+        """Messages waiting in the queue for a shard to come back."""
         return len(self._pending)
 
     def flush_pending(self) -> int:
-        """Retry queued compensations; returns how many cleared.
+        """Re-send the queue; returns how many entries cleared.
 
-        Each queued entry is either a release (re-sent as-is — the
-        shard's reply journal makes the release idempotent) or a grant
-        redelivery whose revealed sub-promise then gets released.
-        Entries past ``pending_max_age`` are pruned first.
+        An entry clears when its message reaches its shard and, for a
+        grant redelivery, every sub-promise that reveals is released
+        (a release's reply reveals none).  What fails again is queued
+        again, behind anything queued meanwhile.
         """
-        self._prune_pending()
         cleared = 0
-        remaining: list[_PendingCompensation] = []
-        for entry in self._pending:
-            try:
-                reply = self._shard_send(entry.shard, entry.sub_message)
-            except (TransportFailure, RequestTimeout, ProtocolError):
-                remaining.append(entry)
-                continue
-            if entry.sub_message.promise_requests:
-                # Grant redelivery: release whatever it reveals.
-                done = True
-                for response in reply.promise_responses:
-                    if response.accepted and response.promise_id is not None:
-                        release = Message(
-                            message_id=(
-                                f"{entry.sub_message.message_id}"
-                                f"/rel-{response.promise_id}"
-                            ),
-                            sender=entry.sub_message.sender,
-                            recipient=entry.recipient,
-                            environment=Environment.of(
-                                response.promise_id,
-                                release=[response.promise_id],
-                            ),
-                        )
-                        try:
-                            self._shard_send(entry.shard, release)
-                            self.metrics.inc("gateway.compensations")
-                        except (
-                            TransportFailure,
-                            RequestTimeout,
-                            ProtocolError,
-                        ):
-                            done = False
-                            remaining.append(
-                                _PendingCompensation(
-                                    entry.shard,
-                                    entry.recipient,
-                                    release,
-                                    queued_at=self._clock(),
-                                )
-                            )
-                if done:
-                    cleared += 1
-            else:
-                self.metrics.inc("gateway.compensations")
+        faults: list[str] = []
+        for __ in range(len(self._pending)):
+            with self._pending_lock:
+                if not self._pending:  # another flush emptied it first
+                    break
+                entry = self._pending.popleft()
+                self.metrics.set_gauge(
+                    "gateway.pending_compensations", len(self._pending)
+                )
+            reply = self._send_or_queue(entry.shard, entry.message, faults)
+            if reply is not None and self._release_granted(
+                entry.shard, entry.message, reply.promise_responses, faults
+            ):
                 cleared += 1
-        self._pending = remaining
         return cleared
-
-    def _queue_pending(
-        self, shard: int, recipient: str, sub_message: Message
-    ) -> None:
-        self.metrics.inc("gateway.pending_compensations")
-        self._pending.append(
-            _PendingCompensation(
-                shard, recipient, sub_message, queued_at=self._clock()
-            )
-        )
-        self._prune_pending()
-
-    def _prune_pending(self) -> None:
-        """Enforce the age and depth bounds on the dead-shard queue."""
-        if self.pending_max_age is not None:
-            cutoff = self._clock() - self.pending_max_age
-            kept = [e for e in self._pending if e.queued_at >= cutoff]
-            self.metrics.inc(
-                "gateway.pending_dropped", len(self._pending) - len(kept)
-            )
-            self._pending = kept
-        if (
-            self.pending_limit is not None
-            and len(self._pending) > self.pending_limit
-        ):
-            excess = len(self._pending) - self.pending_limit
-            # Oldest first: they are the closest to their promise-duration
-            # backstop expiring on the shard anyway.
-            self.metrics.inc("gateway.pending_dropped", excess)
-            self._pending = self._pending[excess:]
 
     # ------------------------------------------------------- introspection
 

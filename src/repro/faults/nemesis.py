@@ -89,6 +89,9 @@ REPLICA_FAULT_CLASSES: tuple[str, ...] = (
     FAULT_PARTITION_PRIMARY,
 )
 
+#: Every third step injects the next scheduled fault; the rest operate.
+FAULT_EVERY = 3
+
 #: Crash points a probe can reach with a single-shard grant.  Both sit
 #: after the grant committed, so the redelivery path (not a plain
 #: retry-from-scratch) is what recovers the promise id.
@@ -126,6 +129,7 @@ _GONE_FAULTS = (
     "unknown-promise",
     "promise-expired",
     "cluster-shard-unreachable",
+    "cluster-compensation-pending",
 )
 
 
@@ -187,7 +191,6 @@ class ChaosNemesis:
         products: int = 9,
         stock: int = 20,
         steps: int = 30,
-        fault_every: int = 3,
         time_budget: float | None = None,
         replicas: int = 0,
         heartbeat_interval: float = 0.1,
@@ -199,7 +202,6 @@ class ChaosNemesis:
         self.products = products
         self.stock = stock
         self.steps = steps
-        self.fault_every = max(1, fault_every)
         self.time_budget = time_budget
         #: Followers per shard.  > 0 runs a heartbeat detector over the
         #: fleet and adds the primary-targeting fault classes to the
@@ -287,7 +289,7 @@ class ChaosNemesis:
                 ):
                     break
                 self.report.steps += 1
-                if step % self.fault_every == 0 and schedule:
+                if step % FAULT_EVERY == 0 and schedule:
                     self._inject(schedule.pop(0), fleet, gateway, client)
                 else:
                     self._operate(fleet, client)
@@ -387,7 +389,7 @@ class ChaosNemesis:
     # ---------------------------------------------------------- injection
 
     def _fault_schedule(self) -> list[str]:
-        rounds = max(1, self.steps // self.fault_every)
+        rounds = max(1, self.steps // FAULT_EVERY)
         schedule: list[str] = []
         while len(schedule) < rounds:
             batch = list(self.fault_classes)

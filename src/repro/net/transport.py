@@ -61,7 +61,6 @@ class NetworkTransport:
         timeout: float = 5.0,
         retry: RetryPolicy | None = None,
         max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
-        log_limit: int | None = DEFAULT_LOG_LIMIT,
         breaker: CircuitBreaker | None = None,
     ) -> None:
         if address is None:
@@ -82,7 +81,7 @@ class NetworkTransport:
             breaker=breaker,
         )
         self._faults = _FaultPlan()
-        self._log: deque[str] = deque(maxlen=log_limit)
+        self._log: deque[str] = deque(maxlen=DEFAULT_LOG_LIMIT)
         # ``transport.*`` counts on the client's registry, beside its
         # ``client.*`` / ``pipeline.*`` — one scrape sees the whole leg.
         self.metrics = self.client.metrics
@@ -111,7 +110,6 @@ class NetworkTransport:
             timeout=self.client.timeout,
             retry=self.client.retry,
             max_frame_size=self.client.max_frame_size,
-            log_limit=self._log.maxlen,
             breaker=self.client.breaker,
         )
 

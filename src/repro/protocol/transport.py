@@ -4,7 +4,7 @@ Stands in for the SOAP/HTTP stack under the paper's prototype (Figure 2).
 Endpoints register a handler; :meth:`InProcessTransport.send` routes a
 request message to its recipient and returns the reply.  To keep the
 substrate honest, every message is round-tripped through the
-:class:`~repro.protocol.soap.SoapCodec` by default — services only ever
+:class:`~repro.protocol.soap.SoapCodec` — services only ever
 see what actually survives serialisation.
 
 The transport also supports deterministic fault injection (drop the
@@ -58,18 +58,16 @@ class InProcessTransport:
     def __init__(
         self,
         codec: SoapCodec | None = None,
-        wire_format: bool = True,
         log_limit: int | None = DEFAULT_LOG_LIMIT,
         dedup_capacity: int | None = DEFAULT_DEDUP_CAPACITY,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self._handlers: dict[str, Handler] = {}
         self._codec = codec or SoapCodec()
-        self._wire_format = wire_format
         self._faults = _FaultPlan()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._log: deque[str] = deque(maxlen=log_limit)
-        self._replies: ReplyCache[object] | None = (
+        self._replies: ReplyCache[str] | None = (
             ReplyCache(dedup_capacity) if dedup_capacity else None
         )
 
@@ -127,15 +125,11 @@ class InProcessTransport:
         # encode work happened either way, so ``bytes_on_wire`` counts
         # it, and the cached reply is what makes the client's redelivery
         # return the identical envelope without re-executing.
-        if self._wire_format:
-            encoded = self._codec.encode(reply)
-            self.metrics.inc("transport.bytes_on_wire", len(encoded))
-            self._log.append(encoded)
-            stored: object = encoded
-        else:
-            stored = reply
+        encoded = self._codec.encode(reply)
+        self.metrics.inc("transport.bytes_on_wire", len(encoded))
+        self._log.append(encoded)
         if self._replies is not None:
-            self._replies.put(inbound.message_id, stored)
+            self._replies.put(inbound.message_id, encoded)
 
         if delivery in self._faults.drop_replies:
             self.metrics.inc("transport.dropped_replies")
@@ -143,7 +137,7 @@ class InProcessTransport:
                 f"reply to {message.message_id} lost in transit"
             )
 
-        outbound = self._codec.decode(encoded) if self._wire_format else reply
+        outbound = self._codec.decode(encoded)
         self.metrics.inc("transport.delivered")
         return outbound
 
@@ -160,19 +154,13 @@ class InProcessTransport:
         return list(self._log)
 
     def _round_trip(self, message: Message) -> Message:
-        if not self._wire_format:
-            return message
         encoded = self._codec.encode(message)
         self.metrics.inc("transport.bytes_on_wire", len(encoded))
         self._log.append(encoded)
         return self._codec.decode(encoded)
 
-    def _replay(self, cached: object) -> Message:
+    def _replay(self, cached: str) -> Message:
         """Re-deliver a cached reply (it crosses the wire again)."""
-        if self._wire_format:
-            assert isinstance(cached, str)
-            self.metrics.inc("transport.bytes_on_wire", len(cached))
-            self._log.append(cached)
-            return self._codec.decode(cached)
-        assert isinstance(cached, Message)
-        return cached
+        self.metrics.inc("transport.bytes_on_wire", len(cached))
+        self._log.append(cached)
+        return self._codec.decode(cached)

@@ -462,7 +462,6 @@ class ReplicatedFleet:
         breaker_failures: int | None = None,
         breaker_reset: float = 5.0,
         pending_limit: int | None = 256,
-        pending_max_age: float | None = None,
         tracer: SpanRecorder | None = None,
     ) -> ClusterGateway:
         """A routing gateway over the current primaries.
@@ -504,7 +503,6 @@ class ReplicatedFleet:
                 name=name,
                 breakers=breakers,
                 pending_limit=pending_limit,
-                pending_max_age=pending_max_age,
                 tracer=tracer,
             )
             self.attach(gateway)

@@ -46,7 +46,6 @@ class Deployment:
         clock: LogicalClock | None = None,
         transport: InProcessTransport | None = None,
         max_duration: int | None = None,
-        wire_format: bool = True,
         counter_offers: bool = False,
         wal_path: str | None = None,
         fsync: bool = False,
@@ -96,7 +95,7 @@ class Deployment:
         if metrics is not None:
             self.store.wal.subscribe(wal_observer(metrics))
         self.services = ServiceRegistry()
-        self.transport = transport or InProcessTransport(wire_format=wire_format)
+        self.transport = transport or InProcessTransport()
         self.endpoint = PromiseEndpoint(
             self.manager, self.services.resolver(), name=name
         )

@@ -19,44 +19,18 @@ from repro.core.parser import P
 from repro.protocol.client import PromiseClient
 from repro.protocol.retry import RetryPolicy
 from repro.services.deployment import Deployment
-from repro.services.merchant import MerchantService
 
-PRODUCTS = 12
-STOCK = 20
+from .conftest import STOCK, build_shards, cross_pair
+
+pytestmark = pytest.mark.cluster
 
 
 def build_cluster(shards: int = 3):
-    ring = PartitionMap(shards)
-    deployments: list[Deployment] = []
-    for index in range(shards):
-        deployment = Deployment(name="shop", manager_name=f"shop-s{index}")
-        deployment.add_service(MerchantService())
-        owned = [
-            f"product-{number}"
-            for number in range(PRODUCTS)
-            if ring.shard_of(f"product-{number}") == index
-        ]
-        if owned:
-            deployment.use_pool_strategy(*owned)
-            with deployment.seed() as txn:
-                for pool_id in owned:
-                    deployment.resources.create_pool(txn, pool_id, STOCK)
-        deployments.append(deployment)
+    ring, deployments, __ = build_shards(shards)
     gateway = ClusterGateway(
         [d.transport for d in deployments], ring=ring
     )
     return ring, deployments, gateway
-
-
-def cross_pair(ring: PartitionMap) -> tuple[str, str]:
-    """Two products the ring places on different shards."""
-    first = "product-0"
-    home = ring.shard_of(first)
-    for index in range(1, PRODUCTS):
-        candidate = f"product-{index}"
-        if ring.shard_of(candidate) != home:
-            return first, candidate
-    raise AssertionError("no cross-shard pair")
 
 
 def live_counts(deployments: list[Deployment]) -> list[int]:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.cluster import ClusterGateway, PartitionMap
@@ -11,11 +14,10 @@ from repro.protocol.errors import TransportFailure
 from repro.protocol.messages import Message
 from repro.protocol.retry import RetryPolicy
 from repro.resilience import CircuitBreaker, CircuitOpen
-from repro.services.deployment import Deployment
-from repro.services.merchant import MerchantService
 
-PRODUCTS = 12
-STOCK = 20
+from .conftest import STOCK, ToggleTransport, build_shards, cross_pair
+
+pytestmark = pytest.mark.cluster
 
 
 class Recorder:
@@ -41,60 +43,6 @@ class DeadTransport:
         raise TransportFailure("shard down")
 
 
-class ToggleTransport:
-    """A shard whose reachability the test flips on and off."""
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.dead = False
-
-    def send(self, message: Message) -> Message:
-        if self.dead:
-            raise TransportFailure("shard down")
-        return self.inner.send(message)
-
-
-class FakeClock:
-    def __init__(self, now: float = 0.0) -> None:
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-def build_shards(count: int = 2):
-    ring = PartitionMap(count)
-    deployments: list[Deployment] = []
-    for index in range(count):
-        deployment = Deployment(name="shop", manager_name=f"shop-s{index}")
-        deployment.add_service(MerchantService())
-        owned = [
-            f"product-{n}"
-            for n in range(PRODUCTS)
-            if ring.shard_of(f"product-{n}") == index
-        ]
-        if owned:
-            deployment.use_pool_strategy(*owned)
-            with deployment.seed() as txn:
-                for pool_id in owned:
-                    deployment.resources.create_pool(txn, pool_id, STOCK)
-        deployments.append(deployment)
-    return ring, deployments
-
-
-def cross_pair(ring: PartitionMap) -> tuple[str, str]:
-    first = "product-0"
-    home = ring.shard_of(first)
-    for index in range(1, PRODUCTS):
-        candidate = f"product-{index}"
-        if ring.shard_of(candidate) != home:
-            return first, candidate
-    raise AssertionError("no cross-shard pair")
-
-
 def cross_predicates(ring: PartitionMap) -> list:
     a, b = cross_pair(ring)
     return [P(f"quantity('{a}') >= 3"), P(f"quantity('{b}') >= 2")]
@@ -102,7 +50,7 @@ def cross_predicates(ring: PartitionMap) -> list:
 
 class TestGatewayBreakers:
     def test_breaker_opens_and_stops_hammering_dead_shard(self):
-        ring, deployments = build_shards(2)
+        ring, deployments, __ = build_shards(2)
         a, b = cross_pair(ring)
         dead_shard = ring.shard_of(b)
         dead = DeadTransport()
@@ -129,7 +77,7 @@ class TestGatewayBreakers:
             deployment.close()
 
     def test_open_breaker_fails_fast_on_single_shard_path(self):
-        ring, deployments = build_shards(2)
+        ring, deployments, __ = build_shards(2)
         breakers = [
             CircuitBreaker(f"s{i}", failure_threshold=1, reset_timeout=60)
             for i in range(2)
@@ -151,7 +99,7 @@ class TestGatewayBreakers:
         # A queued compensation targeting a shard whose breaker is open
         # must fail fast and *stay queued* — flushing must neither
         # hammer the dead shard nor drop the entry.
-        ring, deployments = build_shards(2)
+        ring, deployments, __ = build_shards(2)
         toggles = [ToggleTransport(d.transport) for d in deployments]
         breakers = [
             CircuitBreaker(f"s{i}", failure_threshold=1, reset_timeout=60)
@@ -186,7 +134,7 @@ class TestGatewayBreakers:
             deployment.close()
 
     def test_healthy_traffic_keeps_breakers_closed(self):
-        ring, deployments = build_shards(2)
+        ring, deployments, __ = build_shards(2)
         breakers = [
             CircuitBreaker(f"s{i}", failure_threshold=2) for i in range(2)
         ]
@@ -206,7 +154,7 @@ class TestPendingQueueBounds:
     """Satellite: a permanently dead shard sheds instead of growing."""
 
     def _gateway_with_dead_shard(self, **kwargs):
-        ring, deployments = build_shards(2)
+        ring, deployments, __ = build_shards(2)
         __, b = cross_pair(ring)
         dead_shard = ring.shard_of(b)
         dead = DeadTransport()
@@ -226,24 +174,6 @@ class TestPendingQueueBounds:
         # Each failed scatter queues one redeliver-and-release for the
         # unreachable shard; the bound keeps only the newest three.
         assert gateway.pending_compensations == 3
-        assert gateway.metrics.value("gateway.pending_dropped") == 2
-        for deployment in deployments:
-            deployment.close()
-
-    def test_age_bound_prunes_on_flush(self):
-        clock = FakeClock()
-        ring, deployments, gateway = self._gateway_with_dead_shard(
-            pending_limit=None, pending_max_age=10.0, clock=clock
-        )
-        client = PromiseClient("alice", gateway, retry=RetryPolicy.none())
-        predicates = cross_predicates(ring)
-        client.request_promise("shop", predicates, 30)
-        client.request_promise("shop", predicates, 30)
-        assert gateway.pending_compensations == 2
-        clock.advance(11.0)
-        cleared = gateway.flush_pending()
-        assert cleared == 0
-        assert gateway.pending_compensations == 0
         assert gateway.metrics.value("gateway.pending_dropped") == 2
         for deployment in deployments:
             deployment.close()
@@ -268,7 +198,7 @@ class TestReleaseCompensation:
         # member shard is down must queue that shard's sub-release as a
         # pending compensation, not just report a fault — otherwise the
         # sub-promise leaks until its duration expires.
-        ring, deployments = build_shards(2)
+        ring, deployments, __ = build_shards(2)
         toggles = [ToggleTransport(d.transport) for d in deployments]
         gateway = ClusterGateway(toggles, ring=ring)
         a, b = cross_pair(ring)
@@ -296,7 +226,7 @@ class TestReleaseCompensation:
 
 class TestScatterDeadlines:
     def test_sub_messages_carry_restamped_budget(self):
-        ring, deployments = build_shards(2)
+        ring, deployments, __ = build_shards(2)
         recorders = [Recorder(d.transport) for d in deployments]
         gateway = ClusterGateway(recorders, ring=ring)
         client = PromiseClient(
@@ -321,7 +251,7 @@ class TestScatterDeadlines:
         # One shard rejects (demand above stock), the other grants and
         # must be compensated — with no deadline: the release must run
         # even though nobody is waiting on the original request.
-        ring, deployments = build_shards(2)
+        ring, deployments, __ = build_shards(2)
         recorders = [Recorder(d.transport) for d in deployments]
         gateway = ClusterGateway(recorders, ring=ring)
         a, b = cross_pair(ring)
@@ -348,3 +278,113 @@ class TestScatterDeadlines:
         )
         for deployment in deployments:
             deployment.close()
+
+
+class TestCompensationPath:
+    def test_pending_gauge_drains_with_the_queue(self):
+        ring, deployments, __ = build_shards(2)
+        toggles = [ToggleTransport(d.transport) for d in deployments]
+        gateway = ClusterGateway(toggles, ring=ring)
+        __, b = cross_pair(ring)
+        down = ring.shard_of(b)
+        client = PromiseClient("alice", gateway, retry=RetryPolicy.none())
+
+        toggles[down].dead = True
+        response = client.request_promise("shop", cross_predicates(ring), 30)
+        assert not response.accepted
+        assert gateway.metrics.value("gateway.pending_compensations") == 1
+
+        toggles[down].dead = False
+        assert gateway.flush_pending() == 1
+        assert gateway.metrics.value("gateway.pending_compensations") == 0
+        assert all(
+            len(d.manager.active_promises()) == 0 for d in deployments
+        )
+        for deployment in deployments:
+            deployment.close()
+
+    def test_redelivery_resends_the_sub_message_the_scatter_sent(self):
+        # The unreached shard's compensation must redeliver what that
+        # shard was sent — same id, only its own predicates — so its
+        # reply cache can answer, and it is never asked about pools it
+        # does not own.
+        ring, deployments, __ = build_shards(2)
+        recorders = [Recorder(d.transport) for d in deployments]
+        gateway = ClusterGateway(recorders, ring=ring)
+        __, b = cross_pair(ring)
+        victim = ring.shard_of(b)
+        inner = deployments[victim].transport
+        inner.plan_request_drop(inner.metrics.value("transport.sent") + 1)
+        client = PromiseClient(
+            "alice", gateway, retry=RetryPolicy.none(), deadline=30.0
+        )
+        response = client.request_promise("shop", cross_predicates(ring), 30)
+        assert not response.accepted
+
+        grants = [m for m in recorders[victim].sent if m.promise_requests]
+        assert len(grants) == 2
+        original, redelivered = grants
+        assert original.message_id.endswith(f"/s{victim}")
+        assert redelivered.message_id == original.message_id
+        assert redelivered.promise_requests == original.promise_requests
+        assert redelivered.deadline is None
+        for request in redelivered.promise_requests:
+            assert set(ring.split_predicates(request.predicates)) == {victim}
+        # The redelivery executed the grant; compensation released it.
+        assert all(
+            len(d.manager.active_promises()) == 0 for d in deployments
+        )
+        assert gateway.metrics.value("gateway.compensations") == 2
+        for deployment in deployments:
+            deployment.close()
+
+    def test_a_flush_racing_senders_loses_no_queued_entry(self):
+        # Senders queue redeliveries for a dead shard while another
+        # thread keeps flushing (and re-queueing) them: every entry must
+        # survive — a flush that rebuilt the queue from what it saw at
+        # the start would lose the ones queued meanwhile.
+        ring = PartitionMap(2)
+        gateway = ClusterGateway(
+            [DeadTransport(), DeadTransport()], ring=ring, pending_limit=None
+        )
+        senders, per_sender = 4, 25
+        accepted: list[bool] = []
+        stop = threading.Event()
+
+        def send(name: int) -> None:
+            client = PromiseClient(
+                f"c{name}", gateway, retry=RetryPolicy.none()
+            )
+            for _ in range(per_sender):
+                response = client.request_promise(
+                    "shop", cross_predicates(ring), 30
+                )
+                accepted.append(response.accepted)
+
+        def flush() -> None:
+            while not stop.is_set():
+                gateway.flush_pending()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            flusher = threading.Thread(target=flush)
+            threads = [
+                threading.Thread(target=send, args=(name,))
+                for name in range(senders)
+            ]
+            flusher.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            stop.set()
+            flusher.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [flusher, *threads])
+        # Each rejected request queued one redelivery per shard.
+        queued = 2 * senders * per_sender
+        assert accepted == [False] * senders * per_sender
+        assert gateway.pending_compensations == queued
+        assert gateway.metrics.value("gateway.pending_compensations") == queued

@@ -201,7 +201,7 @@ def test_a_planned_drop_fires_once_under_concurrent_sends():
     from repro.protocol.messages import Message
     from repro.protocol.transport import InProcessTransport
 
-    transport = InProcessTransport(wire_format=False, dedup_capacity=None)
+    transport = InProcessTransport(dedup_capacity=None)
     transport.register("echo", lambda m: m.reply("ok"))
     threads_n, per_thread = 8, 50
     planned = range(25, threads_n * per_thread + 1, 50)

@@ -70,12 +70,6 @@ class TestTransport:
             transport.send(Message("m1", "a", "echo"))
         assert calls == ["m1"]  # the endpoint did process the request
 
-    def test_wire_format_can_be_disabled(self):
-        transport = InProcessTransport(wire_format=False)
-        transport.register("echo", lambda m: m.reply("r1"))
-        transport.send(Message("m1", "a", "echo"))
-        assert transport.metrics.value("transport.bytes_on_wire") == 0
-
 
 class TestEndpoint:
     def test_promise_request_handled(self, shop):

@@ -174,13 +174,6 @@ class TestDeployment:
         assert client.call("one", "echo", "say", {"text": "1"}).value == "1"
         assert client.call("two", "other", "say", {"text": "2"}).value == "2"
 
-    def test_wire_format_disabled(self):
-        deployment = Deployment(name="dep", wire_format=False)
-        deployment.add_service(EchoService())
-        client = deployment.client("tester")
-        client.call("dep", "echo", "say", {"text": "x"})
-        assert deployment.transport.metrics.value("transport.bytes_on_wire") == 0
-
     def test_max_duration_propagates(self):
         from repro.core.parser import P
 
